@@ -24,12 +24,6 @@ class ValidationError(AssemblyError):
     """Coefficient outside its admissible range."""
 
 
-#: The assembled kernel quadratic form counts each ordered node pair once,
-#: i.e. u^T Theta u = sum_{i != j} K(x_i, x_j) (u_i - u_j)^2 w_i w_j.
-#: Flip to 1.0 for the each-unordered-pair-once convention.
-ORDERED_PAIR_FACTOR = 2.0
-
-
 @dataclass
 class DiffusionTensor:
     """Per-triangle symmetric 2x2 diffusivity with an ellipticity floor d0."""
@@ -119,21 +113,27 @@ class BetaCoefficient:
         return cls(np.full(len(measure.weights), value), beta0=value)
 
 
-def assemble_bulk(mesh: MeshedDomain, D: DiffusionTensor) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Lumped bulk mass and stiffness matrices for piecewise-linear elements."""
+def p1_gradients(mesh: MeshedDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle areas and the x and y gradients of the three barycentric
+    basis functions of every triangle, each gradient array (n_tri, 3)."""
     verts, tris = mesh.vertices, mesh.triangles
     areas = triangle_areas(verts, tris)
     if (areas <= 0.0).any():
         raise AssemblyError("degenerate (zero-area) triangle")
-    if len(D.d11) != len(tris):
-        raise AssemblyError("diffusion tensor length does not match triangle count")
-
     p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    # gradients of the three barycentric basis functions, per triangle
     gx = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
     gy = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
     gx /= (2.0 * areas)[:, None]
     gy /= (2.0 * areas)[:, None]
+    return areas, gx, gy
+
+
+def assemble_bulk(mesh: MeshedDomain, D: DiffusionTensor) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Lumped bulk mass and stiffness matrices for piecewise-linear elements."""
+    verts, tris = mesh.vertices, mesh.triangles
+    areas, gx, gy = p1_gradients(mesh)
+    if len(D.d11) != len(tris):
+        raise AssemblyError("diffusion tensor length does not match triangle count")
 
     dgx = D.d11[:, None] * gx + D.d12[:, None] * gy
     dgy = D.d12[:, None] * gx + D.d22[:, None] * gy
@@ -192,7 +192,9 @@ def nonlocal_kernel_matrix(measure: InterfaceMeasure, kernel: KernelSpec) -> np.
         raise AssemblyError("coincident interface nodes make the kernel singular")
     kvals = np.zeros_like(r)
     kvals[off] = kernel.evaluate(r[off])
-    edge = ORDERED_PAIR_FACTOR * kvals * np.outer(measure.weights, measure.weights)
+    # the Laplacian below sums over unordered pairs; the factor 2 counts
+    # both orders of each pair, as the docstring's form does
+    edge = 2.0 * kvals * np.outer(measure.weights, measure.weights)
     return np.diag(edge.sum(axis=1)) - edge
 
 

@@ -11,10 +11,13 @@ detected by a simulate run.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import operator
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,44 @@ def build_problem(cfg: SimConfig):
     return mesh, measure, op, f, h
 
 
+_EXPR_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+                   "abs": np.abs, "tanh": np.tanh}
+_EXPR_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _eval_expression(text: str, names: dict):
+    """Value of an arithmetic expression in `names` and the functions of
+    _EXPR_FUNCTIONS; any other construct is a configuration error."""
+    def bad(reason: str) -> ConfigError:
+        return ConfigError([f"initial.expression = {text!r}: {reason}"])
+
+    def ev(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            # floats only: an integer power tower would never finish
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+            return _EXPR_BINARY[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+            return _EXPR_UNARY[type(node.op)](ev(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPR_FUNCTIONS
+                and len(node.args) == 1 and not node.keywords):
+            return _EXPR_FUNCTIONS[node.func.id](ev(node.args[0]))
+        raise bad(f"{ast.unparse(node)!r} is not allowed")
+
+    try:
+        return ev(ast.parse(text, mode="eval").body)
+    except SyntaxError as exc:
+        raise bad(f"syntax error: {exc.msg}") from exc
+    except ArithmeticError as exc:
+        raise bad(str(exc)) from exc
+
+
 def initial_state(cfg: SimConfig, op) -> np.ndarray:
     ini = cfg.initial
     if ini.kind == "eigenvector":
@@ -76,13 +117,9 @@ def initial_state(cfg: SimConfig, op) -> np.ndarray:
     if ini.kind == "expression":
         x = op.mesh.vertices[:, 0]
         y = op.mesh.vertices[:, 1]
-        env = {
-            "x": x, "y": y, "pi": np.pi,
-            "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
-            "abs": np.abs, "tanh": np.tanh,
-        }
         full = np.broadcast_to(
-            np.asarray(eval(ini.expression, {"__builtins__": {}}, env), dtype=float),
+            np.asarray(_eval_expression(ini.expression, {"x": x, "y": y, "pi": np.pi}),
+                       dtype=float),
             x.shape,
         ).copy()
         return ini.scale * full[op.free_dofs]
@@ -217,12 +254,11 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
             op, eps=_auto(cfg.run.eps), safety_factor=cfg.run.safety_factor,
             seed=cfg.run.seed,
         )
-        lam1 = float(spectrum(op, k=1).eigenvalues[0])
-        _WORKER_CACHE[key] = (cfg, op, report, lam1)
-    cfg, op, report, lam1 = _WORKER_CACHE[key]
+        _WORKER_CACHE[key] = (cfg, op, report)
+    cfg, op, report = _WORKER_CACHE[key]
     f, h = _cell_nonlinearities(cell)
     U0 = initial_state(cfg, op)
-    verdict = classify(f, h, op, report, U0, lam1=lam1,
+    verdict = classify(f, h, op, report, U0,
                        alpha=_auto(cfg.run.alpha), eps=_auto(cfg.run.eps))
     row = (f"{cell['p']!r},{cell['q']!r},{cell['c_f']!r},{cell['c_h']!r},"
            f"{verdict.verdict},{verdict.rule}")
@@ -231,6 +267,13 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
         traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg))
         outcome = traj.outcome
     return row, outcome
+
+
+def _write_marker(marker: Path, row: str, outcome: str) -> None:
+    """Write a cell's marker whole or not at all."""
+    tmp = marker.with_suffix(".tmp")
+    tmp.write_text(row + "\n" + (f"#outcome={outcome}\n" if outcome else ""))
+    os.replace(tmp, marker)
 
 
 def run_sweep(cfg: SimConfig, out: Path) -> int:
@@ -245,18 +288,25 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     pending = []
-    for idx, cell in enumerate(cells):
+    for cell in cells:
         marker = cells_dir / f"{_cell_hash(cfg_text, cell)}.csv"
         if not marker.exists():
-            pending.append((idx, cell, marker))
-    tasks = [(cfg_text, cell, cfg.sweep.simulate) for _, cell, _ in pending]
-    if cfg.run.jobs > 1 and tasks:
+            pending.append(((cfg_text, cell, cfg.sweep.simulate), marker))
+    # each marker is written as its cell finishes, so a killed sweep keeps
+    # every finished cell
+    if cfg.run.jobs > 1 and pending:
         with ProcessPoolExecutor(max_workers=cfg.run.jobs) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
+            futures = {pool.submit(_sweep_cell, task): marker
+                       for task, marker in pending}
+            try:
+                for fut in as_completed(futures):
+                    _write_marker(futures[fut], *fut.result())
+            finally:
+                for fut in futures:
+                    fut.cancel()
     else:
-        results = [_sweep_cell(t) for t in tasks]
-    for (idx, cell, marker), (row, outcome) in zip(pending, results):
-        marker.write_text(row + "\n" + (f"#outcome={outcome}\n" if outcome else ""))
+        for task, marker in pending:
+            _write_marker(marker, *_sweep_cell(task))
 
     rows, mismatches = [], []
     for cell in cells:
@@ -354,6 +404,11 @@ def main(argv: list[str] | None = None) -> int:
     except (GeometryError, AssemblyError) as exc:
         # the mesh or coefficients reject the configured problem
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConfigError as exc:
+        # a config value the parser cannot judge, such as initial.expression
+        for v in exc.violations:
+            print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

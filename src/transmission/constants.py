@@ -12,11 +12,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .assembly import DiffusionTensor, DiscreteOperator, assemble_bulk
-from .operators import lowest_pairs, quadratic_form, spectrum
+from .assembly import DiffusionTensor, DiscreteOperator, assemble_bulk, p1_gradients
+from .operators import (
+    NumericError,
+    lanczos_start,
+    lowest_pairs,
+    quadratic_form,
+    spectrum,
+)
 
 
 def random_smooth_states(op: DiscreteOperator, count: int, seed: int = 0,
@@ -39,21 +45,14 @@ def random_smooth_states(op: DiscreteOperator, count: int, seed: int = 0,
 
 def _gradient_operator(mesh) -> tuple[sp.csr_matrix, np.ndarray]:
     """Sparse map from vertex values to per-triangle (ux, uy), plus areas."""
-    from .geometry import triangle_areas
-
-    verts, tris = mesh.vertices, mesh.triangles
-    areas = triangle_areas(verts, tris)
-    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    gx = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
-    gy = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
-    gx /= (2.0 * areas)[:, None]
-    gy /= (2.0 * areas)[:, None]
+    areas, gx, gy = p1_gradients(mesh)
+    tris = mesh.triangles
     nt = len(tris)
     rows = np.concatenate([np.repeat(np.arange(nt), 3),
                            np.repeat(np.arange(nt, 2 * nt), 3)])
     cols = np.concatenate([tris.ravel(), tris.ravel()])
     vals = np.concatenate([gx.ravel(), gy.ravel()])
-    G = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nt, len(verts))).tocsr()
+    G = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nt, len(mesh.vertices))).tocsr()
     return G, areas
 
 
@@ -75,18 +74,33 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
     a = w / op.measure.total_mass
 
     if mode == "L2_eig":
+        # K annihilates constants and a sums to 1, so the quotient may be
+        # taken in the gauge a^T u = 0, where u - interface_mean(u) = u.  The
+        # bordered solve S f = u of  K u + a mu = f, a^T u = 0  inverts K on
+        # that gauge, and 1/lambda_min is the top eigenvalue of M^1/2 S M^1/2.
         _, k_unit = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
-        m_bulk = op.m_bulk.diagonal()
-        P = np.eye(n_dof) - np.outer(np.ones(n_dof), a)
-        C_N = P.T @ (m_bulk[:, None] * P)
-        Q = scipy.linalg.null_space(np.ones((1, n_dof)))
-        A_r = Q.T @ (k_unit.toarray() @ Q)
-        B_r = Q.T @ (C_N @ Q)
-        lam = scipy.linalg.eigh(A_r, B_r, subset_by_index=[0, 0], eigvals_only=True)
-        return float(1.0 / math.sqrt(lam[0]))
+        sqrt_m = np.sqrt(op.m_bulk.diagonal())
+        col = sp.csc_matrix(a[:, None])
+        bordered = sp.bmat([[k_unit, col], [col.T, None]], format="csc")
+        lu = spla.splu(bordered)
+        rhs = np.zeros(n_dof + 1)
+
+        def matvec(v):
+            rhs[:n_dof] = sqrt_m * np.ravel(v)
+            return sqrt_m * lu.solve(rhs)[:n_dof]
+
+        op_s = spla.LinearOperator((n_dof, n_dof), matvec=matvec, dtype=float)
+        try:
+            top = spla.eigsh(op_s, k=1, which="LA", v0=lanczos_start(n_dof),
+                             return_eigenvectors=False)
+        except spla.ArpackError as exc:
+            raise NumericError(f"Poincare eigensolve failed: {exc}") from exc
+        return float(math.sqrt(top[0]))
 
     if mode == "L1_empirical":
         G, areas = _gradient_operator(mesh)
+        GT = G.T.tocsr()   # a row-major transpose halves the cost of G^T x
+        areas2 = np.concatenate([areas, areas])
         m_bulk = op.m_bulk.diagonal()
         nt = len(areas)
         rng = np.random.default_rng(seed)
@@ -113,8 +127,8 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
                 s = np.sign(centered)
                 grad_num = m_bulk * s - (np.sum(m_bulk * s)) * a
                 safe = np.maximum(gt, 1e-14)
-                unit = np.concatenate([g[:nt] / safe, g[nt:] / safe]) * np.concatenate([areas, areas])
-                grad_den = G.T @ unit
+                unit = np.concatenate([g[:nt] / safe, g[nt:] / safe]) * areas2
+                grad_den = GT @ unit
                 grad = (grad_num * den - num * grad_den) / den**2
                 gn = np.linalg.norm(grad)
                 if gn <= 1e-14:
@@ -152,8 +166,7 @@ def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps={eps} outside (0, 1]")
     samples = random_smooth_states(op, trials, seed=seed)
-    k = min(10, op.n_free)
-    samples += [spectrum(op, k=k).eigenvectors[:, j] for j in range(k)]
+    samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
 
     x2 = np.array([op.pair_norm2(u) for u in samples])
     aa = np.array([quadratic_form(op, u) for u in samples])

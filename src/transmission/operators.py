@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
@@ -45,15 +46,41 @@ def quadratic_form(op: DiscreteOperator, u: np.ndarray, v: np.ndarray | None = N
     return float(np.asarray(v) @ (op.a_free @ u))
 
 
+def lanczos_start(n: int) -> np.ndarray:
+    """Fixed start vector of every Lanczos solve, so that results repeat bit
+    for bit; pseudo-random, so that no mode is orthogonal to it through a
+    symmetry of the mesh."""
+    return np.random.default_rng(0).uniform(0.5, 1.5, n)
+
+
 def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
                  residual_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of the pencil (A, diag(m)), eigenvectors
-    m-orthonormal; every returned pair's residual is verified."""
-    inv_sqrt_m = 1.0 / np.sqrt(m_diag)
-    B = inv_sqrt_m[:, None] * a_csr.toarray() * inv_sqrt_m[None, :]
+    m-orthonormal; every returned pair's residual is verified.
+
+    The pencil is reduced to B = M^-1/2 A M^-1/2, which stays sparse.  ARPACK
+    in shift-invert mode serves k < n - 1 pairs; the full basis (k >= n - 1,
+    beyond ARPACK) comes from a dense eigensolve.
+    """
+    n = a_csr.shape[0]
+    d = sp.diags(1.0 / np.sqrt(m_diag))
+    B = (d @ a_csr @ d).tocsc()
     B = 0.5 * (B + B.T)
-    vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
-    V = inv_sqrt_m[:, None] * vecs
+    if k >= n - 1:
+        vals, vecs = scipy.linalg.eigh(B.toarray(), subset_by_index=[0, k - 1])
+    else:
+        # A is positive semidefinite: a shift just below zero, small against
+        # the scale of B, keeps B - sigma I nonsingular even when A has a
+        # kernel
+        sigma = -1e-6 * B.diagonal().max()
+        try:
+            vals, vecs = spla.eigsh(B, k=k, sigma=sigma, which="LM",
+                                    v0=lanczos_start(n))
+        except spla.ArpackError as exc:
+            raise NumericError(f"shift-invert Lanczos failed: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    V = d @ vecs
     # column sign normalization for reproducibility across LAPACK variants
     pivot = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[pivot, np.arange(V.shape[1])])
@@ -72,18 +99,32 @@ def spectrum(op: DiscreteOperator, k: int | None = None,
              residual_tol: float = 1e-8) -> SpectralData:
     """Lowest k generalized eigenpairs of A v = lambda M v.
 
-    The diagonal mass reduces the pencil to a dense symmetric problem.
+    One solve per operator: the result with the most pairs is kept on the
+    operator, and a request for no more pairs (at no tighter tolerance)
+    gets read-only slices of it.
     """
     n = op.n_free
     if k is None:
         k = n
     if not (1 <= k <= n):
         raise ValueError(f"requested {k} eigenpairs of a {n}-DOF operator")
-    m = op.mass_diag
-    if (m <= 0.0).any():
-        raise NumericError("evolution mass not positive definite on free DOFs")
-    vals, V = lowest_pairs(op.a_free, m, k, residual_tol)
-    return SpectralData(eigenvalues=vals, eigenvectors=V, mass_diag=m)
+    cached = op._cache.get("spectrum")
+    if cached is None or cached[0].count < k or cached[1] > residual_tol:
+        m = op.mass_diag
+        if (m <= 0.0).any():
+            raise NumericError("evolution mass not positive definite on free DOFs")
+        vals, V = lowest_pairs(op.a_free, m, k, residual_tol)
+        for arr in (vals, V):
+            arr.flags.writeable = False
+        cached = (SpectralData(eigenvalues=vals, eigenvectors=V, mass_diag=m),
+                  residual_tol)
+        op._cache["spectrum"] = cached
+    full = cached[0]
+    if full.count == k:
+        return full
+    return SpectralData(eigenvalues=full.eigenvalues[:k],
+                        eigenvectors=full.eigenvectors[:, :k],
+                        mass_diag=full.mass_diag)
 
 
 def semigroup_apply(spec: SpectralData, t: float, F: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from transmission.cli import (
     EXIT_BLOWUP,
@@ -85,7 +86,8 @@ def test_missing_config_file(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
-def test_unresolvable_interface_is_config_error(tmp_path, capsys):
+def test_unresolvable_interface_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # run.out defaults to ./out
     cfg = write(tmp_path, "[geometry]\nn = 8\ninterface = koch\nkoch_level = 3\n")
     assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -189,6 +191,37 @@ def test_sweep_resumes_from_partial_cells(tmp_path):
     assert cells[0].exists()
 
 
+def test_sweep_keeps_cells_finished_before_a_crash(tmp_path, monkeypatch):
+    from transmission import cli
+
+    cfg = write(tmp_path, SWEEP)
+    out = tmp_path / "out"
+    real_cell = cli._sweep_cell
+    done = []
+
+    def crash_on_third(task):
+        if len(done) == 2:
+            raise RuntimeError("killed")
+        done.append(task[1])
+        return real_cell(task)
+
+    monkeypatch.setattr(cli, "_sweep_cell", crash_on_third)
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--config", cfg, "--out", str(out)])
+    cells = sorted((out / "cells").glob("*.csv"))
+    assert len(cells) == 2
+    stamps = {c: c.stat().st_mtime_ns for c in cells}
+
+    rerun = []
+    monkeypatch.setattr(cli, "_sweep_cell",
+                        lambda task: rerun.append(task[1]) or real_cell(task))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(rerun) == 4
+    assert not any(cell in rerun for cell in done)
+    assert all(c.stat().st_mtime_ns == stamps[c] for c in cells)
+    assert len(list((out / "cells").glob("*.csv"))) == 6
+
+
 def test_env_override_applies(tmp_path, monkeypatch):
     monkeypatch.setenv("TRANSMISSION_RUN__SPECTRUM_COUNT", "4")
     code = main(["spectrum", "--config", write(tmp_path, BASE),
@@ -224,6 +257,36 @@ def test_initial_state_expression_and_eigenvector(tmp_path):
 
     phi1 = spectrum(op, k=1).eigenvectors[:, 0]
     assert np.allclose(U, 2.0 * phi1)
+
+
+def test_initial_state_expression_cannot_run_code(tmp_path, capsys):
+    escape = "().__class__.__base__.__subclasses__()"
+    cfg = write(tmp_path, BASE + f"\n[initial]\nkind = expression\nexpression = {escape}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    # raised in the sweep workers, the error reaches the parent whole
+    sweep = write(tmp_path, SWEEP.replace("sin(pi*x)*sin(pi*y)", escape), "sweep.ini")
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sw"),
+                 "--jobs", "2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and escape in err[0]
+
+
+def test_initial_state_expression_values_exact():
+    cfg = parse_config_text(BASE)
+    _, _, op, _, _ = build_problem(cfg)
+    x, y = op.mesh.vertices[:, 0], op.mesh.vertices[:, 1]
+    cfg.initial.kind = "expression"
+    cases = {
+        "sin(pi*x)*sin(pi*y)": np.sin(np.pi * x) * np.sin(np.pi * y),
+        "-2*x**2 + exp(-y)/3 - sqrt(abs(x - 0.5))*tanh(cos(y))":
+            -2.0 * x ** 2.0 + np.exp(-y) / 3.0
+            - np.sqrt(np.abs(x - 0.5)) * np.tanh(np.cos(y)),
+    }
+    for text, full in cases.items():
+        cfg.initial.expression = text
+        assert initial_state(cfg, op).tobytes() == full[op.free_dofs].tobytes()
 
 
 def test_initial_state_from_file(tmp_path):

@@ -145,3 +145,63 @@ def test_report_positive_finite(op16):
     for val in (report.poincare_l2, report.poincare_l1_lower, report.c_bar,
                 report.c_star):
         assert math.isfinite(val) and val > 0
+
+
+def _dense_poincare_l2(op):
+    # reference: the quotient on the sum-zero complement, densified
+    import scipy.linalg
+
+    from transmission.assembly import assemble_bulk
+
+    mesh = op.mesh
+    n_dof = len(mesh.vertices)
+    w = np.zeros(n_dof)
+    w[mesh.interface_nodes] = op.measure.weights
+    a = w / op.measure.total_mass
+    _, k_unit = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+    m_bulk = op.m_bulk.diagonal()
+    P = np.eye(n_dof) - np.outer(np.ones(n_dof), a)
+    C_N = P.T @ (m_bulk[:, None] * P)
+    Q = scipy.linalg.null_space(np.ones((1, n_dof)))
+    lam = scipy.linalg.eigh(Q.T @ (k_unit.toarray() @ Q), Q.T @ (C_N @ Q),
+                            subset_by_index=[0, 0], eigvals_only=True)
+    return 1.0 / math.sqrt(lam[0])
+
+
+@pytest.mark.parametrize("y0", [0.5, 0.3])
+def test_poincare_l2_matches_dense_formula(y0):
+    from conftest import default_operator
+
+    op = default_operator(12, y0=y0)
+    ref = _dense_poincare_l2(op)
+    assert poincare_mean_sigma(op, "L2_eig") == pytest.approx(ref, rel=1e-10)
+
+
+def test_report_runs_one_spectrum_and_one_embedding_solve(monkeypatch):
+    import transmission.constants as constants
+    import transmission.operators as operators
+    from conftest import default_operator
+
+    calls = []
+    solve = operators.lowest_pairs
+
+    def counted(a_csr, m_diag, k, *args, **kwargs):
+        calls.append(k)
+        return solve(a_csr, m_diag, k, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "lowest_pairs", counted)
+    monkeypatch.setattr(constants, "lowest_pairs", counted)
+    compute_constants_report(default_operator(12), l1_starts=2, l1_iters=10)
+    assert sorted(calls) == [1, 10]
+
+
+def test_reports_byte_identical(tmp_path):
+    from conftest import default_operator
+
+    paths = []
+    for run in range(2):
+        report = compute_constants_report(default_operator(12), l1_starts=3,
+                                          l1_iters=20, seed=4)
+        paths.append(tmp_path / f"constants{run}.txt")
+        save_constants(report, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -11,6 +11,7 @@ from transmission.assembly import (
 )
 from transmission.geometry import Segment, build_interface_measure, build_square_mesh
 from transmission.operators import (
+    NumericError,
     export_spectrum_csv,
     export_ultracontractivity_csv,
     lowest_pairs,
@@ -59,13 +60,12 @@ def test_eigenvectors_mass_orthonormal(spec16):
     assert np.abs(G - np.eye(20)).max() <= 1e-8
 
 
-def test_zero_form_kernel_is_constants():
+def _zero_form_operator():
     # diagnostic configuration: no Dirichlet part and a vanishing interface
     # coefficient; the validation is deliberately bypassed by direct assembly
     mesh = build_square_mesh(8, Segment(0.5), dirichlet_side="none")
     measure = build_interface_measure(mesh)
     m_bulk, k_stiff = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
-    beta = BetaCoefficient(np.zeros(len(measure.weights)), beta0=0.0)
     import scipy.sparse as sp
 
     n_dof = len(mesh.vertices)
@@ -74,14 +74,86 @@ def test_zero_form_kernel_is_constants():
     m_iface = sp.diags(w, format="csr")
     b_beta = sp.csr_matrix((n_dof, n_dof))
     theta = assemble_nonlocal(mesh, measure, KernelSpec(s=0.5, dim_d=1.0))
-    op = DiscreteOperator(
+    return DiscreteOperator(
         mesh=mesh, measure=measure, m_bulk=m_bulk, m_iface=m_iface,
         k_stiff=k_stiff, b_beta=b_beta, theta=theta, d0=1.0, beta0=0.0,
     )
+
+
+def test_zero_form_kernel_is_constants():
+    op = _zero_form_operator()
     spec = spectrum(op, k=2)
     assert abs(spec.eigenvalues[0]) <= 1e-8
     v = spec.eigenvectors[:, 0]
     assert np.abs(v - v.mean()).max() <= 1e-6 * np.abs(v).max()
+
+
+def _koch_operator():
+    from transmission.assembly import build_operator
+    from transmission.geometry import KochPrefractal
+
+    mesh = build_square_mesh(27, KochPrefractal(level=1, y0=0.4))
+    measure = build_interface_measure(mesh)
+    return build_operator(
+        mesh, measure,
+        DiffusionTensor.isotropic(mesh),
+        BetaCoefficient.constant(measure, 1.0),
+        KernelSpec(s=0.5, dim_d=measure.dim_d),
+    )
+
+
+def _dense_lowest_values(a_csr, m_diag, k):
+    # reference: the reduced pencil densified and solved by LAPACK
+    import scipy.linalg
+
+    inv_sqrt_m = 1.0 / np.sqrt(m_diag)
+    B = inv_sqrt_m[:, None] * a_csr.toarray() * inv_sqrt_m[None, :]
+    return scipy.linalg.eigh(0.5 * (B + B.T), subset_by_index=[0, k - 1],
+                             eigvals_only=True)
+
+
+@pytest.mark.parametrize("case", ["op16", "koch", "static", "zero_form"])
+@pytest.mark.parametrize("k", [1, 10])
+def test_sparse_pairs_match_dense(case, k, request):
+    from conftest import default_operator
+
+    op = {
+        "op16": lambda: request.getfixturevalue("op16"),
+        "koch": _koch_operator,
+        "static": lambda: default_operator(8, delta=0),
+        "zero_form": _zero_form_operator,
+    }[case]()
+    assert k < op.n_free - 1   # the sparse path serves the request
+    vals, V = lowest_pairs(op.a_free, op.mass_diag, k)
+    ref = _dense_lowest_values(op.a_free, op.mass_diag, k)
+    assert np.abs(vals - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    G = V.T @ (op.mass_diag[:, None] * V)
+    assert np.abs(G - np.eye(k)).max() <= 1e-8
+
+
+def test_lowest_pairs_residual_check_raises(op16):
+    with pytest.raises(NumericError):
+        lowest_pairs(op16.a_free, op16.mass_diag, 3, residual_tol=1e-30)
+
+
+def test_spectrum_is_solved_once_per_operator(monkeypatch):
+    import transmission.operators as operators
+    from conftest import default_operator
+
+    op = default_operator(8)
+    calls = []
+    solve = operators.lowest_pairs
+    monkeypatch.setattr(operators, "lowest_pairs",
+                        lambda *a, **kw: calls.append(a[2]) or solve(*a, **kw))
+    big = spectrum(op, k=6)
+    small = spectrum(op, k=2)
+    assert calls == [6]
+    assert np.array_equal(small.eigenvalues, big.eigenvalues[:2])
+    assert np.array_equal(small.eigenvectors, big.eigenvectors[:, :2])
+    with pytest.raises(ValueError):
+        small.eigenvectors[0, 0] = 1.0
+    spectrum(op, k=8)
+    assert calls == [6, 8]
 
 
 def test_pure_laplacian_eigenvalue_closed_form():
