@@ -31,7 +31,11 @@ from .assembly import (
 )
 from .config import ConfigError, SimConfig, parse_config, serialize_config
 from .constants import compute_constants_report, save_constants
-from .diagnostics import export_trajectory_csv, squeezing_check
+from .diagnostics import (
+    compute_energy_report,
+    export_trajectory_csv,
+    squeezing_check,
+)
 from .dynamics import Nonlinearity, StepControl, integrate
 from .geometry import (
     GeometryError,
@@ -109,6 +113,31 @@ def _eval_expression(text: str, names: dict):
         raise bad(str(exc)) from exc
 
 
+def _read_vertex_values(path: str, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex indices, values) of a `vertex,value` CSV with a header row;
+    every index a distinct integer in [0, n_vertices), every value finite."""
+    def bad(reason: str) -> ConfigError:
+        return ConfigError([f"initial.path = {path!r}: {reason}"])
+
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise bad(str(exc)) from exc
+    if data.shape[1] != 2 or not len(data):
+        raise bad("expected rows of two columns: vertex,value")
+    index, value = data[:, 0], data[:, 1]
+    if not np.isfinite(data).all():
+        raise bad("non-finite entry")
+    if (index != np.round(index)).any():
+        raise bad("non-integer vertex index")
+    if ((index < 0) | (index >= n_vertices)).any():
+        raise bad(f"vertex index outside [0, {n_vertices})")
+    vertex = index.astype(int)
+    if len(np.unique(vertex)) != len(vertex):
+        raise bad("duplicate vertex index")
+    return vertex, value
+
+
 def initial_state(cfg: SimConfig, op) -> np.ndarray:
     ini = cfg.initial
     if ini.kind == "eigenvector":
@@ -124,9 +153,9 @@ def initial_state(cfg: SimConfig, op) -> np.ndarray:
         ).copy()
         return ini.scale * full[op.free_dofs]
     if ini.kind == "file":
-        data = np.loadtxt(ini.path, delimiter=",", skiprows=1)
         full = np.zeros(len(op.mesh.vertices))
-        full[data[:, 0].astype(int)] = data[:, 1]
+        vertex, value = _read_vertex_values(ini.path, len(full))
+        full[vertex] = value
         return ini.scale * full[op.free_dofs]
     raise ConfigError([f"initial.kind = {ini.kind!r} not supported"])
 
@@ -195,17 +224,19 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     U0 = initial_state(cfg, op)
     traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg))
     snap = cfg.run.snapshot_stride
+    report = compute_energy_report(traj, op, f, h)
     export_trajectory_csv(traj, op, f, h, out / "trajectory.csv",
                           snapshot_stride=snap,
-                          snapshot_dir=(out / "snapshots") if snap else None)
-    _write_fit_summaries(traj, op, f, h, out / "diagnostics.txt")
+                          snapshot_dir=(out / "snapshots") if snap else None,
+                          report=report)
+    _write_fit_summaries(traj, op, f, h, report, out / "diagnostics.txt")
     outcome = {"completed": "Completed", "blowup": "BlowUp",
                "stalled": "StalledStep"}[traj.outcome]
     print(f"OUTCOME,{outcome},{traj.outcome_time!r}")
     return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
 
 
-def _write_fit_summaries(traj, op, f, h, path) -> None:
+def _write_fit_summaries(traj, op, f, h, report, path) -> None:
     from .diagnostics import (
         energy_inequality_residual,
         holder_time_modulus,
@@ -213,7 +244,7 @@ def _write_fit_summaries(traj, op, f, h, path) -> None:
     )
 
     lines = [f"outcome={traj.outcome}", f"outcome_time={traj.outcome_time!r}"]
-    res = energy_inequality_residual(traj, op, f, h)
+    res = energy_inequality_residual(traj, op, f, h, report=report)
     lines.append(f"energy_inequality_max_residual={res['max_residual']!r}")
     lines.append(f"e0={res['e0']!r}")
     if traj.outcome == "completed":

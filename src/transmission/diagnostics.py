@@ -80,10 +80,12 @@ def compute_energy_report(traj: Trajectory, op: DiscreteOperator,
 
 
 def energy_inequality_residual(traj: Trajectory, op: DiscreteOperator,
-                               f: Nonlinearity, h: Nonlinearity) -> dict:
+                               f: Nonlinearity, h: Nonlinearity,
+                               report: EnergyReport | None = None) -> dict:
     """max_n [E(t_n) + D(t_n) - E(0)]; nonpositive for the continuous flow,
-    O(dt) positive at worst for the discrete one."""
-    rep = compute_energy_report(traj, op, f, h)
+    O(dt) positive at worst for the discrete one.  `report`, when given, is
+    compute_energy_report(traj, op, f, h) computed by the caller."""
+    rep = report if report is not None else compute_energy_report(traj, op, f, h)
     residuals = rep.E + rep.dissipation - rep.E[0]
     k = int(np.argmax(residuals))
     return {
@@ -270,10 +272,13 @@ def moser_domination_check(traj: Trajectory, op: DiscreteOperator,
 
 def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
                           f: Nonlinearity, h: Nonlinearity, path,
-                          snapshot_stride: int = 0, snapshot_dir=None) -> None:
+                          snapshot_stride: int = 0, snapshot_dir=None,
+                          report: EnergyReport | None = None) -> None:
     """Trajectory CSV with energy columns and a final OUTCOME line; optional
-    field snapshots every snapshot_stride steps as node-value CSVs."""
-    rep = compute_energy_report(traj, op, f, h)
+    field snapshots every snapshot_stride steps as node-value CSVs.
+    `report`, when given, is compute_energy_report(traj, op, f, h) computed
+    by the caller."""
+    rep = report if report is not None else compute_energy_report(traj, op, f, h)
     with open(path, "w") as fh:
         fh.write("t,dt,sup_norm,l2_norm,E,G,dissipation_integral\n")
         for k in range(len(traj.times)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
@@ -142,10 +143,8 @@ class Trajectory:
 def _imex_solver(op: DiscreteOperator, dt: float):
     key = ("imex", float(dt))
     if key not in op._cache:
-        m = op.mass_diag
-        mat = (op.a_free * dt).tolil()
-        mat.setdiag(mat.diagonal() + m)
-        op._cache[key] = spla.splu(mat.tocsc())
+        mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
+        op._cache[key] = spla.splu(mat)
     return op._cache[key]
 
 

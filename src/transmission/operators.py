@@ -151,9 +151,7 @@ def markov_check(op: DiscreteOperator, trials: int, t_grid: np.ndarray,
     m = op.mass_diag
     solvers = {}
     for dt in np.unique(dts):
-        mat = (op.a_free * dt).tolil()
-        mat.setdiag(mat.diagonal() + m)
-        solvers[dt] = spla.splu(mat.tocsc())
+        solvers[dt] = spla.splu((op.a_free * dt + sp.diags(m)).tocsc())
     min_entry = np.inf
     sup_ratio = 0.0
     for _ in range(trials):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -153,10 +154,23 @@ def _tau_grid(tau_max: float = 1e3, n: int = 4001) -> np.ndarray:
     return np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
 
 
-def _refined_sup(fun, tau_max: float = 1e3) -> tuple[float, float]:
-    """(sup of fun over [-tau_max, tau_max], argmax), grid + local refinement."""
-    grid = _tau_grid(tau_max)
-    vals = fun(grid)
+@cache
+def _scan_grid() -> np.ndarray:
+    """The read-only grid of every finite-tau sup over [-1e3, 1e3].  Built
+    on first use rather than at import, which every CLI mode does: the sort
+    that builds it pages in memory that modes without regimes never need."""
+    grid = _tau_grid()
+    grid.flags.writeable = False
+    return grid
+
+
+def _refined_sup(fun, vals: np.ndarray | None = None) -> tuple[float, float]:
+    """(sup of fun over [-1e3, 1e3], argmax): local bounded refinement around
+    the five largest of its values on _scan_grid() (vals, when the caller
+    has them)."""
+    grid = _scan_grid()
+    if vals is None:
+        vals = fun(grid)
     order = np.argsort(vals)[::-1][:5]
     best_val, best_tau = -math.inf, 0.0
     for k in order:
@@ -174,6 +188,42 @@ def _refined_sup(fun, tau_max: float = 1e3) -> tuple[float, float]:
         if cand_val > best_val:
             best_val, best_tau = cand_val, cand_tau
     return best_val, best_tau
+
+
+# ------------------------------------------------- certified inequalities
+# Each rule's defect polynomial is built here only, so that a replay tests
+# the inequality that was certified.
+def _balance_lhs(f: Nonlinearity, h: Nonlinearity, rho: float, c_star: float,
+                 eps: float, m: int) -> PolyFunc:
+    """Moment-m defect of 'balance-certified', bounded by
+    balance_c m^balance_lambda (|t|^(m+1) + 1) for |t| >= tau0:
+    -f(t)|t|^(m-1)t + rho h(t)|t|^(m-1)t
+        + (c_star^2 / 4 m eps) |t|^(m-1) (h'(t) t + m h(t))^2."""
+    fp = PolyFunc.from_nonlinearity(f)
+    hp = PolyFunc.from_nonlinearity(h)
+    mono = PolyFunc({(float(m - 1), 1): 1.0})   # |t|^{m-1} t
+    return (fp * mono).scale(-1.0) + (hp * mono).scale(rho) \
+        + PolyFunc({(float(m - 1), 0): c_star ** 2 / (4.0 * m * eps)}) \
+        * (hp.derivative().times_tau() + hp.scale(float(m))).square()
+
+
+def _dissipative_lhs(f: Nonlinearity, h: Nonlinearity, rho: float,
+                     c_star: float, eps: float) -> PolyFunc:
+    """Defect of 'dissipative-balance', bounded by lambda_star t^2 + c_fh:
+    -f(t) t + rho h(t) t + (c_star^2 / 4 eps) (h'(t) t + h(t))^2."""
+    fp = PolyFunc.from_nonlinearity(f)
+    hp = PolyFunc.from_nonlinearity(h)
+    kappa = c_star ** 2 / (4.0 * eps)
+    return fp.times_tau().scale(-1.0) + hp.times_tau().scale(rho) \
+        + (hp.derivative().times_tau() + hp).square().scale(kappa)
+
+
+def _quadratic_gap_lhs(g: PolyFunc, l: PolyFunc, rho: float, c_star: float,
+                       eps: float) -> PolyFunc:
+    """Combined defect of the 'quadratic-gap' blow-up route, bounded below
+    by C1 t^2 - C2: g(t) - rho l(t) - (c_star^2 / 4 eps) l'(t)^2."""
+    kappa = c_star ** 2 / (4.0 * eps)
+    return g - l.scale(rho) - l.derivative().square().scale(kappa)
 
 
 @dataclass
@@ -221,9 +271,6 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
         eps = d0 / 2.0
     rho = constants.total_mass / constants.domain_area
     c_star = constants.c_star
-    fp = PolyFunc.from_nonlinearity(f)
-    hp = PolyFunc.from_nonlinearity(h)
-    hd = hp.derivative()
 
     if c_h != 0.0 and p > 0.0 and abs(q - 2.0 * p) < 1e-12:
         # the squared-derivative moment term grows linearly in the moment
@@ -231,12 +278,11 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
         # every moment
         return None
 
+    grid = _scan_grid()
+    grid = grid[np.abs(grid) >= tau0]
     needed = []
     for m in m_grid:
-        mono_lo = PolyFunc({(float(m - 1), 1): 1.0})   # |t|^{m-1} t
-        lhs = (fp * mono_lo).scale(-1.0) + (hp * mono_lo).scale(rho) \
-            + PolyFunc({(float(m - 1), 0): c_star ** 2 / (4.0 * m * eps)}) \
-            * (hd.times_tau() + hp.scale(float(m))).square()
+        lhs = _balance_lhs(f, h, rho, c_star, eps, m)
         deg, coeff = lhs.leading()
         if deg > m + 1.0 + 1e-12 and coeff > 0.0:
             return None
@@ -246,8 +292,6 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
             t = np.asarray(t, dtype=float)
             return lhs(t) / (np.abs(t) ** bound + 1.0)
 
-        grid = _tau_grid(1e3)
-        grid = grid[np.abs(grid) >= tau0]
         level = float(np.max(ratio(grid)))
         if abs(deg - bound) <= 1e-12:
             level = max(level, coeff)
@@ -279,11 +323,7 @@ def check_dissipative(f: Nonlinearity, h: Nonlinearity,
     if not (0.0 < eps < d0):
         raise ValueError(f"eps={eps} outside (0, d0={d0})")
     rho = constants.total_mass / constants.domain_area
-    kappa = constants.c_star ** 2 / (4.0 * eps)
-    fp = PolyFunc.from_nonlinearity(f)
-    hp = PolyFunc.from_nonlinearity(h)
-    lhs = fp.times_tau().scale(-1.0) + hp.times_tau().scale(rho) \
-        + (hp.derivative().times_tau() + hp).square().scale(kappa)
+    lhs = _dissipative_lhs(f, h, rho, constants.c_star, eps)
     deg, coeff = lhs.leading()
     if deg > 2.0 + 1e-12 and coeff > 0.0:
         _, witness = _refined_sup(lambda t: lhs(t) / (t * t + 1.0))
@@ -303,24 +343,73 @@ def check_dissipative(f: Nonlinearity, h: Nonlinearity,
 
 
 # ----------------------------------------------------------------- blow-up
-def _best_quadratic_gap(lhs: PolyFunc, ladder: np.ndarray) -> list[tuple[float, float]]:
-    """Pairs (C1, C2) with lhs >= C1 t^2 - C2 on the scanned range, one per
-    feasible ladder entry."""
-    deg, coeff = lhs.leading()
-    if coeff <= 0.0 or deg < 2.0 - 1e-12:
-        return []
-    if abs(deg - 2.0) <= 1e-12:
-        ladder = ladder[ladder <= coeff * (1.0 - 1e-9)]
-    out = []
-    for c1 in ladder:
-        sup_val, _ = _refined_sup(lambda t: c1 * t * t - lhs(t))
-        out.append((float(c1), max(0.0, sup_val) * (1.0 + 1e-9)))
-    return out
+class _QuadraticGap:
+    """Minorants C1 t^2 - C2 of lhs on the scanned range, one per feasible
+    ladder rung C1.
+
+    lhs is evaluated once on _scan_grid() and every rung's grid-level C2 comes
+    from one (rungs x grid) array.  The refined C2 of a rung is computed on
+    first request and kept.  The refinement maximises over the grid values
+    too, so the grid-level C2 never exceeds the refined one.
+    """
+
+    def __init__(self, lhs: PolyFunc, ladder: np.ndarray):
+        deg, coeff = lhs.leading()
+        if coeff <= 0.0 or deg < 2.0 - 1e-12:
+            ladder = ladder[:0]
+        elif abs(deg - 2.0) <= 1e-12:
+            ladder = ladder[ladder <= coeff * (1.0 - 1e-9)]
+        self.lhs = lhs
+        self.c1 = ladder
+        self._refined: dict[int, float] = {}
+        if len(ladder):
+            grid = _scan_grid()
+            self._lhs_grid = lhs(grid)
+            sup = ((ladder[:, None] * grid) * grid - self._lhs_grid).max(axis=1)
+            self._grid_c2 = [max(0.0, v) * (1.0 + 1e-9) for v in sup.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.c1)
+
+    def c2(self, i: int, refined: bool) -> float:
+        """C2 of rung i: refined, or its grid-level lower bound."""
+        if not refined:
+            return self._grid_c2[i]
+        if i not in self._refined:
+            c1, lhs = self.c1[i], self.lhs
+            grid = _scan_grid()
+            # the grid values are fun(grid), bit for bit
+            sup_val, _ = _refined_sup(lambda t: c1 * t * t - lhs(t),
+                                      (c1 * grid) * grid - self._lhs_grid)
+            self._refined[i] = max(0.0, sup_val) * (1.0 + 1e-9)
+        return self._refined[i]
+
+
+def _first_best(makers: list) -> dict:
+    """The candidate max(..., key=margin) picks from the refined candidates
+    [make(True) for make in makers]: the first of largest margin.
+
+    make(False) builds a candidate from grid-level C2 values, and the margin
+    only falls as a C2 rises, so its margin bounds the refined one from
+    above.  Candidates are refined in decreasing order of that bound until
+    the next bound is below the best refined margin.
+    """
+    bounds = [make(False)["margin"] for make in makers]
+    best, best_k = None, -1
+    for k in sorted(range(len(makers)), key=lambda k: (-bounds[k], k)):
+        if best is not None and bounds[k] < best["margin"]:
+            break
+        cand = makers[k](True)
+        if best is None or cand["margin"] > best["margin"] \
+                or (cand["margin"] == best["margin"] and k < best_k):
+            best, best_k = cand, k
+    return best
 
 
 def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
                  constants: ConstantsReport, u0_norm2: float, e0: float,
-                 d0: float, lam1: float, eps: float | None = None) -> dict:
+                 d0: float, lam1: float, eps: float | None = None,
+                 gap_cache: dict | None = None) -> dict:
     """Blow-up certificates at a fixed alpha.
 
     Route 'quadratic-gap': the combined defect
@@ -329,7 +418,11 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
     g >= C_f t^2 - C_f' and l <= -C_h t^2 + C_h' separately.  Either way the
     verdict fires when D1 ||U0||^2 > alpha E(0) + D2 for the route's
     constants; the embedding constant of the operator domain is estimated
-    by 1/lambda_1.
+    by 1/lambda_1.  The candidate of largest margin over the C1 ladder is
+    returned.
+
+    The sign-pair minorants depend on alpha only: calls on the same (f, h)
+    may share them through one gap_cache dict.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
@@ -339,41 +432,53 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
     if not (0.0 < eps < eps_cap):
         raise ValueError(f"eps={eps} outside (0, (alpha/2-1) d0 = {eps_cap})")
     rho = constants.total_mass / constants.domain_area
-    kappa = constants.c_star ** 2 / (4.0 * eps)
     c_tilde = 1.0 / lam1
     g, l = alpha_defects(f, h, alpha)
     ladder = np.geomspace(1e-4, 1e4, 33)
     area = constants.domain_area
     mu = constants.total_mass
 
-    candidates = []
+    quad = _QuadraticGap(_quadratic_gap_lhs(g, l, rho, constants.c_star, eps),
+                         ladder)
+    if gap_cache is None:
+        gap_cache = {}
+    if alpha not in gap_cache:
+        gap_g = _QuadraticGap(g, ladder)
+        # the route needs both gaps
+        gap_l = _QuadraticGap(l.scale(-1.0), ladder) if gap_g else None
+        gap_cache[alpha] = (gap_g, gap_l)
+    gap_g, gap_l = gap_cache[alpha]
 
-    lhs2 = g - l.scale(rho) - l.derivative().square().scale(kappa)
-    for c1, c2 in _best_quadratic_gap(lhs2, ladder):
+    def quadratic_gap(i: int, refined: bool) -> dict:
+        c1, c2 = float(quad.c1[i]), quad.c2(i, refined)
         d1 = 2.0 * ((1.0 / d0) * ((alpha / 2.0 - 1.0) * d0 - eps) * c_tilde + c1)
         d2 = c2 * area
-        candidates.append({
+        return {
             "route": "quadratic-gap", "C1": c1, "C2": c2,
             "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
-        })
+        }
 
-    gap_g = _best_quadratic_gap(g, ladder)
-    gap_l = _best_quadratic_gap(l.scale(-1.0), ladder)
+    def sign_pair(i: int, j: int, refined: bool) -> dict:
+        cf, cfp = float(gap_g.c1[i]), gap_g.c2(i, refined)
+        ch, chp = float(gap_l.c1[j]), gap_l.c2(j, refined)
+        d1 = 2.0 * ((alpha / 2.0 - 1.0) * c_tilde + min(cf, ch))
+        d2 = cfp * area + chp * mu
+        return {
+            "route": "sign-pair", "C_f": cf, "C_f_prime": cfp,
+            "C_h": ch, "C_h_prime": chp,
+            "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
+        }
+
+    makers = [partial(quadratic_gap, i) for i in range(len(quad))]
     if gap_g and gap_l:
-        for cf, cfp in gap_g[:: max(1, len(gap_g) // 8)]:
-            for ch, chp in gap_l[:: max(1, len(gap_l) // 8)]:
-                d1 = 2.0 * ((alpha / 2.0 - 1.0) * c_tilde + min(cf, ch))
-                d2 = cfp * area + chp * mu
-                candidates.append({
-                    "route": "sign-pair", "C_f": cf, "C_f_prime": cfp,
-                    "C_h": ch, "C_h_prime": chp,
-                    "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
-                })
+        makers += [partial(sign_pair, i, j)
+                   for i in range(0, len(gap_g), max(1, len(gap_g) // 8))
+                   for j in range(0, len(gap_l), max(1, len(gap_l) // 8))]
 
-    if not candidates:
+    if not makers:
         return {"fired": False, "reason": "no quadratic gap at this alpha",
                 "alpha": alpha, "eps": eps}
-    best = max(candidates, key=lambda c: c["margin"])
+    best = _first_best(makers)
     best.update({
         "fired": bool(best["margin"] > 0.0),
         "alpha": alpha, "eps": eps, "c_star": constants.c_star,
@@ -436,6 +541,7 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
     e0 = energy(op, U0, f, h).total
 
     alphas = [alpha] if alpha is not None else default_alpha_candidates(f, h)
+    gap_cache: dict = {}
 
     def blowup_scan():
         best = None
@@ -446,7 +552,8 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
                 if not (0.0 < e < eps_cap):
                     continue
                 res = check_blowup(f, h, a, constants, u0_norm2, e0,
-                                   d0=op.d0, lam1=lam1, eps=e)
+                                   d0=op.d0, lam1=lam1, eps=e,
+                                   gap_cache=gap_cache)
                 if "margin" in res and (best is None or res["margin"] > best["margin"]):
                     best = res
         return best
@@ -528,34 +635,23 @@ def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
         exc_h = h(taus) - cert["c_h_envelope"] * sq
         return rel(np.maximum(exc_f, exc_h), sq)
     if verdict.rule == "balance-certified":
-        fp = PolyFunc.from_nonlinearity(f)
-        hp = PolyFunc.from_nonlinearity(h)
-        hd = hp.derivative()
         worst = 0.0
         sel = taus[np.abs(taus) >= cert["tau0"]]
         for m in cert["m_grid"]:
-            mono = PolyFunc({(float(m - 1), 1): 1.0})
-            lhs = (fp * mono).scale(-1.0) + (hp * mono).scale(rho) \
-                + PolyFunc({(float(m - 1), 0): cert["c_star"] ** 2 / (4.0 * m * cert["eps"])}) \
-                * (hd.times_tau() + hp.scale(float(m))).square()
+            lhs = _balance_lhs(f, h, rho, cert["c_star"], cert["eps"], m)
             bound = cert["balance_c"] * m ** cert["balance_lambda"] \
                 * (np.abs(sel) ** (m + 1.0) + 1.0)
             worst = max(worst, rel(lhs(sel) - bound, bound))
         return worst
     if verdict.rule == "dissipative-balance":
-        fp = PolyFunc.from_nonlinearity(f)
-        hp = PolyFunc.from_nonlinearity(h)
-        kappa = constants.c_star ** 2 / (4.0 * cert["eps"])
-        lhs = fp.times_tau().scale(-1.0) + hp.times_tau().scale(rho) \
-            + (hp.derivative().times_tau() + hp).square().scale(kappa)
+        lhs = _dissipative_lhs(f, h, rho, constants.c_star, cert["eps"])
         bound = cert["lambda_star"] * taus * taus + cert["c_fh"]
         return rel(lhs(taus) - bound, np.abs(bound) + 1.0)
     if verdict.rule.startswith(("quadratic-gap-blowup", "sign-pair-blowup")) \
             or verdict.rule == "threshold-not-met":
         g, l = alpha_defects(f, h, cert["alpha"])
-        kappa = cert["c_star"] ** 2 / (4.0 * cert["eps"])
         if cert["route"] == "quadratic-gap":
-            lhs = g - l.scale(rho) - l.derivative().square().scale(kappa)
+            lhs = _quadratic_gap_lhs(g, l, rho, cert["c_star"], cert["eps"])
             bound = cert["C1"] * taus * taus - cert["C2"]
             return rel(bound - lhs(taus), np.abs(bound) + 1.0)
         exc1 = cert["C_f"] * taus * taus - cert["C_f_prime"] - g(taus)

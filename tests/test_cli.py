@@ -9,7 +9,7 @@ from transmission.cli import (
     initial_state,
     main,
 )
-from transmission.config import parse_config_text
+from transmission.config import parse_config, parse_config_text
 
 BASE = """
 [geometry]
@@ -303,6 +303,37 @@ def test_initial_state_from_file(tmp_path):
     cfg.initial.scale = 1.0
     U = initial_state(cfg, op)
     assert np.allclose(U, full[op.free_dofs])
+
+
+def _file_initial_config(tmp_path, rows):
+    path = tmp_path / "field.csv"
+    path.write_text("vertex,value\n" + "".join(f"{r}\n" for r in rows))
+    return write(tmp_path, BASE + f"\n[initial]\nkind = file\npath = {path}\n")
+
+
+def test_initial_state_from_one_row_file(tmp_path):
+    cfg = parse_config(_file_initial_config(tmp_path, ["40,2.5"]))
+    _, _, op, _, _ = build_problem(cfg)
+    full = np.zeros(len(op.mesh.vertices))
+    full[40] = 2.5
+    assert initial_state(cfg, op).tobytes() == full[op.free_dofs].tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    ["-1,1.0"],                  # negative index: would wrap to the last vertex
+    ["81,1.0"],                  # one past the last of the 81 vertices
+    ["1.5,1.0"],                 # fractional index: would be truncated
+    ["3,1.0", "3,2.0"],          # duplicate index
+    ["3,nan"],                   # non-finite value
+    ["inf,1.0"],                 # non-finite index
+    ["3"],                       # no value column
+], ids=["negative", "past-end", "fractional", "duplicate", "nan-value",
+        "inf-index", "one-column"])
+def test_initial_state_file_rejects_bad_entries(tmp_path, capsys, rows):
+    cfg = _file_initial_config(tmp_path, rows)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "initial.path" in capsys.readouterr().err
 
 
 def test_determinism_of_simulate_csv(tmp_path):

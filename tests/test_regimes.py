@@ -1,6 +1,11 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from transmission import regimes
 from transmission.constants import ConstantsReport
 from transmission.dynamics import Nonlinearity
 from transmission.regimes import (
@@ -171,6 +176,171 @@ def test_blowup_case_b_inequality(constants, lam1):
                         d0=1.0, lam1=lam1)
     assert weak.get("poly_case", "") == ""
     assert not weak["fired"]
+
+
+# Reference: the eager search, which refines the sup of every ladder rung of
+# every defect at every call and takes max() over all candidates.
+def _eager_tau_grid(tau_max=1e3, n=4001):
+    lin = np.linspace(-tau_max, tau_max, n)
+    logs = np.geomspace(1e-3, tau_max, n // 4)
+    return np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
+
+
+def _eager_refined_sup(fun, tau_max=1e3):
+    grid = _eager_tau_grid(tau_max)
+    vals = fun(grid)
+    order = np.argsort(vals)[::-1][:5]
+    best_val, best_tau = -math.inf, 0.0
+    for k in order:
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, len(grid) - 1)]
+        if lo == hi:
+            cand_val, cand_tau = float(vals[k]), float(grid[k])
+        else:
+            res = minimize_scalar(lambda t: -fun(np.array(t)),
+                                  bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-12})
+            cand_val, cand_tau = float(-res.fun), float(res.x)
+            if vals[k] > cand_val:
+                cand_val, cand_tau = float(vals[k]), float(grid[k])
+        if cand_val > best_val:
+            best_val, best_tau = cand_val, cand_tau
+    return best_val, best_tau
+
+
+# the eager result is a function of (lhs, ladder); keeping it only saves the
+# test's time on the g and -l gaps, which repeat at each eps of one alpha
+_EAGER_GAPS: dict = {}
+
+
+def _eager_best_quadratic_gap(lhs, ladder):
+    key = (tuple(sorted(lhs.terms.items())), ladder.tobytes())
+    if key not in _EAGER_GAPS:
+        _EAGER_GAPS[key] = _eager_best_quadratic_gap_uncached(lhs, ladder)
+    return _EAGER_GAPS[key]
+
+
+def _eager_best_quadratic_gap_uncached(lhs, ladder):
+    deg, coeff = lhs.leading()
+    if coeff <= 0.0 or deg < 2.0 - 1e-12:
+        return []
+    if abs(deg - 2.0) <= 1e-12:
+        ladder = ladder[ladder <= coeff * (1.0 - 1e-9)]
+    out = []
+    for c1 in ladder:
+        sup_val, _ = _eager_refined_sup(lambda t: c1 * t * t - lhs(t))
+        out.append((float(c1), max(0.0, sup_val) * (1.0 + 1e-9)))
+    return out
+
+
+def _eager_check_blowup(f, h, alpha, constants, u0_norm2, e0, d0, lam1, eps):
+    rho = constants.total_mass / constants.domain_area
+    kappa = constants.c_star ** 2 / (4.0 * eps)
+    c_tilde = 1.0 / lam1
+    g, l = alpha_defects(f, h, alpha)
+    ladder = np.geomspace(1e-4, 1e4, 33)
+    area = constants.domain_area
+    mu = constants.total_mass
+    candidates = []
+    lhs2 = g - l.scale(rho) - l.derivative().square().scale(kappa)
+    for c1, c2 in _eager_best_quadratic_gap(lhs2, ladder):
+        d1 = 2.0 * ((1.0 / d0) * ((alpha / 2.0 - 1.0) * d0 - eps) * c_tilde + c1)
+        d2 = c2 * area
+        candidates.append({
+            "route": "quadratic-gap", "C1": c1, "C2": c2,
+            "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
+        })
+    gap_g = _eager_best_quadratic_gap(g, ladder)
+    gap_l = _eager_best_quadratic_gap(l.scale(-1.0), ladder)
+    if gap_g and gap_l:
+        for cf, cfp in gap_g[:: max(1, len(gap_g) // 8)]:
+            for ch, chp in gap_l[:: max(1, len(gap_l) // 8)]:
+                d1 = 2.0 * ((alpha / 2.0 - 1.0) * c_tilde + min(cf, ch))
+                d2 = cfp * area + chp * mu
+                candidates.append({
+                    "route": "sign-pair", "C_f": cf, "C_f_prime": cfp,
+                    "C_h": ch, "C_h_prime": chp,
+                    "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
+                })
+    if not candidates:
+        return {"fired": False, "reason": "no quadratic gap at this alpha",
+                "alpha": alpha, "eps": eps}
+    best = max(candidates, key=lambda c: c["margin"])
+    best.update({
+        "fired": bool(best["margin"] > 0.0),
+        "alpha": alpha, "eps": eps, "c_star": constants.c_star,
+        "c_tilde": c_tilde, "u0_norm2": u0_norm2, "e0": e0,
+        "poly_case": regimes._polynomial_case(f, h, alpha, eps, constants),
+    })
+    return best
+
+
+def _seeded_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return Nonlinearity(terms=tuple(
+            (float(rng.choice([-1.0, 1.0]) * rng.choice([0.1, 1.0, 50.0])),
+             float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])))
+            for _ in range(int(rng.integers(1, 3)))))
+
+    for _ in range(count):
+        f, h = draw(), draw()
+        yield f, h, float(rng.choice([10.0, 1e4])), float(rng.choice([-1000.0, 5.0]))
+
+
+def test_lazy_blowup_search_matches_eager(constants, lam1):
+    # the seeded pairs cover both routes, fired and not, the degree-2 ladder
+    # cap (poly_case b) and alphas with no gap at all
+    routes = set()
+    for f, h, u0_norm2, e0 in _seeded_pairs(17, 4):
+        gap_cache = {}
+        for alpha in default_alpha_candidates(f, h):
+            for share in (0.25, 0.5, 0.75):
+                eps = share * (alpha / 2.0 - 1.0)
+                ref = _eager_check_blowup(f, h, alpha, constants, u0_norm2, e0,
+                                          1.0, lam1, eps)
+                got = check_blowup(f, h, alpha, constants, u0_norm2, e0, d0=1.0,
+                                   lam1=lam1, eps=eps, gap_cache=gap_cache)
+                assert got == ref
+                routes.add((ref.get("route"), ref.get("poly_case")))
+    assert {("quadratic-gap", "b"), ("sign-pair", ""), (None, None)} <= routes
+
+
+def test_lazy_selection_is_first_largest_margin(rng):
+    # small integer margins make ties and rank changes between the bound and
+    # the refined value common
+    for _ in range(500):
+        n = int(rng.integers(1, 12))
+        exact = rng.integers(-5, 5, size=n).astype(float)
+        bound = exact + rng.integers(0, 4, size=n)
+        refined = []
+
+        def make(k, is_refined):
+            if is_refined:
+                refined.append(k)
+            return {"margin": exact[k] if is_refined else bound[k], "k": k}
+
+        best = regimes._first_best([partial(make, k) for k in range(n)])
+        assert best["k"] == max(range(n), key=lambda k: exact[k])
+        # a candidate is refined only while its bound can reach the best
+        assert all(bound[k] >= exact.max() for k in refined)
+
+
+def test_blowup_classify_refines_few_rungs(op16, spec16, constants, lam1,
+                                           monkeypatch):
+    # the eager search made 4835 minimize_scalar calls for this classify
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(regimes, "minimize_scalar", counting)
+    v = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants,
+                 8.0 * spec16.eigenvectors[:, 0], lam1=lam1)
+    assert v.rule == "quadratic-gap-blowup-case-a"
+    assert 0 < len(calls) <= 4835 // 10
 
 
 def test_blowup_alpha_validation(constants, lam1):
