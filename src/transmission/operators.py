@@ -143,21 +143,20 @@ def markov_check(op: DiscreteOperator, trials: int, t_grid: np.ndarray,
     (M + dt A) u+ = M u along t_grid and reports the minimum entry ever seen
     and the largest per-step sup-norm ratio.
     """
+    from .dynamics import _imex_solver   # dynamics imports this module
+
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or (np.diff(t_grid) <= 0).any():
         raise ValueError("t_grid must be strictly increasing")
     dts = np.diff(np.concatenate([[0.0], t_grid]))
     rng = np.random.default_rng(seed)
     m = op.mass_diag
-    solvers = {}
-    for dt in np.unique(dts):
-        solvers[dt] = spla.splu((op.a_free * dt + sp.diags(m)).tocsc())
     min_entry = np.inf
     sup_ratio = 0.0
     for _ in range(trials):
         u = np.abs(rng.standard_normal(op.n_free))
         for dt in dts:
-            unew = solvers[dt].solve(m * u)
+            unew = _imex_solver(op, dt).solve(m * u)
             min_entry = min(min_entry, float(unew.min()))
             denom = np.abs(u).max()
             if denom > 0:

@@ -7,7 +7,12 @@ from transmission.assembly import (
     KernelSpec,
     build_operator,
 )
-from transmission.geometry import Segment, build_interface_measure, build_square_mesh
+from transmission.geometry import (
+    KochPrefractal,
+    Segment,
+    build_interface_measure,
+    build_square_mesh,
+)
 
 
 def default_operator(n, dirichlet_side="left", beta_value=1.0, delta=1,
@@ -18,6 +23,18 @@ def default_operator(n, dirichlet_side="left", beta_value=1.0, delta=1,
     beta = BetaCoefficient.constant(measure, beta_value)
     kernel = KernelSpec(s=s, dim_d=measure.dim_d)
     return build_operator(mesh, measure, D, beta, kernel, delta=delta)
+
+
+def koch_operator():
+    """Operator on a level-1 Koch interface at n=27."""
+    mesh = build_square_mesh(27, KochPrefractal(level=1, y0=0.4))
+    measure = build_interface_measure(mesh)
+    return build_operator(
+        mesh, measure,
+        DiffusionTensor.isotropic(mesh),
+        BetaCoefficient.constant(measure, 1.0),
+        KernelSpec(s=0.5, dim_d=measure.dim_d),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -326,3 +326,120 @@ def test_semigroup_misaligned_defect_first_order(op16):
 def test_nonlinear_drift_vanishes_for_zero(op16):
     U = np.random.default_rng(17).standard_normal(op16.n_free)
     assert np.abs(nonlinear_drift(op16, U, ZERO, ZERO)).max() == 0.0
+
+
+# ------------------------------------------- integrate loop and LU ordering
+def _reference_integrate(op, U0, f, h, T, ctrl):
+    # the loop as it was before one sup-norm per step: a separate finiteness
+    # pass, the previous sup-norm recomputed, each accepted state copied
+    U0 = np.asarray(U0, dtype=float)
+    times, dts, states = [0.0], [0.0], [U0.copy()]
+    outcome, outcome_time = "completed", T
+    t, U, dt = 0.0, U0.copy(), ctrl.dt0
+    accepted_in_row = 0
+    while t < T * (1.0 - 1e-12):
+        dt_try = min(dt, T - t)
+        Unew = imex_step(op, U, dt_try, f, h)
+        sup_old = max(float(np.abs(U).max()), 1e-300)
+        ok = bool(np.isfinite(Unew).all())
+        growth = float(np.abs(Unew).max()) / sup_old if ok else np.inf
+        if not ok or growth > ctrl.growth_cap:
+            dt *= 0.5
+            accepted_in_row = 0
+            if dt < ctrl.dt_min:
+                outcome, outcome_time = "stalled", t
+                break
+            continue
+        t += dt_try
+        U = Unew
+        times.append(t)
+        dts.append(dt_try)
+        states.append(U.copy())
+        if float(np.abs(U).max()) > ctrl.blow_up_threshold:
+            outcome, outcome_time = "blowup", t
+            break
+        accepted_in_row += 1
+        if accepted_in_row >= ctrl.grow_after:
+            dt = min(dt * ctrl.grow_factor, ctrl.dt_max)
+            accepted_in_row = 0
+    return np.array(times), np.array(dts), states, outcome, outcome_time
+
+
+def _run_case(case, phi1, n):
+    """(U0, f, h, T, ctrl, expected outcome) of a named run."""
+    bump = 8.0 * phi1 / np.abs(phi1).max()
+    U0 = np.abs(np.random.default_rng(8).standard_normal(n))
+    return {
+        "completed": (10.0 * U0 / U0.max(), CUBIC_SINK, LINEAR_SOURCE, 1.0,
+                      StepControl(dt0=1e-3, dt_max=0.02), "completed"),
+        "blowup": (bump, CUBIC_SOURCE, LINEAR_SINK, 10.0,
+                   StepControl(dt0=1e-3, dt_max=0.05), "blowup"),
+        "stalled": (bump, CUBIC_SOURCE, LINEAR_SINK, 10.0,
+                    StepControl(dt0=1e-3, dt_min=1e-7, dt_max=0.05), "stalled"),
+        # u^3 overflows to inf at every step size: rejected as non-finite
+        "nonfinite": (np.full(n, 1e120), CUBIC_SOURCE, ZERO, 1.0,
+                      StepControl(dt0=1e-3, dt_min=1e-7), "stalled"),
+    }[case]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("case", ["completed", "blowup", "stalled", "nonfinite"])
+def test_integrate_matches_reference_loop(case, op16, spec16):
+    U0, f, h, T, ctrl, expected = _run_case(case, spec16.eigenvectors[:, 0],
+                                            op16.n_free)
+    traj = integrate(op16, U0, f, h, T, ctrl)
+    times, dts, states, outcome, outcome_time = _reference_integrate(
+        op16, U0, f, h, T, ctrl)
+    assert traj.outcome == outcome == expected
+    assert traj.outcome_time == outcome_time
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.dts, dts)
+    assert len(traj.states) == len(states)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.states, states))
+
+
+@pytest.mark.parametrize("build", ["op16", "koch"])
+@pytest.mark.parametrize("case", ["completed", "blowup"])
+def test_lu_ordering_changes_rounding_only(build, case, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from conftest import default_operator, koch_operator
+
+    from transmission import dynamics
+
+    # fresh operators: no factorization is cached on them yet
+    make = {"op16": lambda: default_operator(16), "koch": koch_operator}[build]
+    op = make()
+    U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
+                                     op.n_free)
+    ordered = integrate(op, U0, f, h, T, ctrl)
+
+    splu = spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: splu(mat, permc_spec="COLAMD"))
+    colamd = integrate(make(), U0, f, h, T, ctrl)
+
+    assert ordered.outcome == colamd.outcome
+    assert ordered.outcome_time == colamd.outcome_time
+    assert np.array_equal(ordered.times, colamd.times)
+    assert np.array_equal(ordered.dts, colamd.dts)
+    if case == "blowup":
+        # the blow-up itself amplifies rounding, to ~3e-6 relative at the
+        # last state: only the step sequence and the outcome must agree
+        return
+    for a, b in zip(ordered.states, colamd.states):
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_minimum_degree_order_fills_less(op32):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from transmission.dynamics import _imex_solver
+
+    dt = 0.02
+    lu = _imex_solver(op32, dt)
+    mat = (op32.a_free * dt + sp.diags(op32.mass_diag)).tocsc()
+    colamd = spla.splu(mat, permc_spec="COLAMD")
+    # 25,156 against 38,682 entries with scipy 1.17
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz

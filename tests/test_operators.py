@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from transmission.assembly import (
-    BetaCoefficient,
     DiffusionTensor,
     DiscreteOperator,
     KernelSpec,
@@ -88,20 +87,6 @@ def test_zero_form_kernel_is_constants():
     assert np.abs(v - v.mean()).max() <= 1e-6 * np.abs(v).max()
 
 
-def _koch_operator():
-    from transmission.assembly import build_operator
-    from transmission.geometry import KochPrefractal
-
-    mesh = build_square_mesh(27, KochPrefractal(level=1, y0=0.4))
-    measure = build_interface_measure(mesh)
-    return build_operator(
-        mesh, measure,
-        DiffusionTensor.isotropic(mesh),
-        BetaCoefficient.constant(measure, 1.0),
-        KernelSpec(s=0.5, dim_d=measure.dim_d),
-    )
-
-
 def _dense_lowest_values(a_csr, m_diag, k):
     # reference: the reduced pencil densified and solved by LAPACK
     import scipy.linalg
@@ -115,11 +100,11 @@ def _dense_lowest_values(a_csr, m_diag, k):
 @pytest.mark.parametrize("case", ["op16", "koch", "static", "zero_form"])
 @pytest.mark.parametrize("k", [1, 10])
 def test_sparse_pairs_match_dense(case, k, request):
-    from conftest import default_operator
+    from conftest import default_operator, koch_operator
 
     op = {
         "op16": lambda: request.getfixturevalue("op16"),
-        "koch": _koch_operator,
+        "koch": koch_operator,
         "static": lambda: default_operator(8, delta=0),
         "zero_form": _zero_form_operator,
     }[case]()

@@ -2,9 +2,12 @@
 package by name: a renamed or removed hook point must fail here rather than
 in a traced benchmark run."""
 
+import contextlib
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 
 def _load_tracing():
@@ -15,8 +18,9 @@ def _load_tracing():
     return module
 
 
-def test_tracer_installs_on_every_hook_point():
-    tracing = _load_tracing()
+@contextlib.contextmanager
+def _installed(tracing, tracer):
+    """The tracer installed on the package for the duration of the block."""
     mods = [importlib.import_module(f"transmission.{m}") for m in tracing.MODULES]
     # install rebinds module attributes and dispatch-table entries: keep the
     # originals so that later tests run untraced
@@ -24,15 +28,9 @@ def test_tracer_installs_on_every_hook_point():
              for mod in mods]
     tables = [(d, dict(d)) for _, attrs in saved for d in attrs.values()
               if isinstance(d, dict)]
-    wrapped = []
-
-    class Recording(tracing.Tracer):
-        def wrap(self, name, fn):
-            wrapped.append(name)
-            return super().wrap(name, fn)
-
     try:
-        tracing.install(Recording())
+        tracing.install(tracer)
+        yield
     finally:
         for mod, attrs in saved:
             for key, value in attrs.items():
@@ -40,6 +38,19 @@ def test_tracer_installs_on_every_hook_point():
         for table, items in tables:
             table.clear()
             table.update(items)
+
+
+def test_tracer_installs_on_every_hook_point():
+    tracing = _load_tracing()
+    wrapped = []
+
+    class Recording(tracing.Tracer):
+        def wrap(self, name, fn):
+            wrapped.append(name)
+            return super().wrap(name, fn)
+
+    with _installed(tracing, Recording()):
+        pass
 
     # spans the per-layer metrics read: one per '<span>.s' / '<span>.calls'
     # metric, except those derived from other spans, plus the spans that
@@ -54,3 +65,27 @@ def test_tracer_installs_on_every_hook_point():
     assert {"regimes.minimize_scalar", "regimes.check_blowup",
             "regimes.classify"} <= needed
     assert needed <= set(wrapped)
+
+
+def test_tracer_counts_one_factorization_per_step_size():
+    from conftest import default_operator
+
+    from transmission import dynamics, operators
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    op = default_operator(8)   # fresh: nothing factorized yet
+    U0 = np.full(op.n_free, 0.5)
+    ctrl = dynamics.StepControl(dt0=1e-3, dt_max=0.02)
+    # the Markov grid shares its first step size with the run and adds one
+    markov_dts = {1e-3, 2e-3}
+    with _installed(tracing, tracer):
+        traj = dynamics.integrate(op, U0, dynamics.Nonlinearity.power(1.0, 2.0),
+                                  dynamics.Nonlinearity.zero(), 0.05, ctrl)
+        operators.markov_check(op, trials=2, t_grid=1e-3 * np.array([1.0, 2.0, 4.0]))
+
+    metrics = tracing.layer_metrics(tracer.spans)
+    # no step was rejected, so the accepted step sizes are all that were tried
+    assert metrics["dynamics.steps_attempted"] == metrics["dynamics.steps_accepted"] > 0
+    assert 1e-3 in traj.dts and 2e-3 not in traj.dts
+    assert metrics["dynamics.factorizations"] == len(set(traj.dts[1:]) | markov_dts)
