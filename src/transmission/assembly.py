@@ -211,12 +211,16 @@ def assemble_nonlocal(mesh: MeshedDomain, measure: InterfaceMeasure,
 
 @dataclass
 class DiscreteOperator:
-    """Assembled matrices of the coupled problem, plus constraint metadata.
+    """Assembled matrices of the coupled problem and its free-DOF layout.
 
-    All matrices are over the full vertex set; Dirichlet elimination is
-    recorded in ``dirichlet_dofs`` and realized by the ``*_free`` views.
-    ``delta`` switches the interface time-derivative term (1 dynamic,
-    0 static transmission condition).
+    The five matrices are over the full vertex set.  The vertices in
+    ``dirichlet_dofs`` are eliminated once, at construction: ``free_dofs``,
+    the form ``a_full`` and its restriction ``a_free``, and the free-DOF
+    diagonals ``bulk_mass_diag``, ``iface_mass_diag``, ``mass_diag``
+    (evolution mass, bulk + delta * interface) and ``pair_mass_diag``
+    (pair-norm mass, bulk + interface) are plain attributes.  ``delta``
+    switches the interface time-derivative term (1 dynamic, 0 static
+    transmission condition).  ``_cache`` holds solver results only.
     """
 
     mesh: MeshedDomain
@@ -235,71 +239,24 @@ class DiscreteOperator:
     def __post_init__(self):
         if self.delta not in (0, 1):
             raise ValidationError("delta must be 0 or 1")
-
-    # ---- full-matrix combinations -------------------------------------
-    @property
-    def a_full(self) -> sp.csr_matrix:
-        if "a_full" not in self._cache:
-            self._cache["a_full"] = (self.k_stiff + self.b_beta + self.theta).tocsr()
-        return self._cache["a_full"]
-
-    @property
-    def m_full(self) -> sp.csr_matrix:
-        """Mass of the pair norm (bulk + interface), independent of delta."""
-        return (self.m_bulk + self.m_iface).tocsr()
-
-    @property
-    def m_evolution(self) -> sp.csr_matrix:
-        return (self.m_bulk + self.delta * self.m_iface).tocsr()
-
-    # ---- constrained views --------------------------------------------
-    @property
-    def free_dofs(self) -> np.ndarray:
-        if "free" not in self._cache:
-            mask = np.ones(len(self.mesh.vertices), dtype=bool)
-            mask[self.dirichlet_dofs] = False
-            self._cache["free"] = np.flatnonzero(mask)
-        return self._cache["free"]
+        mask = np.ones(len(self.mesh.vertices), dtype=bool)
+        mask[self.dirichlet_dofs] = False
+        self.free_dofs = np.flatnonzero(mask)
+        self.a_full = (self.k_stiff + self.b_beta + self.theta).tocsr()
+        self.a_free = self.restrict(self.a_full)
+        self.bulk_mass_diag = self.m_bulk.diagonal()[self.free_dofs]
+        self.iface_mass_diag = self.m_iface.diagonal()[self.free_dofs]
+        self.mass_diag = self.bulk_mass_diag + self.delta * self.iface_mass_diag
+        self.pair_mass_diag = self.bulk_mass_diag + self.iface_mass_diag
 
     @property
     def n_free(self) -> int:
         return len(self.free_dofs)
 
-    def _restrict(self, mat: sp.csr_matrix) -> sp.csr_matrix:
+    def restrict(self, mat: sp.spmatrix) -> sp.csr_matrix:
+        """A full-vertex matrix restricted to the free DOFs."""
         f = self.free_dofs
         return mat[f][:, f].tocsr()
-
-    @property
-    def a_free(self) -> sp.csr_matrix:
-        if "a_free" not in self._cache:
-            self._cache["a_free"] = self._restrict(self.a_full)
-        return self._cache["a_free"]
-
-    @property
-    def mass_diag(self) -> np.ndarray:
-        """Diagonal of the evolution mass on free DOFs."""
-        if "mass_diag" not in self._cache:
-            self._cache["mass_diag"] = self.m_evolution.diagonal()[self.free_dofs]
-        return self._cache["mass_diag"]
-
-    @property
-    def pair_mass_diag(self) -> np.ndarray:
-        """Diagonal of the bulk + interface mass on free DOFs."""
-        if "pair_mass_diag" not in self._cache:
-            self._cache["pair_mass_diag"] = self.m_full.diagonal()[self.free_dofs]
-        return self._cache["pair_mass_diag"]
-
-    @property
-    def bulk_mass_diag(self) -> np.ndarray:
-        if "bulk_mass_diag" not in self._cache:
-            self._cache["bulk_mass_diag"] = self.m_bulk.diagonal()[self.free_dofs]
-        return self._cache["bulk_mass_diag"]
-
-    @property
-    def iface_mass_diag(self) -> np.ndarray:
-        if "iface_mass_diag" not in self._cache:
-            self._cache["iface_mass_diag"] = self.m_iface.diagonal()[self.free_dofs]
-        return self._cache["iface_mass_diag"]
 
     def beta_weights_diag(self) -> np.ndarray:
         return self.b_beta.diagonal()[self.free_dofs]
@@ -322,29 +279,16 @@ class DiscreteOperator:
         full[self.free_dofs] = u
         return full
 
-    def restrict_field(self, full: np.ndarray) -> np.ndarray:
-        return full[self.free_dofs]
-
 
 def build_operator(mesh: MeshedDomain, measure: InterfaceMeasure,
                    D: DiffusionTensor, beta: BetaCoefficient, kernel: KernelSpec,
                    delta: int = 1) -> DiscreteOperator:
-    """Assemble everything and apply the mesh's Dirichlet constraints."""
+    """Assemble everything and constrain the mesh's Dirichlet vertices.  The
+    interface may meet the Dirichlet boundary only at its two anchor
+    vertices, which then get constrained like any other boundary vertex."""
     m_bulk, k_stiff = assemble_bulk(mesh, D)
     m_iface, b_beta = assemble_interface_mass(mesh, measure, beta)
     theta = assemble_nonlocal(mesh, measure, kernel)
-    op = DiscreteOperator(
-        mesh=mesh, measure=measure, m_bulk=m_bulk, m_iface=m_iface,
-        k_stiff=k_stiff, b_beta=b_beta, theta=theta,
-        d0=D.d0, beta0=beta.beta0, delta=delta,
-    )
-    return apply_dirichlet(op, mesh)
-
-
-def apply_dirichlet(op: DiscreteOperator, mesh: MeshedDomain) -> DiscreteOperator:
-    """Record the Dirichlet constraint set; the interface may meet the
-    Dirichlet boundary only at its two anchor vertices, which then get
-    constrained like any other boundary vertex."""
     dv = mesh.dirichlet_vertices()
     anchors = {int(mesh.interface_nodes[0]), int(mesh.interface_nodes[-1])}
     clashing = set(map(int, np.intersect1d(dv, mesh.interface_nodes))) - anchors
@@ -352,13 +296,11 @@ def apply_dirichlet(op: DiscreteOperator, mesh: MeshedDomain) -> DiscreteOperato
         raise AssemblyError(
             f"interface nodes {sorted(clashing)} lie on the Dirichlet boundary"
         )
-    if len(dv) == 0 and op.beta0 <= 0.0 and not (op.b_beta.diagonal() > 0.0).any():
-        raise ValidationError(
-            "empty Dirichlet boundary requires a positive interface coefficient"
-        )
-    op.dirichlet_dofs = dv
-    op._cache.clear()
-    return op
+    return DiscreteOperator(
+        mesh=mesh, measure=measure, m_bulk=m_bulk, m_iface=m_iface,
+        k_stiff=k_stiff, b_beta=b_beta, theta=theta,
+        d0=D.d0, beta0=beta.beta0, delta=delta, dirichlet_dofs=dv,
+    )
 
 
 def export_matrix_triplets(mat: sp.spmatrix, path) -> None:

@@ -32,6 +32,7 @@ from .assembly import (
 from .config import ConfigError, SimConfig, parse_config, serialize_config
 from .constants import compute_constants_report, save_constants
 from .diagnostics import (
+    OUTCOME_LABELS,
     compute_energy_report,
     export_trajectory_csv,
     squeezing_check,
@@ -191,12 +192,15 @@ def run_spectrum(cfg: SimConfig, out: Path) -> int:
     return EXIT_OK
 
 
+def _constants_report(cfg: SimConfig, op):
+    return compute_constants_report(op, eps=_auto(cfg.run.eps),
+                                    safety_factor=cfg.run.safety_factor,
+                                    seed=cfg.run.seed)
+
+
 def run_constants(cfg: SimConfig, out: Path) -> int:
     _, _, op, _, _ = build_problem(cfg)
-    report = compute_constants_report(
-        op, eps=_auto(cfg.run.eps), safety_factor=cfg.run.safety_factor,
-        seed=cfg.run.seed,
-    )
+    report = _constants_report(cfg, op)
     save_constants(report, out / "constants.txt")
     print(f"wrote {out / 'constants.txt'}")
     return EXIT_OK
@@ -204,10 +208,7 @@ def run_constants(cfg: SimConfig, out: Path) -> int:
 
 def run_classify(cfg: SimConfig, out: Path) -> int:
     _, _, op, f, h = build_problem(cfg)
-    report = compute_constants_report(
-        op, eps=_auto(cfg.run.eps), safety_factor=cfg.run.safety_factor,
-        seed=cfg.run.seed,
-    )
+    report = _constants_report(cfg, op)
     save_constants(report, out / "constants.txt")
     U0 = initial_state(cfg, op)
     verdict = classify(f, h, op, report, U0, alpha=_auto(cfg.run.alpha),
@@ -230,9 +231,7 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
                           snapshot_dir=(out / "snapshots") if snap else None,
                           report=report)
     _write_fit_summaries(traj, op, f, h, report, out / "diagnostics.txt")
-    outcome = {"completed": "Completed", "blowup": "BlowUp",
-               "stalled": "StalledStep"}[traj.outcome]
-    print(f"OUTCOME,{outcome},{traj.outcome_time!r}")
+    print(f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{traj.outcome_time!r}")
     return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
 
 
@@ -281,10 +280,7 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
 
         cfg = parse_config_text(cfg_text)
         _, _, op, _, _ = build_problem(cfg)
-        report = compute_constants_report(
-            op, eps=_auto(cfg.run.eps), safety_factor=cfg.run.safety_factor,
-            seed=cfg.run.seed,
-        )
+        report = _constants_report(cfg, op)
         _WORKER_CACHE[key] = (cfg, op, report)
     cfg, op, report = _WORKER_CACHE[key]
     f, h = _cell_nonlinearities(cell)

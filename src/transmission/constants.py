@@ -69,9 +69,7 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
     """
     mesh = op.mesh
     n_dof = len(mesh.vertices)
-    w = np.zeros(n_dof)
-    w[mesh.interface_nodes] = op.measure.weights
-    a = w / op.measure.total_mass
+    a = op.m_iface.diagonal() / op.measure.total_mass
 
     if mode == "L2_eig":
         # K annihilates constants and a sums to 1, so the quotient may be
@@ -145,10 +143,8 @@ def best_embedding_constant(op: DiscreteOperator, eps: float) -> float:
     [(1 - eps/d0) K + B_beta + Theta] v = lambda (M_bulk + M_iface) v."""
     if not (0.0 < eps < op.d0):
         raise ValueError(f"eps={eps} outside (0, d0={op.d0})")
-    damped = ((1.0 - eps / op.d0) * op.k_stiff + op.b_beta + op.theta).tocsr()
-    f = op.free_dofs
-    A = damped[f][:, f].tocsr()
-    vals, _ = lowest_pairs(A, op.pair_mass_diag, 1)
+    damped = (1.0 - eps / op.d0) * op.k_stiff + op.b_beta + op.theta
+    vals, _ = lowest_pairs(op.restrict(damped), op.pair_mass_diag, 1)
     return float(vals[0])
 
 

@@ -270,6 +270,10 @@ def moser_domination_check(traj: Trajectory, op: DiscreteOperator,
     return sup / max(c_inf, l2)
 
 
+# Trajectory.outcome as written on the OUTCOME lines of the CSV and stdout
+OUTCOME_LABELS = {"completed": "Completed", "blowup": "BlowUp", "stalled": "StalledStep"}
+
+
 def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
                           f: Nonlinearity, h: Nonlinearity, path,
                           snapshot_stride: int = 0, snapshot_dir=None,
@@ -288,8 +292,7 @@ def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
                 f"{float(rep.sup_norm[k])!r},{float(l2)!r},"
                 f"{float(rep.E[k])!r},{float(rep.G[k])!r},{float(rep.dissipation[k])!r}\n"
             )
-        outcome = {"completed": "Completed", "blowup": "BlowUp", "stalled": "StalledStep"}[traj.outcome]
-        fh.write(f"OUTCOME,{outcome},{float(traj.outcome_time)!r}\n")
+        fh.write(f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{float(traj.outcome_time)!r}\n")
     if snapshot_stride > 0 and snapshot_dir is not None:
         from pathlib import Path
 

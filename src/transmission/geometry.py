@@ -165,6 +165,15 @@ def _segments_intersect(a0, a1, b0, b1) -> bool:
     return (d1 * d2 < 0) and (d3 * d4 < 0)
 
 
+def _edge_owners(triangles: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """Each mesh edge (sorted vertex pair) mapped to the triangles holding it."""
+    owners: dict[tuple[int, int], list[int]] = {}
+    for t, (a, b, c) in enumerate(triangles):
+        for e in ((a, b), (b, c), (c, a)):
+            owners.setdefault(tuple(sorted(e)), []).append(t)
+    return owners
+
+
 def build_square_mesh(n: int, interface: InterfaceSpec,
                       dirichlet_side: str = "left") -> MeshedDomain:
     """Triangulate the unit square with n subdivisions per side and embed the
@@ -266,11 +275,7 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
         # the cut is the set of mesh edges separating the two classes
         centroids = vertices[triangles].mean(axis=1)
         below = _points_below_polyline(centroids, snapped, j0 * h)
-        owners: dict[tuple[int, int], list[int]] = {}
-        for t, (a, b, c) in enumerate(triangles):
-            for e in ((a, b), (b, c), (c, a)):
-                owners.setdefault(tuple(sorted(e)), []).append(t)
-        cut_list = [e for e, ts in owners.items()
+        cut_list = [e for e, ts in _edge_owners(triangles).items()
                     if len(ts) == 2 and below[ts[0]] != below[ts[1]]]
         cut = np.array(sorted(cut_list), dtype=int)
         iface_nodes = np.array([vid(i, j) for i, j in gnodes], dtype=int)
@@ -369,12 +374,8 @@ def count_interface_components(mesh: MeshedDomain) -> int:
     """Number of connected components of the triangle adjacency graph once
     the interface cut edges are removed (flood fill)."""
     cut = {tuple(sorted(e)) for e in mesh.interface_cut_edges}
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        for e in ((a, b), (b, c), (c, a)):
-            edge_owner.setdefault(tuple(sorted(e)), []).append(t)
     adj: list[list[int]] = [[] for _ in range(len(mesh.triangles))]
-    for e, owners in edge_owner.items():
+    for e, owners in _edge_owners(mesh.triangles).items():
         if len(owners) == 2 and e not in cut:
             adj[owners[0]].append(owners[1])
             adj[owners[1]].append(owners[0])

@@ -256,3 +256,57 @@ def test_form_refinement_consistency_logged():
     ratio = abs(d2 / d1)
     print(f"form refinement successive-difference ratio: {ratio:.3f}")
     assert 0.05 < ratio < 1.0
+
+
+def _operator_on(mesh, beta_value=1.0, delta=1):
+    measure = build_interface_measure(mesh)
+    return build_operator(
+        mesh, measure,
+        DiffusionTensor.isotropic(mesh),
+        BetaCoefficient(np.full(len(measure.weights), beta_value), beta0=0.0),
+        KernelSpec(s=0.5, dim_d=1.0),
+        delta=delta,
+    )
+
+
+def test_interior_interface_node_on_dirichlet_edge_rejected():
+    import dataclasses
+
+    mesh = build_square_mesh(8, Segment(0.5))
+    a, b = mesh.interface_nodes[1], mesh.interface_nodes[2]
+    clashing = dataclasses.replace(
+        mesh,
+        boundary_edges=np.vstack([mesh.boundary_edges, [[a, b]]]),
+        boundary_tags=np.append(mesh.boundary_tags, "dirichlet").astype("<U10"),
+    )
+    with pytest.raises(AssemblyError, match=r"interface nodes \[37, 38\] lie on "
+                                            r"the Dirichlet boundary"):
+        _operator_on(clashing)
+    _operator_on(mesh)   # the unmodified mesh assembles
+
+
+def test_zero_beta_without_dirichlet_rejected_by_build_operator():
+    mesh = build_square_mesh(8, Segment(0.5), dirichlet_side="none")
+    with pytest.raises(ValidationError):
+        _operator_on(mesh, beta_value=0.0)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_free_dof_layout_matches_full_matrix_formulas(delta):
+    from conftest import default_operator
+
+    op = default_operator(16, delta=delta)
+    # the formulas of the lazily restricted views the layout replaces
+    mask = np.ones(len(op.mesh.vertices), dtype=bool)
+    mask[op.mesh.dirichlet_vertices()] = False
+    f = np.flatnonzero(mask)
+    mass = (op.m_bulk + delta * op.m_iface).tocsr().diagonal()[f]
+    pair_mass = (op.m_bulk + op.m_iface).tocsr().diagonal()[f]
+    a_free = (op.k_stiff + op.b_beta + op.theta).tocsr()[f][:, f].tocsr()
+
+    assert np.array_equal(op.free_dofs, f)
+    assert np.array_equal(op.mass_diag, mass)
+    assert np.array_equal(op.pair_mass_diag, pair_mass)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.a_free, part), getattr(a_free, part))
+    assert np.array_equal(op.restrict(op.a_full).toarray(), a_free.toarray())
