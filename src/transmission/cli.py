@@ -33,8 +33,13 @@ from .config import ConfigError, SimConfig, parse_config, serialize_config
 from .constants import compute_constants_report, save_constants
 from .diagnostics import (
     OUTCOME_LABELS,
-    compute_energy_report,
+    EnergyAccumulator,
+    HolderModulus,
+    MoserRatio,
+    SnapshotWriter,
+    energy_inequality_residual,
     export_trajectory_csv,
+    observe_all,
     squeezing_check,
 )
 from .dynamics import Nonlinearity, StepControl, integrate
@@ -223,37 +228,39 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     export_mesh_csv(mesh, out / "mesh")
     export_measure_csv(mesh, measure, out / "mesh" / "interface_measure.csv")
     U0 = initial_state(cfg, op)
-    traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg))
+    # the diagnostics take the states as the run makes them: none is kept
+    energy = EnergyAccumulator(op, f, h)
+    holder = HolderModulus(cfg.time.horizon)
+    moser = MoserRatio(op)
+    observers = [energy, holder, moser]
     snap = cfg.run.snapshot_stride
-    report = compute_energy_report(traj, op, f, h)
-    export_trajectory_csv(traj, op, f, h, out / "trajectory.csv",
-                          snapshot_stride=snap,
-                          snapshot_dir=(out / "snapshots") if snap else None,
-                          report=report)
-    _write_fit_summaries(traj, op, f, h, report, out / "diagnostics.txt")
+    if snap:
+        observers.append(SnapshotWriter(op, snap, out / "snapshots"))
+    traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
+                     observe=observe_all(*observers))
+    report = energy.report()
+    export_trajectory_csv(traj, op, f, h, out / "trajectory.csv", report=report)
+    _write_fit_summaries(traj, op, f, h, report, holder, moser,
+                         out / "diagnostics.txt")
     print(f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{traj.outcome_time!r}")
     return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
 
 
-def _write_fit_summaries(traj, op, f, h, report, path) -> None:
-    from .diagnostics import (
-        energy_inequality_residual,
-        holder_time_modulus,
-        moser_domination_check,
-    )
-
+def _write_fit_summaries(traj, op, f, h, report, holder, moser, path) -> None:
+    """diagnostics.txt of a run: its energy report and the HolderModulus and
+    MoserRatio that observed it."""
     lines = [f"outcome={traj.outcome}", f"outcome_time={traj.outcome_time!r}"]
     res = energy_inequality_residual(traj, op, f, h, report=report)
     lines.append(f"energy_inequality_max_residual={res['max_residual']!r}")
     lines.append(f"e0={res['e0']!r}")
     if traj.outcome == "completed":
         try:
-            hm = holder_time_modulus(traj)
+            hm = holder.result()
             lines.append(f"holder_rho={hm['rho']!r}")
             lines.append(f"holder_degenerate={int(hm['degenerate'])}")
         except ValueError:
             lines.append("holder_rho=unavailable")
-        lines.append(f"moser_ratio={moser_domination_check(traj, op)!r}")
+        lines.append(f"moser_ratio={moser.result()!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -278,6 +285,8 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
     if key not in _WORKER_CACHE:
         from .config import parse_config_text
 
+        # a worker serves one sweep's config at a time: drop the last one
+        _WORKER_CACHE.clear()
         cfg = parse_config_text(cfg_text)
         _, _, op, _, _ = build_problem(cfg)
         report = _constants_report(cfg, op)
@@ -291,7 +300,9 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
            f"{verdict.verdict},{verdict.rule}")
     outcome = ""
     if do_simulate:
-        traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg))
+        # only the outcome is read: no state is kept
+        traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
+                         observe=lambda t, dt, U: None)
         outcome = traj.outcome
     return row, outcome
 

@@ -3,11 +3,20 @@
 Per-step energy bookkeeping (form term plus nonlinearity primitives), the
 discrete energy inequality residual, ensemble absorbing-ball fits, pairwise
 squeezing fits, Hoelder-in-time modulus and sup-vs-L2 domination ratios.
+
+The per-state quantities are streaming observers of `integrate`
+(`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `MoserRatio`,
+`SnapshotWriter`): a run passes them as its observer and keeps no states.
+The functions that take a stored `Trajectory` feed its states through the
+same observers.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -55,28 +64,63 @@ class EnergyReport:
         return 2.0 * self.G
 
 
+class EnergyAccumulator:
+    """Observer that builds the EnergyReport of a run state by state."""
+
+    def __init__(self, op: DiscreteOperator, f: Nonlinearity, h: Nonlinearity):
+        self.op, self.f, self.h = op, f, h
+        self._columns = {name: array("d") for name in (
+            "times", "E", "G", "dissipation", "sup_norm", "form_term",
+            "bulk_primitive", "iface_primitive")}
+        self._prev = None
+
+    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
+        op, col = self.op, self._columns
+        ev = energy(op, U, self.f, self.h)
+        col["times"].append(t)
+        col["E"].append(ev.total)
+        col["form_term"].append(ev.form_term)
+        col["bulk_primitive"].append(ev.bulk_primitive)
+        col["iface_primitive"].append(ev.iface_primitive)
+        col["G"].append(0.5 * op.pair_norm2(U))
+        col["sup_norm"].append(float(np.abs(U).max()))
+        if self._prev is None:
+            col["dissipation"].append(0.0)
+        else:
+            du = (U - self._prev) / dt
+            col["dissipation"].append(
+                col["dissipation"][-1] + dt * float(np.dot(du * op.mass_diag, du)))
+        self._prev = U
+
+    def report(self) -> EnergyReport:
+        return EnergyReport(**{name: np.array(values)
+                               for name, values in self._columns.items()})
+
+
+def observe_all(*observers):
+    """One observer that hands each accepted state to every one of
+    `observers` in turn."""
+    def observe(t, dt, U):
+        for obs in observers:
+            obs(t, dt, U)
+    return observe
+
+
+def replay(traj: Trajectory, observer) -> None:
+    """Feed the stored states of `traj` to `observer` as integrate would
+    have."""
+    if len(traj.states) != len(traj.times):
+        raise ValueError("the trajectory kept only its last state: pass the "
+                         "observer to integrate instead")
+    for t, dt, U in zip(traj.times, traj.dts, traj.states):
+        observer(t, dt, U)
+
+
 def compute_energy_report(traj: Trajectory, op: DiscreteOperator,
                           f: Nonlinearity, h: Nonlinearity) -> EnergyReport:
-    n = len(traj.times)
-    E = np.empty(n)
-    G = np.empty(n)
-    form = np.empty(n)
-    bulk = np.empty(n)
-    iface = np.empty(n)
-    for k, u in enumerate(traj.states):
-        ev = energy(op, u, f, h)
-        E[k], form[k] = ev.total, ev.form_term
-        bulk[k], iface[k] = ev.bulk_primitive, ev.iface_primitive
-        G[k] = 0.5 * op.pair_norm2(u)
-    diss = np.zeros(n)
-    m = op.mass_diag
-    for k in range(1, n):
-        dt = traj.dts[k]
-        du = (traj.states[k] - traj.states[k - 1]) / dt
-        diss[k] = diss[k - 1] + dt * float(np.dot(du * m, du))
-    return EnergyReport(times=traj.times.copy(), E=E, G=G, dissipation=diss,
-                        sup_norm=traj.sup_norms, form_term=form,
-                        bulk_primitive=bulk, iface_primitive=iface)
+    acc = EnergyAccumulator(op, f, h)
+    replay(traj, acc)
+    return acc.report()
 
 
 def energy_inequality_residual(traj: Trajectory, op: DiscreteOperator,
@@ -178,18 +222,17 @@ def squeezing_check(op: DiscreteOperator, U0a: np.ndarray, U0b: np.ndarray,
     """Run the pair and fit the squared-distance decay envelope
     dist2(t) <= M exp(-omega t) dist2(0) + K int_0^t dist2."""
     ctrl = ctrl or StepControl(dt0=1e-3, dt_max=0.02)
-    tra = integrate(op, U0a, f, h, T, ctrl)
-    trb = integrate(op, U0b, f, h, T, ctrl)
-    if tra.outcome != "completed" or trb.outcome != "completed":
-        raise ValueError("squeezing fit refuses non-completed trajectories")
-    # the two runs may adapt differently; resample on a shared grid
+    # the two runs may adapt differently; each is sampled on a shared grid
     grid = np.linspace(0.0, T, 200)
-
-    def sample(tr):
-        idx = np.searchsorted(tr.times, grid, side="right") - 1
-        return [tr.states[i] for i in idx]
-
-    d2 = np.array([op.pair_norm2(ua - ub) for ua, ub in zip(sample(tra), sample(trb))])
+    samples = []
+    for U0 in (U0a, U0b):
+        sampled: list = []
+        traj = integrate(op, U0, f, h, T, ctrl,
+                         observe=GridSampler(grid, sampled.append))
+        if traj.outcome != "completed":
+            raise ValueError("squeezing fit refuses non-completed trajectories")
+        samples.append(sampled)
+    d2 = np.array([op.pair_norm2(ua - ub) for ua, ub in zip(*samples)])
     if d2.max() == 0.0:
         return {"omega": np.inf, "m_factor": 1.0, "k_factor": 0.0, "times": grid,
                 "dist2": d2, "terminal_distance": 0.0, "r2": 1.0}
@@ -213,61 +256,142 @@ def squeezing_check(op: DiscreteOperator, U0a: np.ndarray, U0b: np.ndarray,
     }
 
 
+class GridSampler:
+    """Observer that hands `sink`, for each point g of an increasing grid,
+    the accepted state at the last time <= g, as soon as it is known."""
+
+    def __init__(self, grid: np.ndarray, sink):
+        self.grid, self.sink = grid, sink
+        self.count = 0          # grid points handed on so far
+        self._last = None
+
+    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
+        grid = self.grid
+        while self.count < len(grid) and grid[self.count] <= t:
+            sample = U if grid[self.count] == t else self._last
+            if sample is None:
+                raise ValueError("sampling grid starts before the trajectory")
+            self.count += 1
+            self.sink(sample)
+        self._last = U
+
+
+class HolderModulus:
+    """Observer that fits sup-norm increments against time gaps in log-log.
+
+    Samples the run on a uniform grid of 257 points in [t_lo, T] (t_lo
+    defaults to T/10), forms increment statistics at dyadic gap scales
+    spanning >= 1.5 decades, and fits the exponent; a flat (equilibrium)
+    trajectory reports exponent 1, flagged degenerate.  Only the samples one
+    largest gap back are kept.
+    """
+
+    def __init__(self, T: float, t_lo: float | None = None, n_scales: int = 6):
+        if t_lo is None:
+            t_lo = 0.1 * T
+        self.grid = np.linspace(t_lo, T, 257)
+        self.strides = [2 ** k for k in range(n_scales) if 2 ** k < len(self.grid)]
+        self.incs = [-np.inf] * len(self.strides)
+        self._ring: deque = deque(maxlen=max(self.strides, default=1))
+        self._sup0 = 0.0
+        self._sampler = GridSampler(self.grid, self._sample)
+
+    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
+        self._sampler(t, dt, U)
+
+    def _sample(self, U: np.ndarray) -> None:
+        j, ring = self._sampler.count - 1, self._ring   # U is grid sample j
+        if j == 0:
+            self._sup0 = float(np.abs(U).max())
+        for k, stride in enumerate(self.strides):
+            # the increments start at every stride/2-th sample
+            i = j - stride
+            if i >= 0 and i % max(1, stride // 2) == 0:
+                self.incs[k] = max(self.incs[k], float(np.abs(U - ring[-stride]).max()))
+        ring.append(U)
+
+    def result(self) -> dict:
+        if self._sampler.count < len(self.grid):
+            raise ValueError("the run ended before the end of the sampling grid")
+        if len(self.strides) < 4:
+            raise ValueError("fewer than 4 gap scales available for the fit")
+        gaps = np.array([self.grid[s] - self.grid[0] for s in self.strides])
+        incs = np.array(self.incs)
+        if incs.max() <= 1e-14 * max(1.0, self._sup0):
+            return {"rho": 1.0, "prefactor": 0.0, "degenerate": True, "r2": 1.0}
+        slope, intercept = np.polyfit(np.log(gaps), np.log(np.maximum(incs, 1e-300)), 1)
+        fitted = slope * np.log(gaps) + intercept
+        ss_res = float(np.sum((np.log(incs) - fitted) ** 2))
+        ss_tot = float(np.sum((np.log(incs) - np.log(incs).mean()) ** 2))
+        return {
+            "rho": float(min(max(slope, 0.0), 1.0)),
+            "prefactor": float(np.exp(intercept)),
+            "degenerate": False,
+            "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+        }
+
+
 def holder_time_modulus(traj: Trajectory, t_lo: float | None = None,
                         n_scales: int = 6) -> dict:
-    """Fit sup-norm increments against time gaps in log-log.
+    """HolderModulus of a stored trajectory over [t_lo, its last time]."""
+    acc = HolderModulus(traj.times[-1], t_lo, n_scales)
+    replay(traj, acc)
+    return acc.result()
 
-    Samples the trajectory on a uniform grid in [t_lo, T], forms increment
-    statistics at dyadic gap scales spanning >= 1.5 decades, and fits the
-    exponent; a flat (equilibrium) trajectory reports exponent 1, flagged
-    degenerate.
-    """
-    T = traj.times[-1]
-    if t_lo is None:
-        t_lo = 0.1 * T
-    grid = np.linspace(t_lo, T, 257)
-    idx = np.searchsorted(traj.times, grid, side="right") - 1
-    states = [traj.states[i] for i in idx]
-    gaps, incs = [], []
-    for k in range(n_scales):
-        stride = 2 ** k
-        if stride >= len(grid):
-            break
-        diffs = [float(np.abs(states[i + stride] - states[i]).max())
-                 for i in range(0, len(grid) - stride, max(1, stride // 2))]
-        gaps.append(grid[stride] - grid[0])
-        incs.append(max(diffs))
-    if len(gaps) < 4:
-        raise ValueError("fewer than 4 gap scales available for the fit")
-    gaps = np.array(gaps)
-    incs = np.array(incs)
-    if incs.max() <= 1e-14 * max(1.0, float(np.abs(states[0]).max())):
-        return {"rho": 1.0, "prefactor": 0.0, "degenerate": True, "r2": 1.0}
-    slope, intercept = np.polyfit(np.log(gaps), np.log(np.maximum(incs, 1e-300)), 1)
-    fitted = slope * np.log(gaps) + intercept
-    ss_res = float(np.sum((np.log(incs) - fitted) ** 2))
-    ss_tot = float(np.sum((np.log(incs) - np.log(incs).mean()) ** 2))
-    return {
-        "rho": float(min(max(slope, 0.0), 1.0)),
-        "prefactor": float(np.exp(intercept)),
-        "degenerate": False,
-        "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
-    }
+
+class MoserRatio:
+    """Observer of the ratio sup_t ||U||_inf / max(C_inf, sup_t ||U||_pair)
+    over the window (every state if None), with C_inf = max(1, ||U(0)||_inf)."""
+
+    def __init__(self, op: DiscreteOperator,
+                 window: tuple[float, float] | None = None):
+        self.op = op
+        self.window = window if window else (-np.inf, np.inf)
+        self.c_inf = None
+        self.sup = self.l2 = -np.inf
+
+    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
+        if self.c_inf is None:
+            self.c_inf = max(1.0, float(np.abs(U).max()))
+        t_lo, t_hi = self.window
+        if t_lo <= t <= t_hi:
+            self.sup = max(self.sup, float(np.abs(U).max()))
+            self.l2 = max(self.l2, self.op.pair_norm(U))
+
+    def result(self) -> float:
+        if self.sup == -np.inf:
+            raise ValueError("empty trajectory window")
+        return self.sup / max(self.c_inf, self.l2)
 
 
 def moser_domination_check(traj: Trajectory, op: DiscreteOperator,
                            window: tuple[float, float] | None = None) -> float:
-    """Ratio sup_t ||U||_inf / max(C_inf, sup_t ||U||_pair) over the window,
-    with C_inf = max(1, ||U(0)||_inf)."""
-    t_lo, t_hi = window if window else (0.0, traj.times[-1])
-    mask = (traj.times >= t_lo) & (traj.times <= t_hi)
-    if not mask.any():
-        raise ValueError("empty trajectory window")
-    sel = np.flatnonzero(mask)
-    sup = max(float(np.abs(traj.states[i]).max()) for i in sel)
-    l2 = max(op.pair_norm(traj.states[i]) for i in sel)
-    c_inf = max(1.0, float(np.abs(traj.states[0]).max()))
-    return sup / max(c_inf, l2)
+    """MoserRatio of a stored trajectory."""
+    acc = MoserRatio(op, window)
+    replay(traj, acc)
+    return acc.result()
+
+
+class SnapshotWriter:
+    """Observer that writes every stride-th accepted state, counted from the
+    initial one, as a node-value CSV snapshot_<k>.csv in `directory`."""
+
+    def __init__(self, op: DiscreteOperator, stride: int, directory):
+        self.op, self.stride = op, stride
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._k = 0
+
+    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
+        k = self._k
+        self._k += 1
+        if k % self.stride:
+            return
+        full = self.op.embed(U)
+        with open(self.directory / f"snapshot_{k:06d}.csv", "w") as fh:
+            fh.write("vertex,value\n")
+            for v, val in enumerate(full):
+                fh.write(f"{v},{float(val)!r}\n")
 
 
 # Trajectory.outcome as written on the OUTCOME lines of the CSV and stdout
@@ -294,13 +418,4 @@ def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
             )
         fh.write(f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{float(traj.outcome_time)!r}\n")
     if snapshot_stride > 0 and snapshot_dir is not None:
-        from pathlib import Path
-
-        out = Path(snapshot_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for k in range(0, len(traj.times), snapshot_stride):
-            full = op.embed(traj.states[k])
-            with open(out / f"snapshot_{k:06d}.csv", "w") as fh:
-                fh.write("vertex,value\n")
-                for v, val in enumerate(full):
-                    fh.write(f"{v},{float(val)!r}\n")
+        replay(traj, SnapshotWriter(op, snapshot_stride, snapshot_dir))

@@ -343,3 +343,16 @@ def test_determinism_of_simulate_csv(tmp_path):
     a = (tmp_path / "r1" / "trajectory.csv").read_bytes()
     b = (tmp_path / "r2" / "trajectory.csv").read_bytes()
     assert a == b
+
+
+def test_worker_cache_keeps_only_the_current_config(tmp_path):
+    from transmission import cli
+
+    first = write(tmp_path, SWEEP, "first.ini")
+    second = write(tmp_path, SWEEP + "\n[run]\nseed = 5\n", "second.ini")
+    for i, cfg in enumerate((first, second)):
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / f"o{i}"),
+                     "--jobs", "1"]) == EXIT_OK
+    assert len(cli._WORKER_CACHE) == 1
+    (cfg, _, _), = cli._WORKER_CACHE.values()
+    assert cfg.run.seed == 5

@@ -3,6 +3,11 @@ import pytest
 
 from transmission.constants import ConstantsReport, best_embedding_constant
 from transmission.diagnostics import (
+    EnergyAccumulator,
+    EnergyReport,
+    HolderModulus,
+    MoserRatio,
+    SnapshotWriter,
     absorbing_ball_check,
     compute_energy_report,
     energy,
@@ -11,6 +16,7 @@ from transmission.diagnostics import (
     fit_exponential_decay,
     holder_time_modulus,
     moser_domination_check,
+    observe_all,
     squeezing_check,
 )
 from transmission.dynamics import Nonlinearity, StepControl, integrate
@@ -291,3 +297,107 @@ def test_fit_exponential_decay_recovers_rate():
     y = 3.0 * np.exp(-1.7 * t) + 0.25
     fit = fit_exponential_decay(t, y, floor=0.25)
     assert fit["rate"] == pytest.approx(1.7, rel=1e-6)
+
+
+# ------------------------------------------------- streamed diagnostics
+def _run(case, op, spec):
+    """(U0, f, h, T, ctrl) of a named run on op."""
+    phi1 = spec.eigenvectors[:, 0]
+    bump = 8.0 * phi1 / np.abs(phi1).max()
+    U0 = np.abs(np.random.default_rng(8).standard_normal(op.n_free))
+    source = Nonlinearity.power(-1.0, 2.0)
+    return {
+        "completed": (10.0 * U0 / U0.max(), CUBIC_SINK, LINEAR_SOURCE, 1.0,
+                      StepControl(dt0=1e-3, dt_max=0.02)),
+        "blowup": (bump, source, LINEAR_SINK, 10.0,
+                   StepControl(dt0=1e-3, dt_max=0.05)),
+        "stalled": (bump, source, LINEAR_SINK, 10.0,
+                    StepControl(dt0=1e-3, dt_min=1e-7, dt_max=0.05)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["completed", "blowup", "stalled"])
+def test_streamed_diagnostics_equal_stored(case, op16, spec16, tmp_path):
+    import dataclasses
+
+    U0, f, h, T, ctrl = _run(case, op16, spec16)
+    stored = integrate(op16, U0, f, h, T, ctrl)
+    energy_acc = EnergyAccumulator(op16, f, h)
+    holder = HolderModulus(T)
+    moser = MoserRatio(op16)
+    snaps = SnapshotWriter(op16, 3, tmp_path / "streamed")
+    streamed = integrate(op16, U0, f, h, T, ctrl,
+                         observe=observe_all(energy_acc, holder, moser, snaps))
+    assert streamed.outcome == stored.outcome == case
+    assert len(streamed.states) == 1
+
+    got, want = energy_acc.report(), compute_energy_report(stored, op16, f, h)
+    for fld in dataclasses.fields(EnergyReport):
+        assert np.array_equal(getattr(got, fld.name), getattr(want, fld.name))
+    assert moser.result() == moser_domination_check(stored, op16)
+    export_trajectory_csv(stored, op16, f, h, tmp_path / "stored.csv",
+                          snapshot_stride=3, snapshot_dir=tmp_path / "stored")
+    names = sorted(p.name for p in (tmp_path / "stored").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "streamed").iterdir())
+    assert len(names) == (len(stored.times) + 2) // 3
+    for name in names:
+        assert ((tmp_path / "streamed" / name).read_bytes()
+                == (tmp_path / "stored" / name).read_bytes())
+    if case == "completed":
+        assert holder.result() == holder_time_modulus(stored)
+    else:
+        # the run ended before the grid over [T/10, T] was sampled
+        with pytest.raises(ValueError):
+            holder.result()
+    # a streamed trajectory has no states to replay
+    with pytest.raises(ValueError):
+        compute_energy_report(streamed, op16, f, h)
+
+
+def test_squeezing_samples_the_stored_runs(op16, rng):
+    Ua = rng.standard_normal(op16.n_free)
+    pert = rng.standard_normal(op16.n_free)
+    Ub = Ua + 1e-2 * pert / op16.pair_norm(pert)
+    T, ctrl = 3.0, StepControl(dt0=1e-3, dt_max=0.05)
+    rep = squeezing_check(op16, Ua, Ub, CUBIC_SINK, LINEAR_SOURCE, T, ctrl)
+    grid = np.linspace(0.0, T, 200)
+
+    def sample(U0):
+        traj = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, T, ctrl)
+        idx = np.searchsorted(traj.times, grid, side="right") - 1
+        return [traj.states[i] for i in idx]
+
+    d2 = np.array([op16.pair_norm2(a - b) for a, b in zip(sample(Ua), sample(Ub))])
+    assert np.array_equal(rep["times"], grid)
+    assert np.array_equal(rep["dist2"], d2)
+
+
+def test_streamed_run_memory_does_not_grow_with_the_horizon(rng):
+    import tracemalloc
+
+    from conftest import default_operator
+
+    # fresh: its factor cache holds this test's step sizes only
+    op = default_operator(16)
+    U0 = rng.standard_normal(op.n_free)
+    ctrl = fixed_ctrl(5e-3)
+
+    def peak(T, streamed):
+        observe = observe_all(HolderModulus(T), MoserRatio(op)) if streamed else None
+        tracemalloc.start()
+        try:
+            integrate(op, U0, ZERO, ZERO, T, ctrl, observe=observe)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0, True), peak(10.0, True)   # every step size is factorized
+    short, long = peak(1.0, True), peak(10.0, True)
+    # 1,800 more steps take 58 kB more for the step times and sizes, and the
+    # Hoelder ring holds more distinct states (up to 70 kB).  scipy's table
+    # of live SuperLU allocations may be rebuilt during the longer run: up to
+    # 0.3 MB when many factors are alive in the process.  Keeping every state
+    # would take 4 MB more.
+    margin = 512 * 1024
+    assert long - short < margin
+    assert peak(10.0, False) - short > 6 * margin

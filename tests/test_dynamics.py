@@ -443,3 +443,92 @@ def test_minimum_degree_order_fills_less(op32):
     colamd = spla.splu(mat, permc_spec="COLAMD")
     # 25,156 against 38,682 entries with scipy 1.17
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+# ------------------------------------- run end, solver counters, LU cache
+def test_completed_run_ends_at_the_horizon_bit_for_bit(op16, rng):
+    # ten steps of 0.1 add up to 0.9999999999999999, inside the end
+    # tolerance: the run still ends at T itself
+    traj = integrate(op16, rng.standard_normal(op16.n_free), ZERO, ZERO, 1.0,
+                     StepControl(dt0=0.1, dt_min=1e-10, dt_max=0.1, growth_cap=1e9))
+    assert traj.outcome == "completed"
+    assert len(traj.times) == 11
+    assert traj.times[-1] == traj.outcome_time == 1.0
+
+
+@pytest.mark.parametrize("case", ["completed", "blowup"])
+def test_step_stats_count_the_run(case, monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(16)   # fresh: every step size is factorized anew
+    U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
+                                     op.n_free)
+    tried, built = [], []
+    step, splu = dynamics.imex_step, dynamics.spla.splu
+    monkeypatch.setattr(dynamics, "imex_step",
+                        lambda op, U, dt, f, h: tried.append(dt) or step(op, U, dt, f, h))
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    stats = integrate(op, U0, f, h, T, ctrl).stats
+    traj = integrate(op, U0, f, h, T, ctrl)   # again: every factor is cached
+
+    assert traj.outcome == case
+    assert stats.attempted == len(tried) // 2
+    assert stats.accepted == len(traj.times) - 1
+    assert stats.rejected == stats.attempted - stats.accepted
+    assert (stats.rejected > 0) == (case == "blowup")
+    assert stats.dt_min == min(tried) and stats.dt_max == max(tried)
+    assert stats.factorizations == len(built) == len(set(tried))
+    assert traj.stats.factorizations == 0
+    assert traj.stats == dynamics.StepStats(
+        attempted=stats.attempted, accepted=stats.accepted,
+        rejected=stats.rejected, dt_min=stats.dt_min, dt_max=stats.dt_max,
+        factorizations=0)
+
+
+def test_observer_sees_every_accepted_state(op16, rng):
+    U0 = rng.standard_normal(op16.n_free)
+    ctrl = StepControl(dt0=1e-3, dt_max=0.02)
+    seen = []
+    streamed = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.5, ctrl,
+                         observe=lambda t, dt, U: seen.append((t, dt, U)))
+    stored = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.5, ctrl)
+    assert np.array_equal([t for t, _, _ in seen], stored.times)
+    assert np.array_equal([dt for _, dt, _ in seen], stored.dts)
+    assert all(np.array_equal(U, V) for (_, _, U), V in zip(seen, stored.states))
+    # the streamed trajectory keeps the last state only
+    assert len(streamed.states) == 1
+    assert np.array_equal(streamed.final_state(), stored.final_state())
+    assert np.array_equal(streamed.times, stored.times)
+
+
+def test_lu_cache_evicts_the_least_recently_used_factor(monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(8)
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    first = dynamics._imex_solver(op, 0.1)
+    # room for two factors of this size, not three
+    monkeypatch.setattr(dynamics, "_LU_CACHE_NNZ", 2 * first.nnz + first.nnz // 2)
+    second = dynamics._imex_solver(op, 0.2)
+    assert second.nnz == first.nnz
+    assert dynamics._imex_solver(op, 0.1) is first   # reused: now the most recent
+    dynamics._imex_solver(op, 0.3)                    # evicts 0.2, not 0.1
+    assert len(built) == 3
+    assert dynamics._imex_solver(op, 0.1) is first
+    assert len(built) == 3
+    assert dynamics._imex_solver(op, 0.2) is not second
+    assert len(built) == 4
+    # a factor beyond the bound on its own is still kept, alone
+    monkeypatch.setattr(dynamics, "_LU_CACHE_NNZ", 1)
+    alone = dynamics._imex_solver(op, 0.4)
+    assert dynamics._imex_solver(op, 0.4) is alone
+    assert list(op._cache["imex"].factors) == [0.4]
+    assert len(built) == 5

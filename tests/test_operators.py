@@ -300,3 +300,22 @@ def test_csv_exports(tmp_path, spec16):
     rows = (tmp_path / "ultra.csv").read_text().strip().splitlines()
     assert rows[0] == "t,norm_2_to_inf"
     assert len(rows) == 6
+
+
+def test_markov_check_factors_once_per_step_size(monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(8)   # fresh: nothing factorized yet
+    grid = np.linspace(0.005, 0.1, 20)
+    # the grid's steps differ in their last bits
+    assert len(np.unique(np.diff(grid))) > 1
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    rep = markov_check(op, trials=3, t_grid=grid, seed=1)
+    assert len(built) == 1
+    assert rep["min_entry"] >= -1e-10
+    assert rep["sup_ratio"] <= 1.0 + 1e-10
