@@ -43,29 +43,27 @@ def random_smooth_states(op: DiscreteOperator, count: int, seed: int = 0,
     return out
 
 
-def _gradient_operator(mesh) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse map from vertex values to per-triangle (ux, uy), plus areas."""
-    areas, gx, gy = p1_gradients(mesh)
-    tris = mesh.triangles
-    nt = len(tris)
-    rows = np.concatenate([np.repeat(np.arange(nt), 3),
-                           np.repeat(np.arange(nt, 2 * nt), 3)])
-    cols = np.concatenate([tris.ravel(), tris.ravel()])
-    vals = np.concatenate([gx.ravel(), gy.ravel()])
-    G = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nt, len(mesh.vertices))).tocsr()
-    return G, areas
+def _l1_quotient(op: DiscreteOperator, u: np.ndarray) -> float:
+    """L1 quotient ||u - interface_mean(u)||_1 / ||grad u||_1 of a field on
+    all vertices (unit diffusivity, no boundary constraints)."""
+    areas, gx, gy = p1_gradients(op.mesh)
+    corner = u[op.mesh.triangles]
+    grad = np.hypot(np.sum(gx * corner, axis=1), np.sum(gy * corner, axis=1))
+    a = op.m_iface.diagonal() / op.measure.total_mass
+    num = np.sum(op.m_bulk.diagonal() * np.abs(u - a @ u))
+    return float(num / np.sum(areas * grad))
 
 
 def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
-                        n_starts: int = 50, n_iters: int = 150,
-                        seed: int = 0) -> float:
+                        n_starts: int = 50, seed: int = 0) -> float:
     """Best constant in  ||u - interface_mean(u)|| <= C ||grad u||.
 
     'L2_eig' solves the generalized eigenvalue problem of the quotient in
     the L2 norms exactly (unit diffusivity, no boundary constraints) and
-    returns 1/sqrt(lambda_min).  'L1_empirical' runs projected subgradient
-    ascent on the L1 quotient from random smooth starts and returns the
-    largest quotient found, a lower bound on the true L1 constant.
+    returns 1/sqrt(lambda_min).  'L1_empirical' sweeps every level set of
+    x, y, n_starts random smooth fields and the ten lowest eigenvectors and
+    returns the L1 quotient of the best indicator found, a lower bound on
+    the true L1 constant.
     """
     mesh = op.mesh
     n_dof = len(mesh.vertices)
@@ -96,44 +94,53 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
         return float(math.sqrt(top[0]))
 
     if mode == "L1_empirical":
-        G, areas = _gradient_operator(mesh)
-        GT = G.T.tocsr()   # a row-major transpose halves the cost of G^T x
-        areas2 = np.concatenate([areas, areas])
+        # Level sets approach the L1 quotient (coarea formula), so all level
+        # sets of each seed field are scored at once.  S_k holds the k
+        # vertices of largest value; its indicator has centred L1 norm
+        # m(S)(1 - a(S)) + (M - m(S)) a(S).  On a triangle whose corners rank
+        # r0 < r1 < r2 the indicator's gradient is that of phi_0 while
+        # r0 < k <= r1 and that of phi_2 while r1 < k <= r2, so cumulative
+        # sums of the jumps give the total variation for every k.
+        areas, gx, gy = p1_gradients(mesh)
+        corner_tv = areas[:, None] * np.hypot(gx, gy)
+        rows = np.arange(len(areas))
         m_bulk = op.m_bulk.diagonal()
-        nt = len(areas)
-        rng = np.random.default_rng(seed)
+        mass = m_bulk.sum()
         x = mesh.vertices[:, 0]
         y = mesh.vertices[:, 1]
-        best = 0.0
-        for start in range(n_starts):
-            u = np.zeros(n_dof)
-            for k in range(1, 4):
-                for l in range(1, 4):
-                    u += rng.standard_normal() / (k * l) * np.sin(np.pi * k * x) * np.cos(np.pi * l * y)
-            u += 0.1 * rng.standard_normal(n_dof)
-            u /= np.linalg.norm(u)
-            for it in range(n_iters):
-                centered = u - a @ u
-                num = float(np.sum(m_bulk * np.abs(centered)))
-                g = G @ u
-                gt = np.hypot(g[:nt], g[nt:])
-                den = float(np.sum(areas * gt))
-                if den <= 1e-300:
-                    break
-                quot = num / den
-                best = max(best, quot)
-                s = np.sign(centered)
-                grad_num = m_bulk * s - (np.sum(m_bulk * s)) * a
-                safe = np.maximum(gt, 1e-14)
-                unit = np.concatenate([g[:nt] / safe, g[nt:] / safe]) * areas2
-                grad_den = GT @ unit
-                grad = (grad_num * den - num * grad_den) / den**2
-                gn = np.linalg.norm(grad)
-                if gn <= 1e-14:
-                    break
-                u = u + 0.2 / math.sqrt(1.0 + it) * grad / gn
-                u /= np.linalg.norm(u)
-        return best
+        wave = np.arange(1, 4)
+        sin_x = np.sin(np.pi * wave[:, None] * x)
+        cos_y = np.cos(np.pi * wave[:, None] * y)
+        coef = np.random.default_rng(seed).standard_normal((n_starts, 3, 3))
+        coef /= np.outer(wave, wave)
+        seeds = [x, y]
+        seeds += list(np.einsum("skl,kn,ln->sn", coef, sin_x, cos_y))
+        seeds += [op.embed(v) for v in spectrum(op, min(10, op.n_free)).eigenvectors.T]
+        best, best_set = -1.0, None
+        for u in seeds:
+            order = np.argsort(-u, kind="stable")
+            rank = np.empty(n_dof, dtype=int)
+            rank[order] = np.arange(n_dof)
+            ranks = rank[mesh.triangles]
+            first = ranks.argmin(axis=1)
+            last = ranks.argmax(axis=1)
+            r0, r2 = ranks[rows, first], ranks[rows, last]
+            tv0, tv2 = corner_tv[rows, first], corner_tv[rows, last]
+            jumps = np.bincount(np.concatenate([r0, ranks.sum(axis=1) - r0 - r2, r2]) + 1,
+                                weights=np.concatenate([tv0, tv2 - tv0, -tv2]),
+                                minlength=n_dof + 1)
+            den = np.cumsum(jumps)[1:n_dof]
+            m_in = np.cumsum(m_bulk[order])[:-1]
+            a_in = np.cumsum(a[order])[:-1]
+            quot = (m_in * (1.0 - a_in) + (mass - m_in) * a_in) / den
+            k = int(np.argmax(quot))
+            if quot[k] > best:
+                best, best_set = quot[k], order[:k + 1]
+        # the value returned is the quotient of an actual vertex field, so it
+        # is a lower bound whatever rounding the cumulative sums carry
+        indicator = np.zeros(n_dof)
+        indicator[best_set] = 1.0
+        return _l1_quotient(op, indicator)
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -223,14 +230,13 @@ class ConstantsReport:
 def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
                              zeta_eps: tuple[float, ...] = (0.125, 0.25, 0.5),
                              safety_factor: float = 2.0, seed: int = 0,
-                             l1_starts: int = 20, l1_iters: int = 80) -> ConstantsReport:
+                             l1_starts: int = 20) -> ConstantsReport:
     if eps is None:
         eps = op.d0 / 2.0
     report = ConstantsReport(
         poincare_l2=poincare_mean_sigma(op, "L2_eig"),
         poincare_l1_lower=poincare_mean_sigma(op, "L1_empirical",
-                                              n_starts=l1_starts, n_iters=l1_iters,
-                                              seed=seed),
+                                              n_starts=l1_starts, seed=seed),
         c_bar=best_embedding_constant(op, eps),
         c_bar_eps=eps,
         zeta_table=[(e, interpolation_zeta(op, e, seed=seed)["zeta"]) for e in zeta_eps],

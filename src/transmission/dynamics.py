@@ -93,10 +93,6 @@ class Nonlinearity:
         e, c = max(live)
         return (e, c)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.constant == 0.0 and all(c == 0.0 for c, _ in self.terms)
-
     def local_slope_bound(self, radius: float) -> float:
         """Upper bound on |f'| over [-radius, radius]: term-wise triangle
         inequality, so sign cancellations between terms are ignored."""

@@ -5,6 +5,7 @@ import pytest
 
 from transmission.assembly import BetaCoefficient, DiffusionTensor, KernelSpec, build_operator
 from transmission.constants import (
+    _l1_quotient,
     best_embedding_constant,
     compute_constants_report,
     interpolation_zeta,
@@ -31,12 +32,54 @@ def test_poincare_l2_near_classical_value(op16):
 
 
 def test_poincare_l1_is_finite_lower_bound(op16):
-    l1 = poincare_mean_sigma(op16, "L1_empirical", n_starts=10, n_iters=60)
+    l1 = poincare_mean_sigma(op16, "L1_empirical", n_starts=10)
     l2 = poincare_mean_sigma(op16, "L2_eig")
     assert l1 > 0
     # Cauchy-Schwarz comparison on the unit square, logged not asserted tight
     print(f"L1 lower bound {l1:.4f} vs L2 estimate {l2:.4f}")
     assert l1 < 10.0 * max(l2, 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_poincare_l1_beats_half_square_indicator(n):
+    from conftest import default_operator
+
+    op = default_operator(n)
+    below = (op.mesh.vertices[:, 1] < 0.5).astype(float)
+    indicator = _l1_quotient(op, below)
+    assert indicator == pytest.approx(0.5 - 1.0 / (2 * n), rel=1e-12)
+    assert poincare_mean_sigma(op, "L1_empirical", n_starts=10) >= indicator
+
+
+def test_poincare_l1_is_quotient_of_a_vertex_indicator(op16, monkeypatch):
+    import transmission.constants as constants
+
+    fields = []
+
+    def recorded(op, u):
+        fields.append(u.copy())
+        return _l1_quotient(op, u)
+
+    monkeypatch.setattr(constants, "_l1_quotient", recorded)
+    l1 = poincare_mean_sigma(op16, "L1_empirical", n_starts=10)
+    assert len(fields) == 1
+    u = fields[0]
+    assert set(np.unique(u)) == {0.0, 1.0}
+    assert l1 == _l1_quotient(op16, u)
+
+
+def test_poincare_l1_stable_when_seeds_double(op32):
+    l1 = poincare_mean_sigma(op32, "L1_empirical", n_starts=20)
+    more = poincare_mean_sigma(op32, "L1_empirical", n_starts=40)
+    assert abs(more - l1) <= 1e-3 * l1
+
+
+def test_poincare_l1_does_not_fall_under_refinement():
+    from conftest import default_operator
+
+    vals = [poincare_mean_sigma(default_operator(n), "L1_empirical", n_starts=20)
+            for n in (16, 32, 64)]
+    assert vals[0] <= vals[1] <= vals[2]
 
 
 def test_poincare_rejects_unknown_mode(op16):
@@ -127,7 +170,7 @@ def test_smooth_states_shape_and_determinism(op16):
 
 
 def test_report_construction_and_round_trip(op16, tmp_path):
-    report = compute_constants_report(op16, l1_starts=5, l1_iters=40)
+    report = compute_constants_report(op16, l1_starts=5)
     assert report.c_star == report.poincare_effective * report.total_mass / report.domain_area
     assert report.poincare_effective == report.safety_factor * max(
         report.poincare_l2, report.poincare_l1_lower
@@ -141,7 +184,7 @@ def test_report_construction_and_round_trip(op16, tmp_path):
 
 
 def test_report_positive_finite(op16):
-    report = compute_constants_report(op16, l1_starts=5, l1_iters=40)
+    report = compute_constants_report(op16, l1_starts=5)
     for val in (report.poincare_l2, report.poincare_l1_lower, report.c_bar,
                 report.c_star):
         assert math.isfinite(val) and val > 0
@@ -191,7 +234,7 @@ def test_report_runs_one_spectrum_and_one_embedding_solve(monkeypatch):
 
     monkeypatch.setattr(operators, "lowest_pairs", counted)
     monkeypatch.setattr(constants, "lowest_pairs", counted)
-    compute_constants_report(default_operator(12), l1_starts=2, l1_iters=10)
+    compute_constants_report(default_operator(12), l1_starts=2)
     assert sorted(calls) == [1, 10]
 
 
@@ -201,7 +244,7 @@ def test_reports_byte_identical(tmp_path):
     paths = []
     for run in range(2):
         report = compute_constants_report(default_operator(12), l1_starts=3,
-                                          l1_iters=20, seed=4)
+                                          seed=4)
         paths.append(tmp_path / f"constants{run}.txt")
         save_constants(report, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -50,7 +50,22 @@ def test_mesh_is_conforming():
         assert counts[tuple(sorted((a, b)))] == 1
 
 
-@pytest.mark.parametrize("spec,n", [(Segment(0.5), 16), (KochPrefractal(1, 0.5), 27)])
+def test_edge_owners_match_reference_loop():
+    from transmission.geometry import _edge_owners
+
+    mesh = build_square_mesh(27, KochPrefractal(2, 0.4))
+    owners = {}
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        for e in ((a, b), (b, c), (c, a)):
+            owners.setdefault(tuple(sorted(e)), []).append(t)
+    edges, held = _edge_owners(mesh.triangles)
+    assert [tuple(e) for e in edges] == sorted(owners)
+    assert [[t for t in h if t >= 0] for h in held] == [owners[k] for k in sorted(owners)]
+
+
+@pytest.mark.parametrize("spec,n", [(Segment(0.5), 16), (KochPrefractal(1, 0.5), 27),
+                                    (KochPrefractal(2, 0.4), 27),
+                                    (KochPrefractal(3, 0.4), 162)])
 def test_interface_separates_two_components(spec, n):
     mesh = build_square_mesh(n, spec)
     assert count_interface_components(mesh) == 2
