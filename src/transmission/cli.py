@@ -42,7 +42,7 @@ from .diagnostics import (
     observe_all,
     squeezing_check,
 )
-from .dynamics import Nonlinearity, StepControl, integrate
+from .dynamics import StepControl, integrate
 from .geometry import (
     GeometryError,
     KochPrefractal,
@@ -57,6 +57,7 @@ from .operators import (
     export_spectrum_csv,
     spectrum,
 )
+from .poly import Nonlinearity
 from .regimes import classify, save_verdict
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_BLOWUP = 0, 2, 3, 4
@@ -74,10 +75,7 @@ def build_problem(cfg: SimConfig):
     beta = BetaCoefficient(np.full(len(measure.weights), ph.beta), beta0=ph.beta0)
     kernel = KernelSpec(s=ph.s, dim_d=measure.dim_d, c0=ph.c0, c1=ph.c1)
     op = build_operator(mesh, measure, D, beta, kernel, delta=ph.delta)
-    f = Nonlinearity(terms=tuple(cfg.bulk_nonlinearity.pairs()),
-                     constant=cfg.bulk_nonlinearity.constant)
-    h = Nonlinearity(terms=tuple(cfg.interface_nonlinearity.pairs()),
-                     constant=cfg.interface_nonlinearity.constant)
+    f, h = cfg.bulk_nonlinearity.build(), cfg.interface_nonlinearity.build()
     return mesh, measure, op, f, h
 
 
@@ -265,12 +263,6 @@ def _write_fit_summaries(traj, op, f, h, report, holder, moser, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _cell_nonlinearities(cell: dict) -> tuple[Nonlinearity, Nonlinearity]:
-    f = Nonlinearity.power(cell["c_f"], cell["q"])
-    h = Nonlinearity.power(cell["c_h"], cell["p"])
-    return f, h
-
-
 def _cell_hash(cfg_text: str, cell: dict) -> str:
     payload = cfg_text + "|" + ",".join(f"{k}={cell[k]!r}" for k in sorted(cell))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -292,7 +284,8 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
         report = _constants_report(cfg, op)
         _WORKER_CACHE[key] = (cfg, op, report)
     cfg, op, report = _WORKER_CACHE[key]
-    f, h = _cell_nonlinearities(cell)
+    f = Nonlinearity.power(cell["c_f"], cell["q"])
+    h = Nonlinearity.power(cell["c_h"], cell["p"])
     U0 = initial_state(cfg, op)
     verdict = classify(f, h, op, report, U0,
                        alpha=_auto(cfg.run.alpha), eps=_auto(cfg.run.eps))

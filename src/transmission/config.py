@@ -12,6 +12,8 @@ import io
 import os
 from dataclasses import dataclass, field, fields
 
+from .poly import Nonlinearity
+
 MODES = ("simulate", "spectrum", "constants", "classify", "sweep", "pairs")
 SIDES = ("left", "right", "bottom", "top", "all", "none")
 ENV_PREFIX = "TRANSMISSION_"
@@ -58,9 +60,16 @@ class NonlinearityConfig:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            c, e = chunk.split(":")
-            out.append((float(c), float(e)))
+            try:
+                c, e = chunk.split(":")
+                out.append((float(c), float(e)))
+            except ValueError:
+                raise ValueError(f"{chunk!r}: expected 'coef:exponent' pairs") from None
         return out
+
+    def build(self) -> Nonlinearity:
+        """The validated nonlinearity; ValueError on a bad term or constant."""
+        return Nonlinearity(terms=tuple(self.pairs()), constant=self.constant)
 
 
 @dataclass
@@ -177,11 +186,9 @@ class SimConfig:
         for name, nl in (("bulk_nonlinearity", self.bulk_nonlinearity),
                          ("interface_nonlinearity", self.interface_nonlinearity)):
             try:
-                for _, e in nl.pairs():
-                    if e < 0:
-                        v.append(f"{name}.terms: exponent {e} must be >= 0")
-            except ValueError:
-                v.append(f"{name}.terms = {nl.terms!r}: expected 'coef:exponent' pairs")
+                nl.build()
+            except ValueError as exc:
+                v.append(f"{name}: {exc}")
         if self.initial.kind not in ("eigenvector", "expression", "file"):
             v.append(f"initial.kind = {self.initial.kind!r}: "
                      "expected eigenvector, expression or file")

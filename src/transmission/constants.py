@@ -166,8 +166,17 @@ def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
     Returns the exponent, the worst sample index and its required factor;
     the exponent is inf when even zeta_max fails.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps={eps} outside (0, 1]")
+    return _zeta_table(op, (eps,), trials, seed, zeta_max, tol)[0]
+
+
+def _zeta_table(op: DiscreteOperator, eps_values: tuple[float, ...],
+                trials: int, seed: int, zeta_max: float = 64.0,
+                tol: float = 1e-12) -> list[dict]:
+    """interpolation_zeta at each of eps_values on one draw of samples: only
+    the feasibility test depends on eps."""
+    for eps in eps_values:
+        if not (0.0 < eps <= 1.0):
+            raise ValueError(f"eps={eps} outside (0, 1]")
     samples = random_smooth_states(op, trials, seed=seed)
     samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
 
@@ -175,24 +184,29 @@ def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
     aa = np.array([quadratic_form(op, u) for u in samples])
     x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])
 
-    def feasible(z: float) -> bool:
+    def feasible(eps: float, z: float) -> bool:
         rhs = eps * aa + eps ** (-z) * x1sq
         return bool((x2 <= rhs * (1.0 + tol) + tol).all())
 
-    deficit = x2 - eps * aa
-    worst = int(np.argmax(deficit / np.maximum(x1sq, 1e-300)))
-    if feasible(0.0):
-        return {"zeta": 0.0, "worst_sample": worst, "eps": eps}
-    if not feasible(zeta_max):
-        return {"zeta": math.inf, "worst_sample": worst, "eps": eps}
-    lo, hi = 0.0, zeta_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
+    table = []
+    for eps in eps_values:
+        deficit = x2 - eps * aa
+        worst = int(np.argmax(deficit / np.maximum(x1sq, 1e-300)))
+        if feasible(eps, 0.0):
+            zeta = 0.0
+        elif not feasible(eps, zeta_max):
+            zeta = math.inf
         else:
-            lo = mid
-    return {"zeta": hi, "worst_sample": worst, "eps": eps}
+            lo, hi = 0.0, zeta_max
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if feasible(eps, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            zeta = hi
+        table.append({"zeta": zeta, "worst_sample": worst, "eps": eps})
+    return table
 
 
 @dataclass
@@ -239,7 +253,7 @@ def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
                                               n_starts=l1_starts, seed=seed),
         c_bar=best_embedding_constant(op, eps),
         c_bar_eps=eps,
-        zeta_table=[(e, interpolation_zeta(op, e, seed=seed)["zeta"]) for e in zeta_eps],
+        zeta_table=[(z["eps"], z["zeta"]) for z in _zeta_table(op, zeta_eps, 20, seed)],
         safety_factor=safety_factor,
         total_mass=op.measure.total_mass,
         domain_area=op.mesh.domain_area,

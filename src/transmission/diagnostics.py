@@ -22,8 +22,9 @@ import numpy as np
 
 from .assembly import DiscreteOperator
 from .constants import ConstantsReport
-from .dynamics import Nonlinearity, StepControl, Trajectory, integrate
+from .dynamics import StepControl, Trajectory, integrate
 from .operators import quadratic_form
+from .poly import Nonlinearity
 
 
 @dataclass
@@ -39,8 +40,8 @@ def energy(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
     """E(U) = 1/2 form(U, U) + sum m_i F(u_i) - sum w_i H(u_i) with F, H the
     primitives of the bulk and interface nonlinearities."""
     form = 0.5 * quadratic_form(op, U)
-    bulk = float(np.sum(op.bulk_mass_diag * f.primitive(U)))
-    iface = float(np.sum(op.iface_mass_diag * h.primitive(U)))
+    bulk = float(np.sum(op.bulk_mass_diag * f.antiderivative()(U)))
+    iface = float(np.sum(op.iface_mass_diag * h.antiderivative()(U)))
     return EnergyValue(total=form + bulk - iface, form_term=form,
                        bulk_primitive=bulk, iface_primitive=iface)
 

@@ -23,81 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
 from .operators import NumericError, SpectralData, semigroup_apply
-
-
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Odd-power polynomial nonlinearity sum_k c_k |t|^{e_k} t (+ constant).
-
-    Exponents are >= 0; the leading pair (exponent, coefficient) is the
-    highest-exponent term, which fixes the growth at infinity.
-    """
-
-    terms: tuple[tuple[float, float], ...] = ()
-    constant: float = 0.0
-
-    def __post_init__(self):
-        for c, e in self.terms:
-            if e < 0:
-                raise ValueError(f"negative exponent {e} not supported")
-
-    @classmethod
-    def zero(cls) -> "Nonlinearity":
-        return cls()
-
-    @classmethod
-    def power(cls, coef: float, exponent: float) -> "Nonlinearity":
-        """coef * |t|^exponent * t; exponent 2 with coef 1 is t^3."""
-        return cls(terms=((float(coef), float(exponent)),))
-
-    @classmethod
-    def linear(cls, coef: float) -> "Nonlinearity":
-        return cls.power(coef, 0.0)
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.full(tau.shape, self.constant, dtype=float)
-        a = np.abs(tau)
-        for c, e in self.terms:
-            out += c * a ** e * tau
-        return out if out.shape else float(out)
-
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape, dtype=float)
-        a = np.abs(tau)
-        for c, e in self.terms:
-            out += c * (e + 1.0) * a ** e
-        return out if out.shape else float(out)
-
-    def primitive(self, tau):
-        """Antiderivative vanishing at 0."""
-        tau = np.asarray(tau, dtype=float)
-        out = self.constant * tau.astype(float)
-        a = np.abs(tau)
-        for c, e in self.terms:
-            out = out + c * a ** (e + 2.0) / (e + 2.0)
-        return out if out.shape else float(out)
-
-    @property
-    def leading(self) -> tuple[float, float]:
-        """(exponent, coefficient) of the dominant term at infinity."""
-        if not self.terms:
-            return (0.0, 0.0)
-        by_exp: dict[float, float] = {}
-        for c, e in self.terms:
-            by_exp[e] = by_exp.get(e, 0.0) + c
-        live = [(e, c) for e, c in by_exp.items() if c != 0.0]
-        if not live:
-            return (0.0, 0.0)
-        e, c = max(live)
-        return (e, c)
-
-    def local_slope_bound(self, radius: float) -> float:
-        """Upper bound on |f'| over [-radius, radius]: term-wise triangle
-        inequality, so sign cancellations between terms are ignored."""
-        r = abs(radius)
-        return float(sum(abs(c) * (e + 1.0) * r ** e for c, e in self.terms))
+from .poly import Nonlinearity
 
 
 @dataclass(frozen=True)

@@ -21,119 +21,7 @@ from scipy.optimize import minimize_scalar
 
 from .assembly import DiscreteOperator
 from .constants import ConstantsReport
-from .dynamics import Nonlinearity
-
-_PRUNE = 1e-13
-
-
-class PolyFunc:
-    """Exact algebra on spans of |t|^a * t^b with b in {0, 1}.
-
-    Closed under the operations the criteria need: sums, products,
-    derivative, antiderivative, multiplication by t.  The leading pair
-    (total degree a + b, coefficient) decides tail behavior exactly.
-    """
-
-    def __init__(self, terms: dict[tuple[float, int], float] | None = None):
-        self.terms: dict[tuple[float, int], float] = {}
-        for (a, b), c in (terms or {}).items():
-            if c == 0.0:
-                continue
-            a, b = float(a), int(b)
-            while b >= 2:          # t^2 == |t|^2
-                a, b = a + 2.0, b - 2
-            key = (a, b)
-            self.terms[key] = self.terms.get(key, 0.0) + c
-        self._prune()
-
-    def _prune(self):
-        scale = max((abs(c) for c in self.terms.values()), default=0.0)
-        self.terms = {k: c for k, c in self.terms.items()
-                      if abs(c) > _PRUNE * max(scale, 1.0)}
-
-    @classmethod
-    def from_nonlinearity(cls, nl: Nonlinearity) -> "PolyFunc":
-        terms = {(float(e), 1): float(c) for c, e in nl.terms}
-        if nl.constant:
-            terms[(0.0, 0)] = terms.get((0.0, 0), 0.0) + nl.constant
-        return cls(terms)
-
-    # ---- algebra ----
-    def __add__(self, other: "PolyFunc") -> "PolyFunc":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return PolyFunc(out)
-
-    def __sub__(self, other: "PolyFunc") -> "PolyFunc":
-        return self + other.scale(-1.0)
-
-    def scale(self, s: float) -> "PolyFunc":
-        return PolyFunc({k: c * s for k, c in self.terms.items()})
-
-    def times_tau(self) -> "PolyFunc":
-        return PolyFunc({(a, b + 1): c for (a, b), c in self.terms.items()})
-
-    def __mul__(self, other: "PolyFunc") -> "PolyFunc":
-        out: dict[tuple[float, int], float] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return PolyFunc(out)
-
-    def square(self) -> "PolyFunc":
-        return self * self
-
-    def derivative(self) -> "PolyFunc":
-        out: dict[tuple[float, int], float] = {}
-        for (a, b), c in self.terms.items():
-            if b == 1:
-                key = (a, 0)
-                out[key] = out.get(key, 0.0) + c * (a + 1.0)
-            elif a != 0.0:
-                key = (a - 2.0, 1)
-                out[key] = out.get(key, 0.0) + c * a
-        return PolyFunc(out)
-
-    def antiderivative(self) -> "PolyFunc":
-        out: dict[tuple[float, int], float] = {}
-        for (a, b), c in self.terms.items():
-            if b == 1:
-                out[(a + 2.0, 0)] = out.get((a + 2.0, 0), 0.0) + c / (a + 2.0)
-            else:
-                out[(a, 1)] = out.get((a, 1), 0.0) + c / (a + 1.0)
-        return PolyFunc(out)
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape)
-        a_abs = np.abs(tau)
-        for (a, b), c in self.terms.items():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                base = np.where(a_abs > 0, a_abs ** a, 1.0 if a == 0.0 else 0.0)
-            term = c * base * (tau if b else 1.0)
-            out = out + term
-        return out if out.shape else float(out)
-
-    def leading(self) -> tuple[float, float]:
-        """(total degree, coefficient); (0, 0) for the zero function."""
-        if not self.terms:
-            return (0.0, 0.0)
-        deg = max(a + b for (a, b) in self.terms)
-        coeff = sum(c for (a, b), c in self.terms.items() if a + b == deg)
-        if abs(coeff) <= _PRUNE:
-            rest = PolyFunc({k: c for k, c in self.terms.items() if k[0] + k[1] < deg})
-            return rest.leading()
-        return (deg, coeff)
-
-    def coeff_at(self, degree: float) -> float:
-        return sum(c for (a, b), c in self.terms.items()
-                   if abs(a + b - degree) < 1e-12)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+from .poly import Nonlinearity, PolyFunc
 
 
 def alpha_defects(f: Nonlinearity, h: Nonlinearity, alpha: float) -> tuple[PolyFunc, PolyFunc]:
@@ -141,11 +29,7 @@ def alpha_defects(f: Nonlinearity, h: Nonlinearity, alpha: float) -> tuple[PolyF
     defect_w(t) = alpha * W(t) - w(t) t, with W the primitive of w."""
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
-    out = []
-    for nl in (f, h):
-        p = PolyFunc.from_nonlinearity(nl)
-        out.append(p.antiderivative().scale(alpha) - p.times_tau())
-    return out[0], out[1]
+    return tuple(w.antiderivative().scale(alpha) - w.times_tau() for w in (f, h))
 
 
 def _tau_grid(tau_max: float = 1e3, n: int = 4001) -> np.ndarray:
@@ -199,23 +83,19 @@ def _balance_lhs(f: Nonlinearity, h: Nonlinearity, rho: float, c_star: float,
     balance_c m^balance_lambda (|t|^(m+1) + 1) for |t| >= tau0:
     -f(t)|t|^(m-1)t + rho h(t)|t|^(m-1)t
         + (c_star^2 / 4 m eps) |t|^(m-1) (h'(t) t + m h(t))^2."""
-    fp = PolyFunc.from_nonlinearity(f)
-    hp = PolyFunc.from_nonlinearity(h)
     mono = PolyFunc({(float(m - 1), 1): 1.0})   # |t|^{m-1} t
-    return (fp * mono).scale(-1.0) + (hp * mono).scale(rho) \
+    return (f * mono).scale(-1.0) + (h * mono).scale(rho) \
         + PolyFunc({(float(m - 1), 0): c_star ** 2 / (4.0 * m * eps)}) \
-        * (hp.derivative().times_tau() + hp.scale(float(m))).square()
+        * (h.derivative().times_tau() + h.scale(float(m))).square()
 
 
 def _dissipative_lhs(f: Nonlinearity, h: Nonlinearity, rho: float,
                      c_star: float, eps: float) -> PolyFunc:
     """Defect of 'dissipative-balance', bounded by lambda_star t^2 + c_fh:
     -f(t) t + rho h(t) t + (c_star^2 / 4 eps) (h'(t) t + h(t))^2."""
-    fp = PolyFunc.from_nonlinearity(f)
-    hp = PolyFunc.from_nonlinearity(h)
     kappa = c_star ** 2 / (4.0 * eps)
-    return fp.times_tau().scale(-1.0) + hp.times_tau().scale(rho) \
-        + (hp.derivative().times_tau() + hp).square().scale(kappa)
+    return f.times_tau().scale(-1.0) + h.times_tau().scale(rho) \
+        + (h.derivative().times_tau() + h).square().scale(kappa)
 
 
 def _quadratic_gap_lhs(g: PolyFunc, l: PolyFunc, rho: float, c_star: float,
@@ -244,8 +124,8 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
                  m_grid: tuple[int, ...] = (1, 2, 4, 8, 16),
                  tau0: float = 1.0) -> RegimeVerdict | None:
     """Global-boundedness rules; None when none of them fires."""
-    q, c_f = f.leading
-    p, c_h = h.leading
+    q, c_f = f.growth
+    p, c_h = h.growth
 
     if c_f > 0.0 and c_h > 0.0 and q > 2.0 * p:
         return RegimeVerdict(
@@ -287,12 +167,7 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
         if deg > m + 1.0 + 1e-12 and coeff > 0.0:
             return None
         bound = m + 1.0
-
-        def ratio(t, lhs=lhs, bound=bound):
-            t = np.asarray(t, dtype=float)
-            return lhs(t) / (np.abs(t) ** bound + 1.0)
-
-        level = float(np.max(ratio(grid)))
+        level = float(np.max(lhs(grid) / (np.abs(grid) ** bound + 1.0)))
         if abs(deg - bound) <= 1e-12:
             level = max(level, coeff)
         needed.append(max(level, 1e-12))
@@ -491,8 +366,8 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
 def _polynomial_case(f: Nonlinearity, h: Nonlinearity, alpha: float,
                      eps: float, constants: ConstantsReport) -> str:
     """Shortcut labels for pure sign-flipped polynomial pairs."""
-    q, c_f = f.leading
-    p, c_h = h.leading
+    q, c_f = f.growth
+    p, c_h = h.growth
     if not (c_f < 0.0 and c_h <= 0.0):
         return ""
     if p + 2.0 < alpha < q + 2.0 and q > 2.0 * p:
@@ -510,8 +385,8 @@ def _polynomial_case(f: Nonlinearity, h: Nonlinearity, alpha: float,
 
 # ------------------------------------------------------------------ classify
 def default_alpha_candidates(f: Nonlinearity, h: Nonlinearity) -> list[float]:
-    q, _ = f.leading
-    p, _ = h.leading
+    q, _ = f.growth
+    p, _ = h.growth
     cands = {2.25, 2.5, 3.0, 4.0}
     if q > 0:
         cands |= {0.5 * (p + 2.0 + q + 2.0), 0.5 * (2.0 + q + 2.0), 0.9 * (q + 2.0)}
@@ -625,8 +500,8 @@ def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
 
     if verdict.rule == "bulk-sink-dominates":
         # tail-sign rule: check the defining limits rather than an inequality
-        q, c_f = f.leading
-        p, c_h = h.leading
+        q, c_f = f.growth
+        p, c_h = h.growth
         ok = (c_f > 0) and (c_h > 0) and (q > 2 * p)
         return 0.0 if ok else math.inf
     if verdict.rule == "quadratic-growth-envelope":

@@ -21,7 +21,6 @@ from transmission.diagnostics import (
     squeezing_check,
 )
 from transmission.dynamics import (
-    Nonlinearity,
     StepControl,
     fixed_step_evolve,
     integrate,
@@ -30,6 +29,7 @@ from transmission.dynamics import (
 )
 from transmission.geometry import InterfaceMeasure
 from transmission.operators import markov_check, semigroup_apply, spectrum
+from transmission.poly import Nonlinearity
 from transmission.regimes import classify, replay_certificate, verdict_to_lines
 
 CUBIC_SINK = Nonlinearity.power(1.0, 2.0)

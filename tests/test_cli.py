@@ -82,6 +82,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "s in (0, 1)" in err
 
 
+@pytest.mark.parametrize("mode", ["simulate", "classify"])
+@pytest.mark.parametrize("terms", ["nan:2.0", "1.0:nan", "inf:2.0"])
+def test_nonfinite_nonlinearity_exit_code(tmp_path, capsys, mode, terms):
+    bad = write(tmp_path, BASE.replace("terms = 1.0:2.0", f"terms = {terms}"))
+    assert main([mode, "--config", bad, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "bulk_nonlinearity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 

@@ -58,6 +58,21 @@ delta = 3
     assert len(err.value.violations) >= 4
 
 
+@pytest.mark.parametrize("section,entry", [
+    ("bulk_nonlinearity", "terms = nan:2.0"),
+    ("bulk_nonlinearity", "terms = 1.0:nan"),
+    ("bulk_nonlinearity", "terms = inf:2.0"),
+    ("bulk_nonlinearity", "terms = 1.0:-0.5"),
+    ("bulk_nonlinearity", "constant = nan"),
+    ("interface_nonlinearity", "terms = 1.0:inf"),
+    ("interface_nonlinearity", "constant = -inf"),
+])
+def test_invalid_nonlinearity_rejected(section, entry):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINIMAL + f"\n[{section}]\n{entry}\n")
+    assert any(v.startswith(section) for v in err.value.violations)
+
+
 def test_round_trip_default():
     cfg = SimConfig()
     again = parse_config_text(serialize_config(cfg))

@@ -238,6 +238,24 @@ def test_report_runs_one_spectrum_and_one_embedding_solve(monkeypatch):
     assert sorted(calls) == [1, 10]
 
 
+def test_report_draws_zeta_samples_once(op16, monkeypatch):
+    import transmission.constants as constants
+
+    draws = []
+    draw = constants.random_smooth_states
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "random_smooth_states", counted)
+    report = compute_constants_report(op16, l1_starts=2)
+    assert len(draws) == 1
+    # the shared samples give the table that one call per eps gives
+    assert report.zeta_table == [(e, interpolation_zeta(op16, e)["zeta"])
+                                 for e in (0.125, 0.25, 0.5)]
+
+
 def test_reports_byte_identical(tmp_path):
     from conftest import default_operator
 

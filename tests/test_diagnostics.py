@@ -19,7 +19,8 @@ from transmission.diagnostics import (
     observe_all,
     squeezing_check,
 )
-from transmission.dynamics import Nonlinearity, StepControl, integrate
+from transmission.dynamics import StepControl, integrate
+from transmission.poly import Nonlinearity
 
 CUBIC_SINK = Nonlinearity.power(1.0, 2.0)
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from transmission.dynamics import (
-    Nonlinearity,
     StepControl,
     fixed_step_evolve,
     imex_step,
@@ -12,6 +11,7 @@ from transmission.dynamics import (
     semigroup_property_check,
 )
 from transmission.operators import semigroup_apply, spectrum
+from transmission.poly import Nonlinearity
 
 CUBIC_SINK = Nonlinearity.power(1.0, 2.0)     # u^3
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)  # u
@@ -24,8 +24,8 @@ ZERO = Nonlinearity.zero()
 def test_nonlinearity_values_and_leading():
     f = Nonlinearity(terms=((2.0, 2.0), (-0.5, 0.0)), constant=0.25)
     assert f(2.0) == pytest.approx(2.0 * 4.0 * 2.0 - 0.5 * 2.0 + 0.25)
-    assert f.leading == (2.0, 2.0)
-    assert ZERO.leading == (0.0, 0.0)
+    assert f.growth == (2.0, 2.0)
+    assert ZERO.growth == (0.0, 0.0)
     assert CUBIC_SINK(3.0) == pytest.approx(27.0)
 
 
@@ -39,23 +39,23 @@ def test_derivative_matches_finite_differences(nl, rng):
     taus = taus[np.abs(taus) > 1e-3]
     eps = 1e-6 * np.maximum(np.abs(taus), 1.0)
     fd = (nl(taus + eps) - nl(taus - eps)) / (2 * eps)
-    assert np.abs(fd - nl.derivative(taus)).max() <= 1e-6 * (1 + np.abs(fd).max())
+    assert np.abs(fd - nl.derivative()(taus)).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 
 @pytest.mark.parametrize("nl", [CUBIC_SINK, Nonlinearity(terms=((1.0, 3.0),), constant=-0.7)])
 def test_primitive_differentiates_to_value(nl, rng):
-    assert nl.primitive(0.0) == 0.0
+    assert nl.antiderivative()(0.0) == 0.0
     taus = rng.uniform(-10, 10, size=100)
     taus = taus[np.abs(taus) > 1e-3]
     eps = 1e-6 * np.maximum(np.abs(taus), 1.0)
-    fd = (nl.primitive(taus + eps) - nl.primitive(taus - eps)) / (2 * eps)
+    fd = (nl.antiderivative()(taus + eps) - nl.antiderivative()(taus - eps)) / (2 * eps)
     assert np.abs(fd - nl(taus)).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 
 def test_leading_behavior_at_large_tau():
     f = Nonlinearity(terms=((2.0, 2.0), (5.0, 0.0)))
     tau = 1e4
-    e, c = f.leading
+    e, c = f.growth
     assert f(tau) / (c * abs(tau) ** e * tau) == pytest.approx(1.0, rel=0.01)
 
 

@@ -264,12 +264,13 @@ def test_koch_interface_pipeline():
         KernelSpec,
         build_operator,
     )
-    from transmission.dynamics import Nonlinearity, StepControl, integrate
+    from transmission.dynamics import StepControl, integrate
     from transmission.geometry import (
         KochPrefractal,
         build_interface_measure,
         build_square_mesh,
     )
+    from transmission.poly import Nonlinearity
 
     mesh = build_square_mesh(27, KochPrefractal(level=1, y0=0.4))
     measure = build_interface_measure(mesh)

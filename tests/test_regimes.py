@@ -6,10 +6,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from transmission import regimes
-from transmission.constants import ConstantsReport
-from transmission.dynamics import Nonlinearity
+from transmission.constants import ConstantsReport, compute_constants_report
+from transmission.poly import Nonlinearity, PolyFunc
 from transmission.regimes import (
-    PolyFunc,
     RegimeVerdict,
     alpha_defects,
     check_blowup,
@@ -44,17 +43,22 @@ def lam1(spec16):
 
 
 # ------------------------------------------------------------- poly algebra
-def test_polyfunc_matches_nonlinearity(rng):
-    nl = Nonlinearity(terms=((2.0, 2.0), (-0.5, 0.0)), constant=0.3)
-    p = PolyFunc.from_nonlinearity(nl)
-    taus = rng.uniform(-20, 20, 64)
-    assert np.allclose(p(taus), nl(taus), rtol=1e-12)
-    assert np.allclose(p.derivative()(taus), nl.derivative(taus), rtol=1e-10)
-    assert np.allclose(p.antiderivative()(taus), nl.primitive(taus), rtol=1e-10)
+def test_nonlinearity_adds_terms_in_given_order(rng):
+    nl = Nonlinearity(terms=((1.5, 2.5), (-2.0, 1.0), (0.7, 0.0)), constant=0.3)
+    U = np.concatenate([rng.uniform(-20, 20, 64), [0.0, -1.0, 1.0]])
+    a = np.abs(U)
+    ref = 0.3 + 1.5 * a ** 2.5 * U + -2.0 * a ** 1.0 * U + 0.7 * a ** 0.0 * U
+    assert np.array_equal(nl(U), ref)
+
+
+def test_nonlinearity_growth_is_top_odd_term():
+    assert Nonlinearity.zero().growth == (0.0, 0.0)
+    assert Nonlinearity(constant=2.0).growth == (0.0, 0.0)
+    assert Nonlinearity(terms=((1, 2), (-1, 2), (3, 0))).growth == (0.0, 3.0)
 
 
 def test_polyfunc_product_and_leading(rng):
-    p = PolyFunc.from_nonlinearity(CUBIC_SINK)          # t^3
+    p = CUBIC_SINK                                       # t^3
     q = p * p                                            # t^6
     taus = rng.uniform(-5, 5, 32)
     assert np.allclose(q(taus), taus**6, rtol=1e-12)
@@ -371,6 +375,18 @@ def test_classify_cubic_cubic_indeterminate(op16, constants, lam1):
     v = classify(Nonlinearity.power(1.0, 2.0), Nonlinearity.power(1.0, 2.0),
                  op16, constants, np.zeros(op16.n_free), lam1=lam1)
     assert v.verdict == "Indeterminate"
+
+
+def test_classify_sums_repeated_exponents(op16):
+    # 2 t^3 - t^3 is t^3: same verdict, rule and certificate as t^3 itself
+    report = compute_constants_report(op16)
+    x, y = op16.mesh.vertices[op16.free_dofs].T
+    U0 = 10.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    h = Nonlinearity.linear(-1.0)
+    split = classify(Nonlinearity(terms=((2.0, 2.0), (-1.0, 2.0))), h, op16, report, U0)
+    whole = classify(Nonlinearity.power(1.0, 2.0), h, op16, report, U0)
+    assert (split.verdict, split.rule) == (whole.verdict, whole.rule)
+    assert split.certificate == whole.certificate
 
 
 def test_classify_zero_datum_below_threshold(op16, constants, lam1):

@@ -70,7 +70,7 @@ def test_tracer_installs_on_every_hook_point():
 def test_tracer_counts_one_factorization_per_step_size():
     from conftest import default_operator
 
-    from transmission import dynamics, operators
+    from transmission import dynamics, operators, poly
 
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -80,8 +80,8 @@ def test_tracer_counts_one_factorization_per_step_size():
     # the Markov grid shares its first step size with the run and adds one
     markov_dts = {1e-3, 2e-3}
     with _installed(tracing, tracer):
-        traj = dynamics.integrate(op, U0, dynamics.Nonlinearity.power(1.0, 2.0),
-                                  dynamics.Nonlinearity.zero(), 0.05, ctrl)
+        traj = dynamics.integrate(op, U0, poly.Nonlinearity.power(1.0, 2.0),
+                                  poly.Nonlinearity.zero(), 0.05, ctrl)
         operators.markov_check(op, trials=2, t_grid=1e-3 * np.array([1.0, 2.0, 4.0]))
 
     metrics = tracing.layer_metrics(tracer.spans)
