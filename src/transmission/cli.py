@@ -3,7 +3,9 @@
     transmission <mode> --config <path> [--out <dir>] [--seed <u64>] [--jobs <k>]
 
 Modes: simulate, spectrum, constants, classify, sweep, pairs.  Any config
-key can be overridden through the environment as TRANSMISSION_SECTION__KEY.
+key can be overridden through the environment as TRANSMISSION_SECTION__KEY;
+the mode and the flags override run.mode, run.out, run.seed and run.jobs in
+the same way, over both.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 blow-up
 detected by a simulate run.
 """
@@ -73,7 +75,7 @@ def build_problem(cfg: SimConfig):
     measure = build_interface_measure(mesh, total_mass=g.total_mass)
     D = DiffusionTensor.constant(mesh, ph.d11, ph.d12, ph.d22, d0=ph.d0)
     beta = BetaCoefficient(np.full(len(measure.weights), ph.beta), beta0=ph.beta0)
-    kernel = KernelSpec(s=ph.s, dim_d=measure.dim_d, c0=ph.c0, c1=ph.c1)
+    kernel = KernelSpec(s=ph.s, dim_d=measure.dim_d)
     op = build_operator(mesh, measure, D, beta, kernel, delta=ph.delta)
     f, h = cfg.bulk_nonlinearity.build(), cfg.interface_nonlinearity.build()
     return mesh, measure, op, f, h
@@ -263,8 +265,8 @@ def _write_fit_summaries(traj, op, f, h, report, holder, moser, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _cell_hash(cfg_text: str, cell: dict) -> str:
-    payload = cfg_text + "|" + ",".join(f"{k}={cell[k]!r}" for k in sorted(cell))
+def _cell_hash(cfg_text: str, cell: tuple) -> str:
+    payload = cfg_text + "|" + ",".join(map(repr, cell))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -284,13 +286,12 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
         report = _constants_report(cfg, op)
         _WORKER_CACHE[key] = (cfg, op, report)
     cfg, op, report = _WORKER_CACHE[key]
-    f = Nonlinearity.power(cell["c_f"], cell["q"])
-    h = Nonlinearity.power(cell["c_h"], cell["p"])
+    p, q, c_f, c_h = cell
+    f, h = Nonlinearity.power(c_f, q), Nonlinearity.power(c_h, p)
     U0 = initial_state(cfg, op)
     verdict = classify(f, h, op, report, U0,
                        alpha=_auto(cfg.run.alpha), eps=_auto(cfg.run.eps))
-    row = (f"{cell['p']!r},{cell['q']!r},{cell['c_f']!r},{cell['c_h']!r},"
-           f"{verdict.verdict},{verdict.rule}")
+    row = ",".join(map(repr, cell)) + f",{verdict.verdict},{verdict.rule}"
     outcome = ""
     if do_simulate:
         # only the outcome is read: no state is kept
@@ -412,9 +413,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--jobs", type=int, help="override run.jobs")
     args = parser.parse_args(argv)
+    env = dict(os.environ, TRANSMISSION_RUN__MODE=args.mode)
+    for key in ("out", "seed", "jobs"):
+        if getattr(args, key) is not None:
+            env[f"TRANSMISSION_RUN__{key.upper()}"] = str(getattr(args, key))
 
     try:
-        cfg = parse_config(args.config, use_env=True)
+        cfg = parse_config(args.config, env)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return EXIT_CONFIG
@@ -422,13 +427,6 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg.run.mode = args.mode
-    if args.out is not None:
-        cfg.run.out = args.out
-    if args.seed is not None:
-        cfg.run.seed = args.seed
-    if args.jobs is not None:
-        cfg.run.jobs = args.jobs
 
     try:
         return run(cfg)

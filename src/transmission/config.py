@@ -1,15 +1,18 @@
 """Declarative experiment configuration: sectioned key-value files.
 
-Every key maps to one physical parameter or numerical knob; parsing
-validates everything and reports all violations at once, and
-parse(serialize(cfg)) round-trips exactly.
+Every key maps to one physical parameter or numerical knob.  A value
+reaches a config from the file, then from TRANSMISSION_SECTION__KEY
+variables, which override it; all of them pass through one typed
+assignment, then one validation reports every violation at once.  Float
+values must be finite, and parse(serialize(cfg)) round-trips exactly.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-import os
+import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 from .poly import Nonlinearity
@@ -44,8 +47,6 @@ class PhysicsConfig:
     beta: float = 1.0
     beta0: float = 1.0
     s: float = 0.5
-    c0: float = 1.0
-    c1: float = 1.0
     delta: int = 1
 
 
@@ -107,33 +108,17 @@ class RunConfig:
 
 @dataclass
 class SweepConfig:
-    p_values: str = "0,1"
-    q_values: str = "1,2,3"
-    c_f: float = 1.0
-    c_h: float = 1.0
-    cf_values: str = ""
-    ch_values: str = ""
+    """Cells f = c_f |u|^q u, h = c_h |u|^p u over the product of the lists."""
+    p_values: tuple[float, ...] = (0.0, 1.0)
+    q_values: tuple[float, ...] = (1.0, 2.0, 3.0)
+    cf_values: tuple[float, ...] = (1.0,)
+    ch_values: tuple[float, ...] = (1.0,)
     simulate: bool = False
 
-    @staticmethod
-    def _floats(text: str) -> list[float]:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-
-    def grid(self) -> list[dict]:
-        """Cell parameter dicts, either over (p, q) or over (c_f, c_h)."""
-        cells = []
-        cfs, chs = self._floats(self.cf_values), self._floats(self.ch_values)
-        if cfs and chs:
-            for cf in cfs:
-                for ch in chs:
-                    cells.append({"p": self._floats(self.p_values)[0],
-                                  "q": self._floats(self.q_values)[0],
-                                  "c_f": cf, "c_h": ch})
-            return cells
-        for p in self._floats(self.p_values):
-            for q in self._floats(self.q_values):
-                cells.append({"p": p, "q": q, "c_f": self.c_f, "c_h": self.c_h})
-        return cells
+    def grid(self) -> list[tuple[float, float, float, float]]:
+        """The (p, q, c_f, c_h) cells, the last list varying fastest."""
+        return list(itertools.product(self.p_values, self.q_values,
+                                      self.cf_values, self.ch_values))
 
 
 @dataclass
@@ -179,8 +164,6 @@ class SimConfig:
             v.append(f"physics.beta = {ph.beta}: must be >= beta0 = {ph.beta0}")
         if ph.delta not in (0, 1):
             v.append(f"physics.delta = {ph.delta}: admissible values 0 or 1")
-        if not (0.0 < ph.c0 <= ph.c1):
-            v.append(f"physics kernel constants c0 = {ph.c0}, c1 = {ph.c1}: need 0 < c0 <= c1")
         if g.dirichlet_side == "none" and ph.beta0 <= 0.0:
             v.append("physics.beta0 must be positive when geometry.dirichlet_side = none")
         for name, nl in (("bulk_nonlinearity", self.bulk_nonlinearity),
@@ -205,26 +188,50 @@ class SimConfig:
             v.append(f"time.blow_up_threshold = {t.blow_up_threshold}: must be positive")
         if r.mode not in MODES:
             v.append(f"run.mode = {r.mode!r}: expected one of {MODES}")
+        if r.seed < 0:
+            v.append(f"run.seed = {r.seed}: must be >= 0")
         if r.jobs < 1:
             v.append(f"run.jobs = {r.jobs}: must be >= 1")
-        if r.alpha != "auto":
+        if r.spectrum_count < 1:
+            v.append(f"run.spectrum_count = {r.spectrum_count}: must be >= 1")
+        if r.snapshot_stride < 0:
+            v.append(f"run.snapshot_stride = {r.snapshot_stride}: must be >= 0")
+        if r.safety_factor <= 0.0:
+            v.append(f"run.safety_factor = {r.safety_factor}: must be positive")
+        for key, admissible, where in (("alpha", lambda a: a > 2.0, "alpha > 2"),
+                                       ("eps", lambda e: 0.0 < e < ph.d0,
+                                        f"(0, d0 = {ph.d0})")):
+            raw = getattr(r, key)
+            if raw == "auto":
+                continue
             try:
-                if float(r.alpha) <= 2.0:
-                    v.append(f"run.alpha = {r.alpha}: admissible range alpha > 2")
+                if not admissible(_finite(raw)):
+                    v.append(f"run.{key} = {raw}: admissible range {where}")
             except ValueError:
-                v.append(f"run.alpha = {r.alpha!r}: expected 'auto' or a number")
-        if r.eps != "auto":
+                v.append(f"run.{key} = {raw!r}: expected 'auto' or a finite number")
+        for name in ("p_values", "q_values", "cf_values", "ch_values"):
+            if not getattr(self.sweep, name):
+                v.append(f"sweep.{name} is empty: need at least one value")
+        for p, q, c_f, c_h in self.sweep.grid():
             try:
-                if not (0.0 < float(r.eps) < ph.d0):
-                    v.append(f"run.eps = {r.eps}: admissible range (0, d0 = {ph.d0})")
-            except ValueError:
-                v.append(f"run.eps = {r.eps!r}: expected 'auto' or a number")
+                Nonlinearity.power(c_f, q), Nonlinearity.power(c_h, p)
+            except ValueError as exc:
+                v.append(f"sweep cell p = {p}, q = {q}, c_f = {c_f}, c_h = {c_h}: {exc}")
         if self.pairs.perturbation <= 0.0:
             v.append(f"pairs.perturbation = {self.pairs.perturbation}: must be positive")
+        if self.pairs.horizon <= 0.0:
+            v.append(f"pairs.horizon = {self.pairs.horizon}: must be positive")
         return v
 
 
 _SECTIONS = {f.name: f.type for f in fields(SimConfig)}
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _coerce(current, text: str):
@@ -238,81 +245,75 @@ def _coerce(current, text: str):
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
-        return float(text)
+        return _finite(text)
+    if isinstance(current, tuple):
+        return tuple(_finite(v) for v in text.split(",") if v.strip())
     return text.strip()
 
 
+def _assign(cfg: SimConfig, section: str, key: str, raw: str) -> None:
+    """Set cfg.<section>.<key> from its text; ValueError says what is wrong."""
+    if section not in _SECTIONS:
+        raise ValueError(f"unknown section [{section}]")
+    target = getattr(cfg, section)
+    if key not in {f.name for f in fields(target)}:
+        raise ValueError(f"unknown key {section}.{key}")
+    try:
+        setattr(target, key, _coerce(getattr(target, key), raw))
+    except ValueError as exc:
+        raise ValueError(f"{section}.{key} = {raw!r}: {exc}") from None
+
+
 def parse_config_text(text: str, env: dict | None = None) -> SimConfig:
-    """Parse and validate; raises ConfigError carrying every violation."""
+    """Parse the text, apply the TRANSMISSION_SECTION__KEY entries of `env`
+    over it and validate; raises ConfigError carrying every violation."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"unparsable config: {exc}"]) from exc
 
+    entries = [("", section, key, raw)
+               for section in cp.sections() for key, raw in cp.items(section)]
+    for name, raw in sorted((env or {}).items()):
+        if name.startswith(ENV_PREFIX):
+            section, _, key = name[len(ENV_PREFIX):].lower().partition("__")
+            entries.append((f"environment override {name}: ", section, key, raw))
     cfg = SimConfig()
     violations: list[str] = []
-    for section in cp.sections():
-        if section not in _SECTIONS:
-            violations.append(f"unknown section [{section}]")
-            continue
-        target = getattr(cfg, section)
-        known = {f.name for f in fields(target)}
-        for key, raw in cp.items(section):
-            if key not in known:
-                violations.append(f"unknown key {section}.{key}")
-                continue
-            try:
-                setattr(target, key, _coerce(getattr(target, key), raw))
-            except ValueError as exc:
-                violations.append(f"{section}.{key} = {raw!r}: {exc}")
-
-    for env_key, raw in sorted((env or {}).items()):
-        if not env_key.startswith(ENV_PREFIX):
-            continue
-        rest = env_key[len(ENV_PREFIX):]
-        if "__" not in rest:
-            violations.append(f"environment override {env_key}: expected "
-                              f"{ENV_PREFIX}SECTION__KEY")
-            continue
-        section, key = rest.lower().split("__", 1)
-        if section not in _SECTIONS:
-            violations.append(f"environment override {env_key}: unknown section {section}")
-            continue
-        target = getattr(cfg, section)
-        if key not in {f.name for f in fields(target)}:
-            violations.append(f"environment override {env_key}: unknown key {key}")
-            continue
+    for origin, section, key, raw in entries:
         try:
-            setattr(target, key, _coerce(getattr(target, key), raw))
+            _assign(cfg, section, key, raw)
         except ValueError as exc:
-            violations.append(f"environment override {env_key} = {raw!r}: {exc}")
-
+            if origin + str(exc) not in violations:
+                violations.append(origin + str(exc))
     violations.extend(cfg.validate())
     if violations:
         raise ConfigError(violations)
     return cfg
 
 
-def parse_config(path, use_env: bool = False) -> SimConfig:
+def parse_config(path, env: dict | None = None) -> SimConfig:
     with open(path) as fh:
         text = fh.read()
-    return parse_config_text(text, env=dict(os.environ) if use_env else None)
+    return parse_config_text(text, env)
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return str(value)
 
 
 def serialize_config(cfg: SimConfig) -> str:
     cp = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
         target = getattr(cfg, section)
-        cp[section] = {}
-        for f in fields(target):
-            val = getattr(target, f.name)
-            if isinstance(val, bool):
-                cp[section][f.name] = "true" if val else "false"
-            elif isinstance(val, float):
-                cp[section][f.name] = repr(val)
-            else:
-                cp[section][f.name] = str(val)
+        cp[section] = {f.name: _text(getattr(target, f.name)) for f in fields(target)}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -95,31 +95,27 @@ def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
     return vals, V
 
 
-def spectrum(op: DiscreteOperator, k: int | None = None,
-             residual_tol: float = 1e-8) -> SpectralData:
+def spectrum(op: DiscreteOperator, k: int | None = None) -> SpectralData:
     """Lowest k generalized eigenpairs of A v = lambda M v.
 
     One solve per operator: the result with the most pairs is kept on the
-    operator, and a request for no more pairs (at no tighter tolerance)
-    gets read-only slices of it.
+    operator, and a request for no more pairs gets read-only slices of it.
     """
     n = op.n_free
     if k is None:
         k = n
     if not (1 <= k <= n):
         raise ValueError(f"requested {k} eigenpairs of a {n}-DOF operator")
-    cached = op._cache.get("spectrum")
-    if cached is None or cached[0].count < k or cached[1] > residual_tol:
+    full = op._cache.get("spectrum")
+    if full is None or full.count < k:
         m = op.mass_diag
         if (m <= 0.0).any():
             raise NumericError("evolution mass not positive definite on free DOFs")
-        vals, V = lowest_pairs(op.a_free, m, k, residual_tol)
+        vals, V = lowest_pairs(op.a_free, m, k)
         for arr in (vals, V):
             arr.flags.writeable = False
-        cached = (SpectralData(eigenvalues=vals, eigenvectors=V, mass_diag=m),
-                  residual_tol)
-        op._cache["spectrum"] = cached
-    full = cached[0]
+        full = SpectralData(eigenvalues=vals, eigenvectors=V, mass_diag=m)
+        op._cache["spectrum"] = full
     if full.count == k:
         return full
     return SpectralData(eigenvalues=full.eigenvalues[:k],

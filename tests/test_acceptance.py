@@ -61,7 +61,7 @@ def test_criterion_01_operator_structure(op16):
     tick = np.abs(op16.theta @ ones).max()
     symmetric = all((m != m.T).nnz == 0 for m in
                     (op16.m_bulk, op16.m_iface, op16.k_stiff, op16.b_beta, op16.theta))
-    spec = spectrum(op16, k=1, residual_tol=1e-8)
+    spec = spectrum(op16, k=1)
     ok = kick <= 1e-12 and tick <= 1e-12 and symmetric and spec.eigenvalues[0] > 0
     report(1, "operator structure", ok,
            f"|K 1|={kick:.1e} |Theta 1|={tick:.1e} lam1={spec.eigenvalues[0]:.4f}")

@@ -91,6 +91,53 @@ def test_nonfinite_nonlinearity_exit_code(tmp_path, capsys, mode, terms):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode,old,new,flags", [
+    ("simulate", "horizon = 0.2", "horizon = nan", []),
+    ("classify", "seed = 3", "seed = 3\nalpha = nan", []),
+    ("sweep", "", "", ["--jobs", "0"]),
+    ("sweep", "[run]", "[sweep]\np_values = abc\n\n[run]", []),
+    ("sweep", "[run]", "[sweep]\ncf_values = nan,1.0\n\n[run]", []),
+    ("sweep", "[run]", "[sweep]\np_values =\ncf_values = 1.0\nch_values = 1.0\n\n[run]", []),
+    ("spectrum", "[run]", "[physics]\nc0 = 0.5\n\n[run]", []),
+    ("constants", "seed = 3", "seed = -1", []),
+    ("constants", "", "", ["--seed", "-1"]),
+    ("spectrum", "seed = 3", "seed = 3\nspectrum_count = 0", []),
+    ("simulate", "seed = 3", "seed = 3\nsnapshot_stride = -2", []),
+    ("constants", "seed = 3", "seed = 3\nsafety_factor = 0", []),
+    ("pairs", "[run]", "[pairs]\nhorizon = 0\n\n[run]", []),
+], ids=["nan-horizon", "nan-alpha", "zero-jobs", "p-not-a-number", "nan-cf",
+        "empty-p", "removed-c0", "negative-seed", "negative-seed-flag",
+        "zero-spectrum-count", "negative-snapshot-stride", "zero-safety-factor",
+        "zero-pairs-horizon"])
+def test_invalid_value_exit_code(tmp_path, capsys, mode, old, new, flags):
+    bad = write(tmp_path, BASE.replace(old, new))
+    out = tmp_path / "out"
+    assert main([mode, "--config", bad, "--out", str(out), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("config error: ") for line in err)
+    assert not out.exists()
+
+
+def test_flags_override_environment_over_file(tmp_path, monkeypatch):
+    from transmission.config import SimConfig
+
+    validated = []
+    real_validate = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate",
+                        lambda cfg: validated.append(1) or real_validate(cfg))
+    monkeypatch.setenv("TRANSMISSION_RUN__SEED", "4")
+    monkeypatch.setenv("TRANSMISSION_RUN__SPECTRUM_COUNT", "3")
+    cfg = write(tmp_path, BASE.replace(
+        "seed = 3", "seed = 3\nmode = classify\nspectrum_count = 2"))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert "mode=spectrum seed=4" in (tmp_path / "a" / "run.log").read_text()
+    assert len((tmp_path / "a" / "spectrum.csv").read_text().splitlines()) == 4
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--seed", "5"]) == EXIT_OK
+    assert "mode=spectrum seed=5" in (tmp_path / "b" / "run.log").read_text()
+    assert validated == [1, 1]
+
+
 def test_missing_config_file(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 

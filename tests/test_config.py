@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from transmission.config import (
@@ -73,6 +76,36 @@ def test_invalid_nonlinearity_rejected(section, entry):
     assert any(v.startswith(section) for v in err.value.violations)
 
 
+@pytest.mark.parametrize("section,entry", [
+    ("time", "horizon = nan"),
+    ("time", "dt_max = inf"),
+    ("run", "alpha = nan"),
+    ("run", "eps = -inf"),
+    ("run", "seed = -1"),
+    ("run", "spectrum_count = 0"),
+    ("run", "snapshot_stride = -2"),
+    ("run", "safety_factor = 0"),
+    ("pairs", "horizon = 0"),
+    ("sweep", "p_values = abc"),
+    ("sweep", "cf_values = nan,1.0"),
+    ("sweep", "p_values = -1"),
+    ("sweep", "p_values ="),
+])
+def test_invalid_values_rejected(section, entry):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[geometry]\nn = 16\n\n[{section}]\n{entry}\n")
+    assert any(v.startswith(section) for v in err.value.violations)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("physics", "c0"), ("physics", "c1"), ("sweep", "c_f"), ("sweep", "c_h"),
+])
+def test_removed_keys_are_unknown(section, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[{section}]\n{key} = 1.0\n")
+    assert err.value.violations == [f"unknown key {section}.{key}"]
+
+
 def test_round_trip_default():
     cfg = SimConfig()
     again = parse_config_text(serialize_config(cfg))
@@ -128,6 +161,14 @@ def test_env_override():
     assert cfg.geometry.n == 24
 
 
+def test_env_override_is_checked_like_a_file_value():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINIMAL, env={"TRANSMISSION_TIME__HORIZON": "nan"})
+    assert err.value.violations == [
+        "environment override TRANSMISSION_TIME__HORIZON: "
+        "time.horizon = 'nan': expected a finite number, got 'nan'"]
+
+
 def test_env_override_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL, env={"TRANSMISSION_GEOMETRY__NOPE": "1"})
@@ -172,3 +213,24 @@ cf_values = -1.0,1.0
 ch_values = -1.0,1.0
 """)
     assert len(cfg2.sweep.grid()) == 4
+
+
+def test_sweep_grid_is_one_product():
+    assert SimConfig().sweep.grid() == list(itertools.product(
+        (0.0, 1.0), (1.0, 2.0, 3.0), (1.0,), (1.0,)))
+    # one list of coefficients alone spans the grid too
+    cfg = parse_config_text("""
+[sweep]
+p_values = 0
+q_values = 2
+cf_values = -1,0.25
+""")
+    assert cfg.sweep.grid() == [(0.0, 2.0, -1.0, 1.0), (0.0, 2.0, 0.25, 1.0)]
+
+
+def test_readme_config_sample_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sample = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config_text(sample)
+    assert cfg.geometry.n == 32
+    assert len(cfg.sweep.grid()) == 12
