@@ -51,9 +51,8 @@ class DiffusionTensor:
         return half_tr - rad
 
     @classmethod
-    def isotropic(cls, mesh: MeshedDomain, value: float = 1.0) -> "DiffusionTensor":
-        m = len(mesh.triangles)
-        return cls(np.full(m, value), np.zeros(m), np.full(m, value), d0=value)
+    def isotropic(cls, mesh: MeshedDomain) -> "DiffusionTensor":
+        return cls.constant(mesh, 1.0, 0.0, 1.0, d0=1.0)
 
     @classmethod
     def constant(cls, mesh: MeshedDomain, d11: float, d12: float, d22: float,

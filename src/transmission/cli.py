@@ -34,7 +34,6 @@ from .assembly import (
 from .config import ConfigError, SimConfig, parse_config, serialize_config
 from .constants import compute_constants_report, save_constants
 from .diagnostics import (
-    OUTCOME_LABELS,
     EnergyAccumulator,
     HolderModulus,
     MoserRatio,
@@ -42,6 +41,7 @@ from .diagnostics import (
     energy_inequality_residual,
     export_trajectory_csv,
     observe_all,
+    outcome_line,
     squeezing_check,
 )
 from .dynamics import StepControl, integrate
@@ -61,6 +61,7 @@ from .operators import (
 )
 from .poly import Nonlinearity
 from .regimes import classify, save_verdict
+from .textio import text, write_fields, write_table
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_BLOWUP = 0, 2, 3, 4
 
@@ -242,27 +243,26 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     export_trajectory_csv(traj, op, f, h, out / "trajectory.csv", report=report)
     _write_fit_summaries(traj, op, f, h, report, holder, moser,
                          out / "diagnostics.txt")
-    print(f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{traj.outcome_time!r}")
+    print(outcome_line(traj))
     return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
 
 
 def _write_fit_summaries(traj, op, f, h, report, holder, moser, path) -> None:
     """diagnostics.txt of a run: its energy report and the HolderModulus and
     MoserRatio that observed it."""
-    lines = [f"outcome={traj.outcome}", f"outcome_time={traj.outcome_time!r}"]
     res = energy_inequality_residual(traj, op, f, h, report=report)
-    lines.append(f"energy_inequality_max_residual={res['max_residual']!r}")
-    lines.append(f"e0={res['e0']!r}")
+    fields = {"outcome": traj.outcome, "outcome_time": traj.outcome_time,
+              "energy_inequality_max_residual": res["max_residual"],
+              "e0": res["e0"]}
     if traj.outcome == "completed":
         try:
             hm = holder.result()
-            lines.append(f"holder_rho={hm['rho']!r}")
-            lines.append(f"holder_degenerate={int(hm['degenerate'])}")
+            fields["holder_rho"] = hm["rho"]
+            fields["holder_degenerate"] = int(hm["degenerate"])
         except ValueError:
-            lines.append("holder_rho=unavailable")
-        lines.append(f"moser_ratio={moser.result()!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            fields["holder_rho"] = "unavailable"
+        fields["moser_ratio"] = moser.result()
+    write_fields(path, fields)
 
 
 def _cell_hash(cfg_text: str, cell: tuple) -> str:
@@ -343,22 +343,21 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
     rows, mismatches = [], []
     for cell in cells:
         marker = cells_dir / f"{_cell_hash(cfg_text, cell)}.csv"
-        text = marker.read_text().strip().splitlines()
-        rows.append(text[0])
-        if len(text) > 1 and text[1].startswith("#outcome="):
-            outcome = text[1].split("=", 1)[1]
-            verdict = text[0].split(",")[4]
+        lines = marker.read_text().strip().splitlines()
+        row = lines[0].split(",")
+        rows.append(row)
+        if len(lines) > 1 and lines[1].startswith("#outcome="):
+            outcome = lines[1].split("=", 1)[1]
+            verdict = row[4]
             if (verdict == "BlowUpPredicted" and outcome != "blowup") or \
                (verdict == "GlobalBounded" and outcome == "blowup"):
-                mismatches.append(text[0] + f",{outcome}")
+                mismatches.append(row + [outcome])
+    header = "p,q,c_f,c_h,verdict,rule"
     diagram = out / "regime_diagram.csv"
-    with open(diagram, "w") as fh:
-        fh.write("p,q,c_f,c_h,verdict,rule\n")
-        fh.write("\n".join(rows) + "\n")
+    write_table(diagram, header, *zip(*rows))
     if mismatches:
-        with open(out / "counterexamples.csv", "w") as fh:
-            fh.write("p,q,c_f,c_h,verdict,rule,outcome\n")
-            fh.write("\n".join(mismatches) + "\n")
+        write_table(out / "counterexamples.csv", header + ",outcome",
+                    *zip(*mismatches))
         print(f"WARNING: {len(mismatches)} verdict/simulation mismatches recorded")
     print(f"wrote {diagram} with {len(rows)} cells")
     return EXIT_OK
@@ -373,14 +372,10 @@ def run_pairs(cfg: SimConfig, out: Path) -> int:
     U0b = U0a + cfg.pairs.perturbation * pert
     rep = squeezing_check(op, U0a, U0b, f, h, cfg.pairs.horizon,
                           _step_control(cfg))
-    with open(out / "pairs.txt", "w") as fh:
-        for key in ("omega", "m_factor", "k_factor", "terminal_distance", "r2"):
-            fh.write(f"{key}={rep[key]!r}\n")
-    with open(out / "pair_distance.csv", "w") as fh:
-        fh.write("t,dist2\n")
-        for t, d2 in zip(rep["times"], rep["dist2"]):
-            fh.write(f"{float(t)!r},{float(d2)!r}\n")
-    print(f"wrote {out / 'pairs.txt'} (omega={rep['omega']!r})")
+    write_fields(out / "pairs.txt", {key: rep[key] for key in (
+        "omega", "m_factor", "k_factor", "terminal_distance", "r2")})
+    write_table(out / "pair_distance.csv", "t,dist2", rep["times"], rep["dist2"])
+    print(f"wrote {out / 'pairs.txt'} (omega={text(rep['omega'])})")
     return EXIT_OK
 
 

@@ -15,10 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 
+from .geometry import DIRICHLET_SIDES as SIDES
 from .poly import Nonlinearity
 
 MODES = ("simulate", "spectrum", "constants", "classify", "sweep", "pairs")
-SIDES = ("left", "right", "bottom", "top", "all", "none")
 ENV_PREFIX = "TRANSMISSION_"
 
 

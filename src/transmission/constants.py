@@ -23,19 +23,20 @@ from .operators import (
     quadratic_form,
     spectrum,
 )
+from .textio import text, write_fields
 
 
-def random_smooth_states(op: DiscreteOperator, count: int, seed: int = 0,
-                         max_mode: int = 4) -> list[np.ndarray]:
-    """Low-frequency random fields restricted to free DOFs."""
+def random_smooth_states(op: DiscreteOperator, count: int,
+                         seed: int = 0) -> list[np.ndarray]:
+    """Low-frequency random fields (modes 1 to 4) restricted to free DOFs."""
     rng = np.random.default_rng(seed)
     x = op.mesh.vertices[:, 0]
     y = op.mesh.vertices[:, 1]
     out = []
     for _ in range(count):
         field_full = np.zeros(len(x))
-        for k in range(1, max_mode + 1):
-            for l in range(1, max_mode + 1):
+        for k in range(1, 5):
+            for l in range(1, 5):
                 c = rng.standard_normal() / (k * l)
                 phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
                 field_full += c * np.sin(np.pi * k * x + phase_x) * np.sin(np.pi * l * y + phase_y)
@@ -156,8 +157,7 @@ def best_embedding_constant(op: DiscreteOperator, eps: float) -> float:
 
 
 def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
-                       seed: int = 0, zeta_max: float = 64.0,
-                       tol: float = 1e-12) -> dict:
+                       seed: int = 0, zeta_max: float = 64.0) -> dict:
     """Smallest exponent z such that, on all sampled states,
     ||U||_X2^2 <= eps * form(U, U) + eps^-z ||U||_X1^2.
 
@@ -166,12 +166,11 @@ def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
     Returns the exponent, the worst sample index and its required factor;
     the exponent is inf when even zeta_max fails.
     """
-    return _zeta_table(op, (eps,), trials, seed, zeta_max, tol)[0]
+    return _zeta_table(op, (eps,), trials, seed, zeta_max)[0]
 
 
 def _zeta_table(op: DiscreteOperator, eps_values: tuple[float, ...],
-                trials: int, seed: int, zeta_max: float = 64.0,
-                tol: float = 1e-12) -> list[dict]:
+                trials: int, seed: int, zeta_max: float = 64.0) -> list[dict]:
     """interpolation_zeta at each of eps_values on one draw of samples: only
     the feasibility test depends on eps."""
     for eps in eps_values:
@@ -186,7 +185,7 @@ def _zeta_table(op: DiscreteOperator, eps_values: tuple[float, ...],
 
     def feasible(eps: float, z: float) -> bool:
         rhs = eps * aa + eps ** (-z) * x1sq
-        return bool((x2 <= rhs * (1.0 + tol) + tol).all())
+        return bool((x2 <= rhs * (1.0 + 1e-12) + 1e-12).all())
 
     table = []
     for eps in eps_values:
@@ -242,7 +241,6 @@ class ConstantsReport:
 
 
 def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
-                             zeta_eps: tuple[float, ...] = (0.125, 0.25, 0.5),
                              safety_factor: float = 2.0, seed: int = 0,
                              l1_starts: int = 20) -> ConstantsReport:
     if eps is None:
@@ -253,7 +251,8 @@ def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
                                               n_starts=l1_starts, seed=seed),
         c_bar=best_embedding_constant(op, eps),
         c_bar_eps=eps,
-        zeta_table=[(z["eps"], z["zeta"]) for z in _zeta_table(op, zeta_eps, 20, seed)],
+        zeta_table=[(z["eps"], z["zeta"])
+                    for z in _zeta_table(op, (0.125, 0.25, 0.5), 20, seed)],
         safety_factor=safety_factor,
         total_mass=op.measure.total_mass,
         domain_area=op.mesh.domain_area,
@@ -264,21 +263,11 @@ def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
 
 def save_constants(report: ConstantsReport, path) -> None:
     """Flat key=value serialization, one constant per line."""
-    lines = [
-        f"poincare_l2={report.poincare_l2!r}",
-        f"poincare_l1_lower={report.poincare_l1_lower!r}",
-        f"poincare_effective={report.poincare_effective!r}",
-        f"c_star={report.c_star!r}",
-        f"c_bar={report.c_bar!r}",
-        f"c_bar_eps={report.c_bar_eps!r}",
-        f"safety_factor={report.safety_factor!r}",
-        f"total_mass={report.total_mass!r}",
-        f"domain_area={report.domain_area!r}",
-    ]
-    for e, z in report.zeta_table:
-        lines.append(f"zeta[{e!r}]={z!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names = ("poincare_l2", "poincare_l1_lower", "poincare_effective", "c_star",
+             "c_bar", "c_bar_eps", "safety_factor", "total_mass", "domain_area")
+    values = {name: getattr(report, name) for name in names}
+    values.update((f"zeta[{text(e)}]", z) for e, z in report.zeta_table)
+    write_fields(path, values)
 
 
 def load_constants(path) -> ConstantsReport:

@@ -23,8 +23,9 @@ import numpy as np
 from .assembly import DiscreteOperator
 from .constants import ConstantsReport
 from .dynamics import StepControl, Trajectory, integrate
-from .operators import quadratic_form
+from .operators import fit_line, quadratic_form
 from .poly import Nonlinearity
+from .textio import text, write_table
 
 
 @dataclass
@@ -157,15 +158,11 @@ def fit_exponential_decay(times: np.ndarray, values: np.ndarray,
         mask = y > max(1e-2 * y0, 1e-300)
     if mask.sum() < 3:
         return {"rate": np.inf, "intercept": y0, "r2": 1.0, "points": int(mask.sum())}
-    t, ly = times[mask], np.log(y[mask])
-    slope, intercept = np.polyfit(t, ly, 1)
-    fitted = slope * t + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    slope, intercept, r2 = fit_line(times[mask], np.log(y[mask]))
     return {
-        "rate": float(-slope),
+        "rate": -slope,
         "intercept": float(np.exp(intercept)),
-        "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+        "r2": r2,
         "points": int(mask.sum()),
     }
 
@@ -320,15 +317,12 @@ class HolderModulus:
         incs = np.array(self.incs)
         if incs.max() <= 1e-14 * max(1.0, self._sup0):
             return {"rho": 1.0, "prefactor": 0.0, "degenerate": True, "r2": 1.0}
-        slope, intercept = np.polyfit(np.log(gaps), np.log(np.maximum(incs, 1e-300)), 1)
-        fitted = slope * np.log(gaps) + intercept
-        ss_res = float(np.sum((np.log(incs) - fitted) ** 2))
-        ss_tot = float(np.sum((np.log(incs) - np.log(incs).mean()) ** 2))
+        slope, intercept, r2 = fit_line(np.log(gaps), np.log(np.maximum(incs, 1e-300)))
         return {
-            "rho": float(min(max(slope, 0.0), 1.0)),
+            "rho": min(max(slope, 0.0), 1.0),
             "prefactor": float(np.exp(intercept)),
             "degenerate": False,
-            "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+            "r2": r2,
         }
 
 
@@ -389,14 +383,17 @@ class SnapshotWriter:
         if k % self.stride:
             return
         full = self.op.embed(U)
-        with open(self.directory / f"snapshot_{k:06d}.csv", "w") as fh:
-            fh.write("vertex,value\n")
-            for v, val in enumerate(full):
-                fh.write(f"{v},{float(val)!r}\n")
+        write_table(self.directory / f"snapshot_{k:06d}.csv", "vertex,value",
+                    np.arange(len(full)), full)
 
 
 # Trajectory.outcome as written on the OUTCOME lines of the CSV and stdout
 OUTCOME_LABELS = {"completed": "Completed", "blowup": "BlowUp", "stalled": "StalledStep"}
+
+
+def outcome_line(traj: Trajectory) -> str:
+    """`OUTCOME,<label>,<time>`, ending both the trajectory CSV and stdout."""
+    return f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{text(traj.outcome_time)}"
 
 
 def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
@@ -408,15 +405,8 @@ def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
     `report`, when given, is compute_energy_report(traj, op, f, h) computed
     by the caller."""
     rep = report if report is not None else compute_energy_report(traj, op, f, h)
-    with open(path, "w") as fh:
-        fh.write("t,dt,sup_norm,l2_norm,E,G,dissipation_integral\n")
-        for k in range(len(traj.times)):
-            l2 = np.sqrt(2.0 * rep.G[k])
-            fh.write(
-                f"{float(traj.times[k])!r},{float(traj.dts[k])!r},"
-                f"{float(rep.sup_norm[k])!r},{float(l2)!r},"
-                f"{float(rep.E[k])!r},{float(rep.G[k])!r},{float(rep.dissipation[k])!r}\n"
-            )
-        fh.write(f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{float(traj.outcome_time)!r}\n")
+    write_table(path, "t,dt,sup_norm,l2_norm,E,G,dissipation_integral",
+                traj.times, traj.dts, rep.sup_norm, np.sqrt(2.0 * rep.G),
+                rep.E, rep.G, rep.dissipation, last=outcome_line(traj))
     if snapshot_stride > 0 and snapshot_dir is not None:
         replay(traj, SnapshotWriter(op, snapshot_stride, snapshot_dir))

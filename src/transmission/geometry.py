@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .textio import write_table
 
 
 class GeometryError(ValueError):
@@ -28,6 +31,9 @@ class MeasureError(GeometryError):
 
 #: Hausdorff dimension of the Koch curve, ln 4 / ln 3.
 KOCH_DIMENSION = math.log(4.0) / math.log(3.0)
+
+#: The values of build_square_mesh's dirichlet_side.
+DIRICHLET_SIDES = ("left", "right", "bottom", "top", "all", "none")
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,12 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
     """Triangulate the unit square with n subdivisions per side and embed the
     interface so that its vertices are mesh vertices.
 
-    dirichlet_side selects the Dirichlet part of the boundary:
-    one of 'left', 'right', 'bottom', 'top', 'all', 'none'.
+    dirichlet_side, one of DIRICHLET_SIDES, selects the Dirichlet part of
+    the boundary.
     """
     if n < 2:
         raise GeometryError(f"subdivision count n={n} too small (need n >= 2)")
-    if dirichlet_side not in ("left", "right", "bottom", "top", "all", "none"):
+    if dirichlet_side not in DIRICHLET_SIDES:
         raise GeometryError(f"unknown dirichlet_side {dirichlet_side!r}")
 
     h = 1.0 / n
@@ -293,7 +299,7 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
     )
 
 
-def build_interface_measure(mesh: MeshedDomain, interface: InterfaceSpec | None = None,
+def build_interface_measure(mesh: MeshedDomain,
                             total_mass: float = 1.0) -> InterfaceMeasure:
     """Nodal weights for the interface measure.
 
@@ -302,8 +308,7 @@ def build_interface_measure(mesh: MeshedDomain, interface: InterfaceSpec | None 
     each of the 4^L elementary segments carries mass total_mass / 4^L, split
     half-and-half onto its endpoints.
     """
-    if interface is None:
-        interface = mesh.interface
+    interface = mesh.interface
     pos = mesh.vertices[mesh.interface_nodes]
     seg_len = np.linalg.norm(np.diff(pos, axis=0), axis=1)
     if (seg_len <= 0.0).any():
@@ -389,27 +394,17 @@ def count_interface_components(mesh: MeshedDomain) -> int:
 
 def export_mesh_csv(mesh: MeshedDomain, out_dir) -> None:
     """Plain-text mesh export: vertices.csv, triangles.csv, boundary_edges.csv."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "vertices.csv", "w") as fh:
-        fh.write("vertex,x,y\n")
-        for k, (x, y) in enumerate(mesh.vertices):
-            fh.write(f"{k},{float(x)!r},{float(y)!r}\n")
-    with open(out / "triangles.csv", "w") as fh:
-        fh.write("triangle,v0,v1,v2\n")
-        for k, (a, b, c) in enumerate(mesh.triangles):
-            fh.write(f"{k},{a},{b},{c}\n")
-    with open(out / "boundary_edges.csv", "w") as fh:
-        fh.write("v0,v1,tag\n")
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            fh.write(f"{a},{b},{tag}\n")
+    x, y = mesh.vertices.T
+    write_table(out / "vertices.csv", "vertex,x,y", np.arange(len(x)), x, y)
+    write_table(out / "triangles.csv", "triangle,v0,v1,v2",
+                np.arange(len(mesh.triangles)), *mesh.triangles.T)
+    write_table(out / "boundary_edges.csv", "v0,v1,tag",
+                *mesh.boundary_edges.T, mesh.boundary_tags)
 
 
 def export_measure_csv(mesh: MeshedDomain, measure: InterfaceMeasure, path) -> None:
     """Interface measure export: node id, position and weight per row."""
-    with open(path, "w") as fh:
-        fh.write("node,x,y,w\n")
-        for k, ((x, y), w) in enumerate(zip(measure.node_positions, measure.weights)):
-            fh.write(f"{mesh.interface_nodes[k]},{float(x)!r},{float(y)!r},{float(w)!r}\n")
+    write_table(path, "node,x,y,w", mesh.interface_nodes,
+                *measure.node_positions.T, measure.weights)

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
+from .textio import write_table
 
 
 class NumericError(RuntimeError):
@@ -172,6 +173,14 @@ def two_to_inf_norm(spec: SpectralData, t: float) -> float:
     return float(np.sqrt(row2.max()))
 
 
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r2) of the least-squares line through (x, y)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def ultracontractivity_fit(spec: SpectralData, t_grid: np.ndarray) -> dict:
     """Log-log fit of the 2->inf propagator norm against time.
 
@@ -186,20 +195,15 @@ def ultracontractivity_fit(spec: SpectralData, t_grid: np.ndarray) -> dict:
     if (t_grid <= 0).any():
         raise ValueError("fit times must be positive")
     norms = np.array([two_to_inf_norm(spec, t) for t in t_grid])
-    logt, logn = np.log(t_grid), np.log(norms)
-    slope, intercept = np.polyfit(logt, logn, 1)
-    fitted = slope * logt + intercept
-    ss_res = float(np.sum((logn - fitted) ** 2))
-    ss_tot = float(np.sum((logn - logn.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = fit_line(np.log(t_grid), np.log(norms))
     norm0 = float(np.sqrt(((spec.eigenvectors ** 2).sum(axis=1)).max()))
     flat = t_grid[norms >= 0.8 * norm0]
     saturation = float(flat.max()) if len(flat) else 0.0
     return {
         "t": t_grid,
         "norm": norms,
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "r2": r2,
         "saturation_scale": saturation,
         "spectral_crossover": float(1.0 / spec.eigenvalues[0]),
@@ -213,14 +217,8 @@ def smoothing_exponent(dim_d: float, ambient_dim: int = 2) -> float:
 
 
 def export_spectrum_csv(spec: SpectralData, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,lambda_k\n")
-        for k, lam in enumerate(spec.eigenvalues, start=1):
-            fh.write(f"{k},{float(lam)!r}\n")
+    write_table(path, "k,lambda_k", np.arange(1, spec.count + 1), spec.eigenvalues)
 
 
 def export_ultracontractivity_csv(fit: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,norm_2_to_inf\n")
-        for t, nrm in zip(fit["t"], fit["norm"]):
-            fh.write(f"{float(t)!r},{float(nrm)!r}\n")
+    write_table(path, "t,norm_2_to_inf", fit["t"], fit["norm"])

@@ -32,9 +32,9 @@ def alpha_defects(f: Nonlinearity, h: Nonlinearity, alpha: float) -> tuple[PolyF
     return tuple(w.antiderivative().scale(alpha) - w.times_tau() for w in (f, h))
 
 
-def _tau_grid(tau_max: float = 1e3, n: int = 4001) -> np.ndarray:
-    lin = np.linspace(-tau_max, tau_max, n)
-    logs = np.geomspace(1e-3, tau_max, n // 4)
+def _tau_grid(tau_max: float = 1e3) -> np.ndarray:
+    lin = np.linspace(-tau_max, tau_max, 4001)
+    logs = np.geomspace(1e-3, tau_max, 1000)
     return np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
 
 
@@ -120,9 +120,7 @@ class RegimeVerdict:
 
 # --------------------------------------------------------------- global rules
 def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
-                 eps: float | None = None, d0: float = 1.0,
-                 m_grid: tuple[int, ...] = (1, 2, 4, 8, 16),
-                 tau0: float = 1.0) -> RegimeVerdict | None:
+                 eps: float | None = None, d0: float = 1.0) -> RegimeVerdict | None:
     """Global-boundedness rules; None when none of them fires."""
     q, c_f = f.growth
     p, c_h = h.growth
@@ -158,6 +156,7 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
         # every moment
         return None
 
+    m_grid, tau0 = (1, 2, 4, 8, 16), 1.0
     grid = _scan_grid()
     grid = grid[np.abs(grid) >= tau0]
     needed = []
@@ -487,11 +486,11 @@ def alpha_threshold(blow: dict) -> float:
 # -------------------------------------------------------------------- replay
 def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
                        constants: ConstantsReport, n_samples: int = 10_000,
-                       seed: int = 0, tau_max: float = 1e3) -> float:
-    """Re-evaluate the emitted inequality at fresh tau samples; returns the
-    maximum relative violation (0 when the certificate replays cleanly)."""
+                       seed: int = 0) -> float:
+    """Re-evaluate the emitted inequality at fresh tau samples in [-1e3, 1e3];
+    returns the maximum relative violation (0 when it replays cleanly)."""
     rng = np.random.default_rng(seed)
-    taus = rng.uniform(-tau_max, tau_max, size=n_samples)
+    taus = rng.uniform(-1e3, 1e3, size=n_samples)
     cert = verdict.certificate
     rho = constants.total_mass / constants.domain_area
 

@@ -297,6 +297,44 @@ def test_pairs_mode(tmp_path):
     assert rows[0] == "t,dist2"
 
 
+# m_factor of this run comes out of max(numpy float, 1.0) as a numpy float
+PAIRS_NUMPY_SCALAR = """
+[geometry]
+n = 8
+
+[bulk_nonlinearity]
+terms = -20.0:0.0;1.0:2.0
+
+[initial]
+kind = expression
+expression = sin(pi*x)*sin(pi*y)
+scale = 0.3
+
+[time]
+dt_max = 0.02
+
+[pairs]
+horizon = 3.0
+"""
+
+
+def test_pairs_outputs_read_back_as_floats(tmp_path):
+    cfg = write(tmp_path, PAIRS_NUMPY_SCALAR)
+    out = tmp_path / "out"
+    assert main(["pairs", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    fields = dict(line.split("=", 1)
+                  for line in (out / "pairs.txt").read_text().splitlines())
+    assert list(fields) == ["omega", "m_factor", "k_factor",
+                            "terminal_distance", "r2"]
+    assert float(fields["m_factor"]) > 1.0
+    for value in fields.values():
+        float(value)
+    rows = (out / "pair_distance.csv").read_text().splitlines()
+    assert rows[0] == "t,dist2" and len(rows) == 201
+    for row in rows[1:]:
+        assert len([float(cell) for cell in row.split(",")]) == 2
+
+
 def test_initial_state_expression_and_eigenvector(tmp_path):
     cfg = parse_config_text(BASE)
     _, _, op, _, _ = build_problem(cfg)

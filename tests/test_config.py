@@ -234,3 +234,14 @@ def test_readme_config_sample_parses():
     cfg = parse_config_text(sample)
     assert cfg.geometry.n == 32
     assert len(cfg.sweep.grid()) == 12
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md (Library sketch)", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # the first print is the one the sketch's comment states
+    assert printed[0] == "GlobalBounded bulk-sink-dominates"
+    assert len(printed) == 2
