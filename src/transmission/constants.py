@@ -30,16 +30,19 @@ def random_smooth_states(op: DiscreteOperator, count: int,
                          seed: int = 0) -> list[np.ndarray]:
     """Low-frequency random fields (modes 1 to 4) restricted to free DOFs."""
     rng = np.random.default_rng(seed)
-    x = op.mesh.vertices[:, 0]
-    y = op.mesh.vertices[:, 1]
+    # each sine factor is taken on the distinct abscissae and ordinates only
+    # (a grid mesh has n + 1 of each) and gathered to the vertices
+    xs, ix = np.unique(op.mesh.vertices[:, 0], return_inverse=True)
+    ys, iy = np.unique(op.mesh.vertices[:, 1], return_inverse=True)
     out = []
     for _ in range(count):
-        field_full = np.zeros(len(x))
+        field_full = np.zeros(len(ix))
         for k in range(1, 5):
             for l in range(1, 5):
                 c = rng.standard_normal() / (k * l)
                 phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
-                field_full += c * np.sin(np.pi * k * x + phase_x) * np.sin(np.pi * l * y + phase_y)
+                field_full += (c * np.sin(np.pi * k * xs + phase_x)[ix]
+                               * np.sin(np.pi * l * ys + phase_y)[iy])
         out.append(field_full[op.free_dofs])
     return out
 

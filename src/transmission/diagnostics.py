@@ -24,7 +24,7 @@ from .assembly import DiscreteOperator
 from .constants import ConstantsReport
 from .dynamics import StepControl, Trajectory, integrate
 from .operators import fit_line, quadratic_form
-from .poly import Nonlinearity
+from .poly import Nonlinearity, PolyFunc
 from .textio import text, write_table
 
 
@@ -40,9 +40,15 @@ def energy(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
            h: Nonlinearity) -> EnergyValue:
     """E(U) = 1/2 form(U, U) + sum m_i F(u_i) - sum w_i H(u_i) with F, H the
     primitives of the bulk and interface nonlinearities."""
+    return _energy(op, U, f.antiderivative(), h.antiderivative())
+
+
+def _energy(op: DiscreteOperator, U: np.ndarray, F: PolyFunc,
+            H: PolyFunc) -> EnergyValue:
+    """E(U) of `energy` from the primitives F and H."""
     form = 0.5 * quadratic_form(op, U)
-    bulk = float(np.sum(op.bulk_mass_diag * f.antiderivative()(U)))
-    iface = float(np.sum(op.iface_mass_diag * h.antiderivative()(U)))
+    bulk = float(np.sum(op.bulk_mass_diag * F(U)))
+    iface = float(np.sum(op.iface_mass_diag * H(U)))
     return EnergyValue(total=form + bulk - iface, form_term=form,
                        bulk_primitive=bulk, iface_primitive=iface)
 
@@ -70,7 +76,8 @@ class EnergyAccumulator:
     """Observer that builds the EnergyReport of a run state by state."""
 
     def __init__(self, op: DiscreteOperator, f: Nonlinearity, h: Nonlinearity):
-        self.op, self.f, self.h = op, f, h
+        self.op = op
+        self.F, self.H = f.antiderivative(), h.antiderivative()
         self._columns = {name: array("d") for name in (
             "times", "E", "G", "dissipation", "sup_norm", "form_term",
             "bulk_primitive", "iface_primitive")}
@@ -78,7 +85,7 @@ class EnergyAccumulator:
 
     def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
         op, col = self.op, self._columns
-        ev = energy(op, U, self.f, self.h)
+        ev = _energy(op, U, self.F, self.H)
         col["times"].append(t)
         col["E"].append(ev.total)
         col["form_term"].append(ev.form_term)

@@ -169,6 +169,35 @@ def test_smooth_states_shape_and_determinism(op16):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _smooth_states_loop(op, count, seed):
+    # the reference: every sine product taken on all vertices
+    rng = np.random.default_rng(seed)
+    x = op.mesh.vertices[:, 0]
+    y = op.mesh.vertices[:, 1]
+    out = []
+    for _ in range(count):
+        field_full = np.zeros(len(x))
+        for k in range(1, 5):
+            for l in range(1, 5):
+                c = rng.standard_normal() / (k * l)
+                phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
+                field_full += c * np.sin(np.pi * k * x + phase_x) * np.sin(np.pi * l * y + phase_y)
+        out.append(field_full[op.free_dofs])
+    return out
+
+
+@pytest.mark.parametrize("build", ["op32", "koch"])
+def test_smooth_states_match_the_vertex_loop(build, request):
+    from conftest import koch_operator
+
+    op = koch_operator() if build == "koch" else request.getfixturevalue(build)
+    # same draws in the same order and the same products: equal bit for bit
+    got = random_smooth_states(op, 5, seed=3)
+    want = _smooth_states_loop(op, 5, seed=3)
+    assert len(got) == len(want) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_report_construction_and_round_trip(op16, tmp_path):
     report = compute_constants_report(op16, l1_starts=5)
     assert report.c_star == report.poincare_effective * report.total_mass / report.domain_area

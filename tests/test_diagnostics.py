@@ -130,6 +130,19 @@ def test_e0_reproducible_from_initial_state_alone(op16, rng):
     )
 
 
+def test_energy_report_equals_energy_state_by_state(op16, rng):
+    f = Nonlinearity(terms=((1.0, 2.0), (-0.5, 0.0)), constant=0.1)
+    U0 = rng.standard_normal(op16.n_free)
+    traj = integrate(op16, U0, f, LINEAR_SOURCE, 0.1, fixed_ctrl(1e-2))
+    rep = compute_energy_report(traj, op16, f, LINEAR_SOURCE)
+    values = [energy(op16, U, f, LINEAR_SOURCE) for U in traj.states]
+    assert len(values) == len(rep.E) == 11
+    assert rep.E.tolist() == [v.total for v in values]
+    assert rep.form_term.tolist() == [v.form_term for v in values]
+    assert rep.bulk_primitive.tolist() == [v.bulk_primitive for v in values]
+    assert rep.iface_primitive.tolist() == [v.iface_primitive for v in values]
+
+
 # ------------------------------------------------------ absorbing ball
 def test_absorbing_ball_linear_matches_spectrum(op16, spec16, constants16, rng):
     trajs = []

@@ -330,15 +330,20 @@ def test_nonlinear_drift_vanishes_for_zero(op16):
 
 # ------------------------------------------- integrate loop and LU ordering
 def _reference_integrate(op, U0, f, h, T, ctrl):
-    # the loop as it was before one sup-norm per step: a separate finiteness
-    # pass, the previous sup-norm recomputed, each accepted state copied
+    # the loop of dynamics.integrate as it was before one sup-norm per step:
+    # a separate finiteness pass, the previous sup-norm recomputed, each
+    # accepted state copied.  Its steps are on integrate's ladder, with each
+    # rung found by halving dt_max until it is not above the target dt
     U0 = np.asarray(U0, dtype=float)
     times, dts, states = [0.0], [0.0], [U0.copy()]
     outcome, outcome_time = "completed", T
     t, U, dt = 0.0, U0.copy(), ctrl.dt0
     accepted_in_row = 0
     while t < T * (1.0 - 1e-12):
-        dt_try = min(dt, T - t)
+        rung = ctrl.dt_max
+        while rung > dt:
+            rung *= 0.5
+        dt_try = min(rung, T - t)
         Unew = imex_step(op, U, dt_try, f, h)
         sup_old = max(float(np.abs(U).max()), 1e-300)
         ok = bool(np.isfinite(Unew).all())
@@ -396,6 +401,49 @@ def test_integrate_matches_reference_loop(case, op16, spec16):
     assert np.array_equal(traj.dts, dts)
     assert len(traj.states) == len(states)
     assert all(np.array_equal(a, b) for a, b in zip(traj.states, states))
+
+
+@pytest.mark.parametrize("case", ["completed", "blowup", "stalled"])
+def test_every_step_is_a_rung_of_the_ladder(case, op16, spec16, monkeypatch):
+    from transmission import dynamics
+
+    U0, f, h, T, ctrl, expected = _run_case(case, spec16.eigenvectors[:, 0],
+                                            op16.n_free)
+    tried = []
+    step = dynamics.imex_step
+    monkeypatch.setattr(dynamics, "imex_step",
+                        lambda op, U, dt, f, h: tried.append(dt) or step(op, U, dt, f, h))
+    traj = integrate(op16, U0, f, h, T, ctrl)
+
+    assert traj.outcome == expected
+    ladder = {ctrl.dt_max * 2.0 ** -k for k in range(64)}
+    assert tried[0] == max(r for r in ladder if r <= ctrl.dt0)
+    off = [dt for dt in tried if dt not in ladder]
+    if case == "completed":
+        # only the final step may leave the ladder, to land on T
+        assert off in ([], [traj.dts[-1]]) and traj.times[-1] == T
+    else:
+        assert off == []
+    assert len(set(tried) & ladder) > 3
+
+
+def test_second_run_reuses_the_rungs_of_the_first():
+    from conftest import default_operator
+
+    op = default_operator(16)   # fresh: nothing factorized yet
+    U0, f, h, T, ctrl, _ = _run_case("completed", spectrum(op, k=1).eigenvectors[:, 0],
+                                     op.n_free)
+    first = integrate(op, U0, f, h, T, ctrl)
+    assert first.stats.factorizations == len(set(first.dts[1:]))
+    # another cell: other data, nonlinearity, first step and horizon, whose
+    # target steps 7e-4 * 1.2**j all differ from the first run's
+    second = integrate(op, 0.5 * U0, Nonlinearity.power(2.0, 2.0), LINEAR_SOURCE,
+                       0.7, StepControl(dt0=7e-4, dt_max=ctrl.dt_max))
+    assert second.outcome == "completed" and second.stats.rejected == 0
+    new = set(second.dts[1:]) - set(first.dts[1:])
+    # at most the factor of the final partial step is built anew
+    assert new <= {second.dts[-1]}
+    assert second.stats.factorizations == len(new)
 
 
 @pytest.mark.parametrize("build", ["op16", "koch"])

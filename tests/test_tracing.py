@@ -77,15 +77,18 @@ def test_tracer_counts_one_factorization_per_step_size():
     op = default_operator(8)   # fresh: nothing factorized yet
     U0 = np.full(op.n_free, 0.5)
     ctrl = dynamics.StepControl(dt0=1e-3, dt_max=0.02)
-    # the Markov grid shares its first step size with the run and adds one
-    markov_dts = {1e-3, 2e-3}
+    # the run starts on the rung 0.02 / 32 below dt0; the Markov grid shares
+    # that step size with the run and adds the rung 0.005, which the run
+    # does not reach by T = 0.05
+    markov_dts = {0.000625, 0.005}
     with _installed(tracing, tracer):
         traj = dynamics.integrate(op, U0, poly.Nonlinearity.power(1.0, 2.0),
                                   poly.Nonlinearity.zero(), 0.05, ctrl)
-        operators.markov_check(op, trials=2, t_grid=1e-3 * np.array([1.0, 2.0, 4.0]))
+        operators.markov_check(op, trials=2,
+                               t_grid=np.cumsum([0.000625, 0.000625, 0.005]))
 
     metrics = tracing.layer_metrics(tracer.spans)
     # no step was rejected, so the accepted step sizes are all that were tried
     assert metrics["dynamics.steps_attempted"] == metrics["dynamics.steps_accepted"] > 0
-    assert 1e-3 in traj.dts and 2e-3 not in traj.dts
+    assert 0.000625 in traj.dts and 0.005 not in traj.dts
     assert metrics["dynamics.factorizations"] == len(set(traj.dts[1:]) | markov_dts)
