@@ -148,7 +148,10 @@ def _read_vertex_values(path: str, n_vertices: int) -> tuple[np.ndarray, np.ndar
 def initial_state(cfg: SimConfig, op) -> np.ndarray:
     ini = cfg.initial
     if ini.kind == "eigenvector":
-        spec = spectrum(op, k=min(ini.index, op.n_free))
+        if ini.index > op.n_free:
+            raise ConfigError([f"initial.index = {ini.index}: the operator has "
+                               f"only {op.n_free} free degrees of freedom"])
+        spec = spectrum(op, k=ini.index)
         return ini.scale * spec.eigenvectors[:, ini.index - 1]
     if ini.kind == "expression":
         x = op.mesh.vertices[:, 0]

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
-from .operators import NumericError, SpectralData, semigroup_apply
+from .operators import NumericError, SpectralData, fit_line, semigroup_apply
 from .poly import Nonlinearity
 
 
@@ -364,7 +364,7 @@ def semigroup_defect_fit(op: DiscreteOperator, U0: np.ndarray,
     ])
     dts_arr = np.array(dts, dtype=float)
     c_fit = float(np.sum(defects * dts_arr) / np.sum(dts_arr * dts_arr))
-    order = float(np.polyfit(np.log(dts_arr), np.log(np.maximum(defects, 1e-300)), 1)[0]) \
+    order = fit_line(np.log(dts_arr), np.log(np.maximum(defects, 1e-300)))[0] \
         if (defects > 0).all() else np.inf
     return {"dts": dts_arr, "defects": defects, "c_fit": c_fit, "order": order}
 

@@ -63,7 +63,9 @@ class MeshedDomain:
     interface.  For a segment they are the whole mesh row; for a Koch
     prefractal they are the prefractal vertices snapped to the grid, and the
     geometric separation is realized by ``interface_cut_edges``, the mesh
-    edges between the triangle classes above and below the snapped polyline.
+    edges between the triangles above and below the snapped polyline.  The
+    cut leaves exactly two regions: a triangle that its centroid puts on
+    one side but that the other side surrounds joins the side around it.
     """
 
     n: int
@@ -139,33 +141,34 @@ def _points_below_polyline(points: np.ndarray, polyline: np.ndarray,
     interface polyline (polyline runs from (0, y0) to (1, y0))."""
     # closed region: bottom side, right side up to (1, y0), then back along
     # the interface to (0, y0); the closing edge down to (0, 0) is implicit
-    poly = np.vstack([
-        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, y0]]),
-        polyline[::-1][1:],
-    ])
+    poly = np.vstack([[[0.0, 0.0], [1.0, 0.0], [1.0, y0]], polyline[::-1][1:]])
+    ends = np.hstack([poly, np.roll(poly, -1, axis=0)])
+    x0, yy0, x1, yy1 = ends[ends[:, 1] != ends[:, 3]].T
+    # one horizontal ray per distinct ordinate: a point is inside when an odd
+    # number of the ray's edge crossings lie strictly right of it
+    ys, row = np.unique(points[:, 1], return_inverse=True)
+    groups = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
     inside = np.zeros(len(points), dtype=bool)
-    x, y = points[:, 0], points[:, 1]
-    px, py = poly[:, 0], poly[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    for k in range(len(poly)):
-        x0, yy0, x1, yy1 = px[k], py[k], qx[k], qy[k]
-        if yy0 == yy1:
-            continue
+    for y, idx in zip(ys, groups):
         cond = (yy0 <= y) != (yy1 <= y)
-        xint = x0 + (y - yy0) * (x1 - x0) / (yy1 - yy0)
-        inside ^= cond & (x < xint)
+        xint = np.sort(x0[cond] + (y - yy0[cond]) * (x1[cond] - x0[cond])
+                       / (yy1[cond] - yy0[cond]))
+        inside[idx] = (len(xint) - np.searchsorted(xint, points[idx, 0], side="right")) % 2 == 1
     return inside
 
 
-def _segments_intersect(a0, a1, b0, b1) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _self_intersects(polyline: np.ndarray) -> bool:
+    """Whether two non-adjacent edges of the polyline cross: the ends of each
+    lie strictly on either side of the other's line."""
+    p, q = polyline[:-1, None], polyline[1:, None]
 
-    d1 = orient(a0, a1, b0)
-    d2 = orient(a0, a1, b1)
-    d3 = orient(b0, b1, a0)
-    d4 = orient(b0, b1, a1)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+    def orient(r):
+        # [a, b]: the side of edge a's line that point r[b] lies on
+        return ((q[..., 0] - p[..., 0]) * (r[:, 1] - p[..., 1])
+                - (q[..., 1] - p[..., 1]) * (r[:, 0] - p[..., 0]))
+
+    straddles = orient(polyline[:-1]) * orient(polyline[1:]) < 0
+    return bool(np.triu(straddles & straddles.T, 2).any())
 
 
 def _edge_owners(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +182,24 @@ def _edge_owners(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last = np.argsort(flat, kind="stable")[np.cumsum(count) - 1]
     owners = np.column_stack([first // 3, np.where(count == 2, last // 3, -1)])
     return np.column_stack([keys // n_vert, keys % n_vert]), owners
+
+
+def _component_labels(n_tri: int, pairs: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n_tri triangles in the graph
+    whose edges are the (m, 2) triangle pairs."""
+    # imported here: segment runs never need csgraph (~5 ms, ~1 MiB)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sp.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(n_tri, n_tri))
+    return connected_components(graph, directed=False)[1]
+
+
+def _region(pairs: np.ndarray, member: np.ndarray, seed: int) -> np.ndarray:
+    """The member triangles joined to triangle seed through adjacent pairs
+    of member triangles."""
+    labels = _component_labels(len(member), pairs[member[pairs].all(axis=1)])
+    return labels == labels[seed]
 
 
 def build_square_mesh(n: int, interface: InterfaceSpec,
@@ -198,47 +219,27 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)   # vid[j, i] is (i h, j h)
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    # each cell's lower (a, b, c) and upper (a, c, d) triangle, diagonal a-c
+    a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))   # lower, diagonal a-c
-            tris.append((a, c, d))   # upper
-    triangles = np.array(tris, dtype=int)
-
-    bedges, btags = [], []
-    for i in range(n):
-        bedges.append((vid(i, 0), vid(i + 1, 0)))
-        btags.append("bottom")
-        bedges.append((vid(i, n), vid(i + 1, n)))
-        btags.append("top")
-        bedges.append((vid(0, i), vid(0, i + 1)))
-        btags.append("left")
-        bedges.append((vid(n, i), vid(n, i + 1)))
-        btags.append("right")
-    boundary_edges = np.array(bedges, dtype=int)
-    if dirichlet_side == "all":
-        tags = np.full(len(btags), "dirichlet")
-    elif dirichlet_side == "none":
-        tags = np.full(len(btags), "neumann")
-    else:
-        tags = np.where(np.array(btags) == dirichlet_side, "dirichlet", "neumann")
-    boundary_tags = tags.astype("<U10")
+    # for each i: the i-th edge of the bottom, top, left and right sides
+    sides = ("bottom", "top", "left", "right")
+    runs = (vid[0], vid[n], vid[:, 0], vid[:, n])
+    boundary_edges = np.stack([np.column_stack([r[:-1], r[1:]]) for r in runs],
+                              axis=1).reshape(-1, 2)
+    dirichlet = np.tile([dirichlet_side in (s, "all") for s in sides], n)
+    boundary_tags = np.where(dirichlet, "dirichlet", "neumann").astype("<U10")
 
     # interface row index; the baseline must be an interior mesh row
-    if isinstance(interface, Segment):
-        y0 = interface.y0
-    elif isinstance(interface, KochPrefractal):
-        if interface.level < 0:
-            raise GeometryError("Koch level must be >= 0")
-        y0 = interface.y0
-    else:
+    if not isinstance(interface, InterfaceSpec):
         raise GeometryError(f"unknown interface type {interface!r}")
+    level = interface.level if isinstance(interface, KochPrefractal) else 0
+    if level < 0:
+        raise GeometryError("Koch level must be >= 0")
+    y0 = interface.y0
     if not (0.0 < y0 < 1.0):
         raise GeometryError(f"interface baseline y0={y0} touches the boundary")
     j0 = int(round(y0 * n))
@@ -247,18 +248,16 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
             f"interface baseline y0={y0} snaps onto the boundary at n={n}"
         )
 
-    if isinstance(interface, Segment) or interface.level == 0:
-        iface_nodes = np.array([vid(i, j0) for i in range(n + 1)], dtype=int)
-        cut = np.array([(vid(i, j0), vid(i + 1, j0)) for i in range(n)], dtype=int)
+    if level == 0:
+        iface_nodes = vid[j0]
+        cut = np.column_stack([vid[j0, :-1], vid[j0, 1:]])
     else:
-        L = interface.level
-        if 3.0 ** (-L) < h:
+        if 3.0 ** (-level) < h:
             raise ResolutionError(
-                f"Koch level {L} has polyline edges of length 3^-{L} shorter "
-                f"than the mesh edge 1/{n}"
+                f"Koch level {level} has polyline edges of length 3^-{level} "
+                f"shorter than the mesh edge 1/{n}"
             )
-        pts = _koch_vertices(L)
-        pts = pts + np.array([0.0, y0])
+        pts = _koch_vertices(level) + np.array([0.0, y0])
         if pts[:, 1].max() >= 1.0 - h or pts[:, 1].min() <= h:
             raise GeometryError("Koch interface touches the outer boundary")
         gnodes = np.rint(pts * n).astype(int)
@@ -271,20 +270,21 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
                 or (gnodes[:, 1] <= 0).any() or (gnodes[:, 1] >= n).any():
             raise GeometryError("Koch interface touches the outer boundary")
         snapped = gnodes.astype(float) / n
-        for a in range(len(snapped) - 1):
-            for b in range(a + 2, len(snapped) - 1):
-                if _segments_intersect(snapped[a], snapped[a + 1],
-                                       snapped[b], snapped[b + 1]):
-                    raise ResolutionError(
-                        "snapped interface polyline self-intersects; increase n"
-                    )
-        # split triangles into the regions below/above the snapped polyline;
-        # the cut is the set of mesh edges separating the two classes
+        if _self_intersects(snapped):
+            raise ResolutionError("snapped interface polyline self-intersects; increase n")
+        # class the triangles by centroid, below or above the snapped
+        # polyline, then keep two regions: the below triangles joined to
+        # triangle 0, and the rest joined to the last triangle (above, like
+        # triangle 0 is below); a stranded triangle joins the side around
+        # it.  The cut is the set of mesh edges between the two regions
         centroids = vertices[triangles].mean(axis=1)
         below = _points_below_polyline(centroids, snapped, j0 * h)
         edges, owners = _edge_owners(triangles)
-        cut = edges[(owners[:, 1] >= 0) & (below[owners[:, 0]] != below[owners[:, 1]])]
-        iface_nodes = np.array([vid(i, j) for i, j in gnodes], dtype=int)
+        inner = owners[:, 1] >= 0
+        pairs = owners[inner]
+        above = _region(pairs, ~_region(pairs, below, 0), -1)
+        cut = edges[inner][above[pairs[:, 0]] != above[pairs[:, 1]]]
+        iface_nodes = vid[gnodes[:, 1], gnodes[:, 0]]
 
     return MeshedDomain(
         n=n,
@@ -378,18 +378,12 @@ def ahlfors_upper_check(measure: InterfaceMeasure, n_samples: int,
 def count_interface_components(mesh: MeshedDomain) -> int:
     """Number of connected components of the triangle adjacency graph once
     the interface cut edges are removed."""
-    # imported here: csgraph adds ~1 MiB and ~40 ms to every start-up
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     edges, owners = _edge_owners(mesh.triangles)
     n_vert = len(mesh.vertices)
     c = np.sort(mesh.interface_cut_edges, axis=1)
     cut = np.isin(edges[:, 0] * n_vert + edges[:, 1], c[:, 0] * n_vert + c[:, 1])
-    a, b = owners[(owners[:, 1] >= 0) & ~cut].T
-    n_tri = len(mesh.triangles)
-    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n_tri, n_tri))
-    return int(connected_components(graph, directed=False)[0])
+    labels = _component_labels(len(mesh.triangles), owners[(owners[:, 1] >= 0) & ~cut])
+    return int(labels.max()) + 1
 
 
 def export_mesh_csv(mesh: MeshedDomain, out_dir) -> None:

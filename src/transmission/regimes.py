@@ -21,6 +21,7 @@ from scipy.optimize import minimize_scalar
 
 from .assembly import DiscreteOperator
 from .constants import ConstantsReport
+from .operators import fit_line
 from .poly import Nonlinearity, PolyFunc
 
 
@@ -173,14 +174,14 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
 
     ms = np.array(m_grid, dtype=float)
     needs = np.array(needed)
-    lam_fit, logc = np.polyfit(np.log(ms), np.log(needs), 1)
-    lam_fit = max(float(lam_fit), 0.0)   # the growth law is a positive power
+    lam_fit, logc, _ = fit_line(np.log(ms), np.log(needs))
+    lam_fit = max(lam_fit, 0.0)   # the growth law is a positive power
     c_fit = float(np.exp(logc))
     cover = needs / (c_fit * ms ** lam_fit)
     c_fit *= float(np.max(cover)) * (1.0 + 1e-9)
     return RegimeVerdict(
         verdict="GlobalBounded", rule="balance-certified",
-        certificate={"balance_c": c_fit, "balance_lambda": float(lam_fit),
+        certificate={"balance_c": c_fit, "balance_lambda": lam_fit,
                      "eps": eps, "c_star": c_star, "tau0": tau0,
                      "m_grid": list(m_grid),
                      "needed": [float(v) for v in needed]},

@@ -367,6 +367,17 @@ def test_initial_state_expression_cannot_run_code(tmp_path, capsys):
     assert len(err) == 1 and escape in err[0]
 
 
+def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
+    # n = 4 with the left side Dirichlet leaves 20 free degrees of freedom
+    cfg = write(tmp_path, BASE.replace("n = 8", "n = 4")
+                + "\n[initial]\nkind = eigenvector\nindex = 100\n")
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: initial.index = 100: the operator has only 20 "
+                   "free degrees of freedom"]
+    assert not (tmp_path / "out" / "verdict.txt").exists()
+
+
 def test_initial_state_expression_values_exact():
     cfg = parse_config_text(BASE)
     _, _, op, _, _ = build_problem(cfg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from transmission.geometry import (
+    DIRICHLET_SIDES,
     KOCH_DIMENSION,
     GeometryError,
     KochPrefractal,
@@ -63,12 +64,146 @@ def test_edge_owners_match_reference_loop():
     assert [[t for t in h if t >= 0] for h in held] == [owners[k] for k in sorted(owners)]
 
 
+# the last five split into 3, 4, 4, 5 and 19 regions by centroid class alone
 @pytest.mark.parametrize("spec,n", [(Segment(0.5), 16), (KochPrefractal(1, 0.5), 27),
                                     (KochPrefractal(2, 0.4), 27),
-                                    (KochPrefractal(3, 0.4), 162)])
+                                    (KochPrefractal(3, 0.4), 162),
+                                    (KochPrefractal(1, 0.4), 5),
+                                    (KochPrefractal(2, 0.4), 20),
+                                    (KochPrefractal(3, 0.4), 81),
+                                    (KochPrefractal(3, 0.4), 108),
+                                    (KochPrefractal(4, 0.5), 160)])
 def test_interface_separates_two_components(spec, n):
     mesh = build_square_mesh(n, spec)
     assert count_interface_components(mesh) == 2
+
+
+def _snapped_polyline(mesh):
+    """The snapped Koch polyline and baseline ordinate as build_square_mesh
+    computes them."""
+    n = mesh.n
+    return np.rint(mesh.vertices[mesh.interface_nodes] * n) / n, \
+        round(mesh.interface.y0 * n) * (1.0 / n)
+
+
+@pytest.mark.parametrize("spec,n", [(KochPrefractal(2, 0.4), 27),
+                                    (KochPrefractal(3, 0.4), 162)])
+def test_cut_of_a_two_region_split_is_the_centroid_cut(spec, n):
+    from transmission.geometry import _edge_owners, _points_below_polyline
+
+    mesh = build_square_mesh(n, spec)
+    below = _points_below_polyline(mesh.vertices[mesh.triangles].mean(axis=1),
+                                   *_snapped_polyline(mesh))
+    edges, owners = _edge_owners(mesh.triangles)
+    cut = edges[(owners[:, 1] >= 0) & (below[owners[:, 0]] != below[owners[:, 1]])]
+    assert np.array_equal(mesh.interface_cut_edges, cut)
+
+
+def _reference_grid(n, dirichlet_side):
+    """Triangles and tagged boundary edges by the per-cell loops."""
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    bedges, btags = [], []
+    for i in range(n):
+        bedges.append((vid(i, 0), vid(i + 1, 0)))
+        btags.append("bottom")
+        bedges.append((vid(i, n), vid(i + 1, n)))
+        btags.append("top")
+        bedges.append((vid(0, i), vid(0, i + 1)))
+        btags.append("left")
+        bedges.append((vid(n, i), vid(n, i + 1)))
+        btags.append("right")
+    if dirichlet_side == "all":
+        tags = np.full(len(btags), "dirichlet")
+    elif dirichlet_side == "none":
+        tags = np.full(len(btags), "neumann")
+    else:
+        tags = np.where(np.array(btags) == dirichlet_side, "dirichlet", "neumann")
+    return np.array(tris, dtype=int), np.array(bedges, dtype=int), tags.astype("<U10")
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("side", DIRICHLET_SIDES)
+def test_grid_matches_reference_loops(n, side):
+    mesh = build_square_mesh(n, Segment(0.5), dirichlet_side=side)
+    got = (mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+    for new, old in zip(got, _reference_grid(n, side)):
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+    row = int(round(0.5 * n)) * (n + 1) + np.arange(n + 1)
+    assert mesh.interface_nodes.dtype == row.dtype
+    assert np.array_equal(mesh.interface_nodes, row)
+    assert np.array_equal(mesh.interface_cut_edges, np.column_stack([row[:-1], row[1:]]))
+
+
+def _reference_points_below(points, polyline, y0):
+    """The even-odd test by one pass over the points per polygon edge."""
+    poly = np.vstack([np.array([[0.0, 0.0], [1.0, 0.0], [1.0, y0]]),
+                      polyline[::-1][1:]])
+    inside = np.zeros(len(points), dtype=bool)
+    x, y = points[:, 0], points[:, 1]
+    px, py = poly[:, 0], poly[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    for k in range(len(poly)):
+        x0, yy0, x1, yy1 = px[k], py[k], qx[k], qy[k]
+        if yy0 == yy1:
+            continue
+        cond = (yy0 <= y) != (yy1 <= y)
+        xint = x0 + (y - yy0) * (x1 - x0) / (yy1 - yy0)
+        inside ^= cond & (x < xint)
+    return inside
+
+
+@pytest.mark.parametrize("spec,n", [(KochPrefractal(2, 0.4), 27),
+                                    (KochPrefractal(3, 0.4), 108),
+                                    (KochPrefractal(4, 0.5), 160)])
+def test_points_below_polyline_matches_reference_loop(spec, n):
+    from transmission.geometry import _points_below_polyline
+
+    mesh = build_square_mesh(n, spec)
+    polyline, y0 = _snapped_polyline(mesh)
+    rng = np.random.default_rng(n)
+    for points in (mesh.vertices[mesh.triangles].mean(axis=1), rng.random((3000, 2))):
+        got = _points_below_polyline(points, polyline, y0)
+        assert np.array_equal(got, _reference_points_below(points, polyline, y0))
+        assert 0 < got.sum() < len(points)
+
+
+def _reference_self_intersects(polyline):
+    """Whether two non-adjacent edges cross, by the scalar double loop."""
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    for a in range(len(polyline) - 1):
+        for b in range(a + 2, len(polyline) - 1):
+            a0, a1, b0, b1 = polyline[a], polyline[a + 1], polyline[b], polyline[b + 1]
+            if orient(a0, a1, b0) * orient(a0, a1, b1) < 0 \
+                    and orient(b0, b1, a0) * orient(b0, b1, a1) < 0:
+                return True
+    return False
+
+
+def test_self_intersection_matches_reference_loop():
+    from transmission.geometry import _self_intersects
+
+    rng = np.random.default_rng(5)
+    outcomes = []
+    for k in range(3, 12):
+        for _ in range(40):
+            # grid points also give touching and collinear edges, which the
+            # strict signs must not count as crossings
+            for poly in (rng.random((k, 2)), rng.integers(0, 4, (k, 2)) / 3.0):
+                expect = _reference_self_intersects(poly)
+                assert _self_intersects(poly) == expect
+                outcomes.append(expect)
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_interface_touching_boundary_rejected():
