@@ -19,7 +19,6 @@ import operator
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -217,9 +216,10 @@ def run_constants(cfg: SimConfig, out: Path) -> int:
 
 def run_classify(cfg: SimConfig, out: Path) -> int:
     _, _, op, f, h = build_problem(cfg)
+    # the report runs first: an eigenvector initial state reads its spectrum
     report = _constants_report(cfg, op)
-    save_constants(report, out / "constants.txt")
     U0 = initial_state(cfg, op)
+    save_constants(report, out / "constants.txt")
     verdict = classify(f, h, op, report, U0, alpha=_auto(cfg.run.alpha),
                        eps=_auto(cfg.run.eps))
     save_verdict(verdict, out / "verdict.txt")
@@ -229,9 +229,9 @@ def run_classify(cfg: SimConfig, out: Path) -> int:
 
 def run_simulate(cfg: SimConfig, out: Path) -> int:
     mesh, measure, op, f, h = build_problem(cfg)
+    U0 = initial_state(cfg, op)
     export_mesh_csv(mesh, out / "mesh")
     export_measure_csv(mesh, measure, out / "mesh" / "interface_measure.csv")
-    U0 = initial_state(cfg, op)
     # the diagnostics take the states as the run makes them: none is kept
     energy = EnergyAccumulator(op, f, h)
     holder = HolderModulus(cfg.time.horizon)
@@ -330,6 +330,9 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
     # each marker is written as its cell finishes, so a killed sweep keeps
     # every finished cell
     if cfg.run.jobs > 1 and pending:
+        # imported here: a serial run never loads the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=cfg.run.jobs) as pool:
             futures = {pool.submit(_sweep_cell, task): marker
                        for task, marker in pending}

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .assembly import DiscreteOperator
+from .brent import minimize_scalar
 from .constants import ConstantsReport
 from .operators import fit_line
 from .poly import Nonlinearity, PolyFunc

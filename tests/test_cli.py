@@ -378,6 +378,19 @@ def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "verdict.txt").exists()
 
 
+@pytest.mark.parametrize("mode", ["classify", "simulate"])
+@pytest.mark.parametrize("initial", [
+    "kind = eigenvector\nindex = 100",
+    "kind = expression\nexpression = x +",
+], ids=["index-beyond-free-dofs", "expression-syntax"])
+def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, initial):
+    cfg = write(tmp_path, BASE.replace("n = 8", "n = 4") + f"\n[initial]\n{initial}\n")
+    out = tmp_path / "out"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: initial.")
+    assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+
+
 def test_initial_state_expression_values_exact():
     cfg = parse_config_text(BASE)
     _, _, op, _, _ = build_problem(cfg)
@@ -461,3 +474,71 @@ def test_worker_cache_keeps_only_the_current_config(tmp_path):
     assert len(cli._WORKER_CACHE) == 1
     (cfg, _, _), = cli._WORKER_CACHE.values()
     assert cfg.run.seed == 5
+
+
+IMPORT_GUARD = """
+[geometry]
+n = 4
+
+[bulk_nonlinearity]
+terms = -1.0:2.0
+
+[interface_nonlinearity]
+terms = -1.0:0.0
+
+[initial]
+kind = eigenvector
+scale = 1.0
+
+[time]
+horizon = 0.05
+
+[pairs]
+horizon = 0.05
+
+[sweep]
+p_values = 0
+q_values = 2
+cf_values = -1.0
+ch_values = -1.0
+
+[run]
+ultra_fit = true
+jobs = 1
+"""
+
+# every mode in one fresh interpreter (pytest's own has loaded scipy.optimize);
+# the bounded minimiser is counted, so the classifying modes are seen to use it
+IMPORT_GUARD_SCRIPT = """
+import json, sys
+from transmission import cli, regimes
+calls = []
+port = regimes.minimize_scalar
+regimes.minimize_scalar = lambda *a, **k: calls.append(1) or port(*a, **k)
+loaded = {}
+for mode in sorted(cli._RUNNERS):
+    code = cli.main([mode, "--config", sys.argv[1], "--out", sys.argv[2] + "/" + mode])
+    loaded[mode] = (code, sorted(m for m in sys.modules if m.startswith("scipy.optimize")
+                                 or m == "concurrent.futures.process"))
+print(json.dumps({"loaded": loaded, "calls": len(calls)}))
+"""
+
+
+def test_no_mode_imports_scipy_optimize_or_a_process_pool(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD_SCRIPT, write(tmp_path, IMPORT_GUARD),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["loaded"] == {mode: [EXIT_OK, []] for mode in (
+        "classify", "constants", "pairs", "simulate", "spectrum", "sweep")}
+    assert result["calls"] > 0

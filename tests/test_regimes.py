@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from transmission import regimes
+from transmission import brent, regimes
 from transmission.constants import ConstantsReport, compute_constants_report
 from transmission.poly import Nonlinearity, PolyFunc
 from transmission.regimes import (
@@ -82,6 +82,56 @@ def test_alpha_defect_vanishes_at_matching_exponent():
 def test_alpha_defect_requires_alpha_above_two():
     with pytest.raises(ValueError):
         alpha_defects(CUBIC_SINK, ZERO, 2.0)
+
+
+# ----------------------------------------------------- bounded minimisation
+def _minimize_cases():
+    """Seeded (fun, lo, hi) problems of _refined_sup's shape: the negated
+    polynomial on the brackets around its five largest _scan_grid() values,
+    brackets about 1e-9 wide, a constant, minima at either end, and step
+    functions."""
+    rng = np.random.default_rng(2024)
+    grid = regimes._scan_grid()
+    cases = []
+    for _ in range(60):
+        pf = PolyFunc({(float(rng.integers(0, 4)), int(rng.integers(0, 2))):
+                       float(rng.standard_normal()) for _ in range(3)})
+        # a bump at c keeps the largest values off the grid's ends
+        c = float(rng.uniform(-900.0, 900.0))
+        pf = pf.scale(1e-6) + PolyFunc({(2.0, 0): -1.0, (0.0, 1): 2.0 * c,
+                                        (0.0, 0): -c * c})
+        fun = partial(lambda pf, t: -pf(np.array(t)), pf)
+        for k in np.argsort(pf(grid))[::-1][:5]:
+            cases.append((fun, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]))
+        lo = float(rng.uniform(-10.0, 10.0))
+        cases.append((fun, lo, lo + 1e-9))
+    cases += [(lambda t: 1.0, -1.0, 1.0), (lambda t: float(t), -1.0, 2.0),
+              (lambda t: -float(t), -1.0, 2.0), (lambda t: abs(float(t)), 0.0, 3.0)]
+    # plateaus tie values, which the bracket update's <= tests then decide
+    cases += [(lambda t, k=k: math.floor(k * float(t)) ** 2, lo, hi)
+              for k, lo, hi in ((5, -1.0, 1.0), (14, -0.3, 1.7))]
+    return cases
+
+
+def test_minimize_scalar_port_matches_scipy_bit_for_bit():
+    for fun, lo, hi in _minimize_cases():
+        ours = regimes.minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                                       options={"xatol": 1e-12})
+        ref = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        assert (ours.x, ours.fun) == (ref.x, ref.fun), (lo, hi)
+    # xatol = 0 never converges on t^2: both stop at 500 evaluations
+    fun = lambda t: float(t) ** 2   # noqa: E731
+    ours = regimes.minimize_scalar(fun, (-1.0, 1.0), options={"xatol": 0.0})
+    ref = minimize_scalar(fun, bounds=(-1.0, 1.0), method="bounded",
+                          options={"xatol": 0.0})
+    assert ref.nfev == 500 and (ours.x, ours.fun) == (ref.x, ref.fun)
+
+
+def test_minimize_scalar_sign_is_numpy_sign_plus_zero_test():
+    for r in (-2.5, -0.0, 0.0, 1e-300, 3.0):
+        assert brent._sign(r) == np.sign(r) + (r == 0)
+    assert math.isnan(brent._sign(math.nan))
 
 
 # ------------------------------------------------------------- global rules
