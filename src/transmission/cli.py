@@ -305,7 +305,9 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
 
 
 def _write_marker(marker: Path, row: str, outcome: str) -> None:
-    """Write a cell's marker whole or not at all."""
+    """Write a cell's marker whole or not at all.  The first marker creates
+    the cells directory, so a sweep whose first cell fails leaves none."""
+    marker.parent.mkdir(exist_ok=True)
     tmp = marker.with_suffix(".tmp")
     tmp.write_text(row + "\n" + (f"#outcome={outcome}\n" if outcome else ""))
     os.replace(tmp, marker)
@@ -321,7 +323,6 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
     cfg_for_hash.run.jobs = 1
     cfg_text = serialize_config(cfg_for_hash)
     cells_dir = out / "cells"
-    cells_dir.mkdir(parents=True, exist_ok=True)
     pending = []
     for cell in cells:
         marker = cells_dir / f"{_cell_hash(cfg_text, cell)}.csv"

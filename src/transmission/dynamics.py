@@ -35,9 +35,10 @@ class StepControl:
     grow_after accepted steps in a row (at most dt_max), halved on a reject,
     and the run stalls once it falls below dt_min.  Each step is taken at
     the largest rung dt_max * 2**-k (k >= 0 an integer) not above the
-    target, so the first step is the largest rung not above dt0, and a run
-    needs one factorization per rung it visits; only a final step that
-    lands on the horizon is shorter.
+    target, so the first step is the largest rung not above dt0; only a
+    final step that lands on the horizon is shorter.  A run needs one LU
+    factorization per rung it visits with dt ||M^-1 A||_inf above 2**-8; the
+    rungs below, where a blow-up ends, are solved without one.
     """
 
     dt0: float = 1e-3
@@ -90,34 +91,77 @@ class Trajectory:
 
 
 # Bound on the total SuperLU.nnz of the factors kept per operator.  It keeps
-# every factor of a Koch sweep whose cells share rungs (52 factors, 1.03 M at
+# every factor of a Koch sweep whose cells share rungs (18 factors, 0.36 M at
 # n=27), and four of the seven 0.41 M factors of an n=96 run, whose rungs
 # grow past each factor and never return to it.
 _LU_CACHE_NNZ = 2_000_000
 
+# Largest theta = dt * ||M^-1 A||_inf at which M + dt A is solved by a
+# Neumann series instead of an LU factor.  At theta <= 2**-8 the series
+# reaches full precision within 6 products with A (2 at theta <= 1e-6), and A
+# has a fifth of the factor's nonzeros at n=27, a seventh at n=96.  A series
+# solve then costs at most about two LU solves and a factor about forty
+# (n=27), while a blow-up passes each rung this small in a few steps: a
+# factor there does not pay for itself.
+_SERIES_THETA = 2.0 ** -8
+
 
 class _FactorCache:
     """LU factors of M + dt A by step size, least recently used first; counts
-    the factorizations it builds."""
+    the factorizations it builds.  Also keeps ||M^-1 A||_inf, the largest
+    row sum of |A| over the mass."""
 
-    def __init__(self):
+    def __init__(self, op: DiscreteOperator):
         self.factors: OrderedDict = OrderedDict()
         self.nnz = 0
         self.built = 0
+        row_sums = np.asarray(abs(op.a_free).sum(axis=1)).ravel()
+        self.norm = float((row_sums / op.mass_diag).max())
 
 
 def _factor_cache(op: DiscreteOperator) -> _FactorCache:
     cache = op._cache.get("imex")
     if cache is None:
-        cache = op._cache["imex"] = _FactorCache()
+        cache = op._cache["imex"] = _FactorCache(op)
     return cache
 
 
+class _SeriesSolver:
+    """Solves (M + dt A) x = b as x = sum_{j=0..k} (-dt M^-1 A)^j M^-1 b,
+    for theta = dt ||M^-1 A||_inf < 1: k is the least integer with
+    theta**(k+1) / (1 - theta) <= 2**-53, which bounds the series' tail
+    relative to M^-1 b in the max norm."""
+
+    def __init__(self, op: DiscreteOperator, dt: float, theta: float):
+        self.a, self.m, self.dt = op.a_free, op.mass_diag, dt
+        self.terms = 0
+        tail = theta / (1.0 - theta)
+        while tail > 2.0 ** -53:
+            tail *= theta
+            self.terms += 1
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        # non-finite entries of b spread through x, as they do through an
+        # LU solve, and warn no more than it does
+        with np.errstate(invalid="ignore", over="ignore"):
+            term = b / self.m
+            x = term.copy()
+            for _ in range(self.terms):
+                term = (self.a @ term) * -self.dt / self.m
+                x += term
+        return x
+
+
 def _imex_solver(op: DiscreteOperator, dt: float):
-    """LU factors of M + dt A, kept on the operator while the factors kept
-    there total at most _LU_CACHE_NNZ nonzeros."""
+    """A solver of M + dt A: the Neumann series of _SeriesSolver when
+    dt ||M^-1 A||_inf <= _SERIES_THETA, else its LU factors, kept on the
+    operator while the factors kept there total at most _LU_CACHE_NNZ
+    nonzeros."""
     cache = _factor_cache(op)
     dt = float(dt)
+    theta = dt * cache.norm
+    if theta <= _SERIES_THETA:
+        return _SeriesSolver(op, dt, theta)
     lu = cache.factors.get(dt)
     if lu is not None:
         cache.factors.move_to_end(dt)
@@ -161,7 +205,7 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     accepted time; running out of step size ends it with 'stalled'.  A
     completed run ends at T exactly.  Every step but a final one that lands
     on T is a rung dt_max * 2**-k (see StepControl), so runs on one
-    operator share their factorizations.
+    operator share their factorizations, and the smallest rungs need none.
 
     `observe(t, dt, U)`, when given, receives every accepted state, the
     initial one with t = dt = 0 included, and the trajectory keeps only the

@@ -378,13 +378,15 @@ def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "verdict.txt").exists()
 
 
-@pytest.mark.parametrize("mode", ["classify", "simulate"])
+@pytest.mark.parametrize("mode", ["classify", "simulate", "sweep"])
 @pytest.mark.parametrize("initial", [
     "kind = eigenvector\nindex = 100",
     "kind = expression\nexpression = x +",
 ], ids=["index-beyond-free-dofs", "expression-syntax"])
 def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, initial):
-    cfg = write(tmp_path, BASE.replace("n = 8", "n = 4") + f"\n[initial]\n{initial}\n")
+    one_cell = "[sweep]\np_values = 0\nq_values = 2\ncf_values = -1.0\nch_values = -1.0\n"
+    cfg = write(tmp_path, BASE.replace("n = 8", "n = 4")
+                + f"\n[initial]\n{initial}\n\n{one_cell}")
     out = tmp_path / "out"
     assert main([mode, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: initial.")

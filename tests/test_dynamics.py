@@ -528,7 +528,11 @@ def test_step_stats_count_the_run(case, monkeypatch):
     assert stats.rejected == stats.attempted - stats.accepted
     assert (stats.rejected > 0) == (case == "blowup")
     assert stats.dt_min == min(tried) and stats.dt_max == max(tried)
-    assert stats.factorizations == len(built) == len(set(tried))
+    # one LU factor per rung tried with dt * ||M^-1 A||_inf above 2**-8; the
+    # rungs below it are solved by a series, and only the blow-up reaches them
+    factored = {dt for dt in tried if dt * _inf_norm(op) > 2.0 ** -8}
+    assert stats.factorizations == len(built) == len(factored)
+    assert (len(factored) < len(set(tried))) == (case == "blowup")
     assert traj.stats.factorizations == 0
     assert traj.stats == dynamics.StepStats(
         attempted=stats.attempted, accepted=stats.accepted,
@@ -580,3 +584,90 @@ def test_lu_cache_evicts_the_least_recently_used_factor(monkeypatch):
     assert dynamics._imex_solver(op, 0.4) is alone
     assert list(op._cache["imex"].factors) == [0.4]
     assert len(built) == 5
+
+
+# -------------------------------------------- series solve of the blow-up tail
+def _inf_norm(op):
+    """||M^-1 A||_inf, the largest row sum of |A| over the mass."""
+    return (np.asarray(abs(op.a_free).sum(axis=1)).ravel() / op.mass_diag).max()
+
+
+def _dt_at(theta, norm):
+    """The largest dt with dt * norm <= theta in floating point."""
+    dt = theta / norm
+    while dt * norm > theta:
+        dt = np.nextafter(dt, 0.0)
+    return dt
+
+
+@pytest.mark.parametrize("build", ["op16", "koch"])
+def test_series_solve_matches_lu_on_tail_rungs(build):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from conftest import default_operator, koch_operator
+
+    from transmission import dynamics
+
+    op = {"op16": lambda: default_operator(16), "koch": koch_operator}[build]()
+    m, norm = op.mass_diag, _inf_norm(op)
+    rng = np.random.default_rng(5)
+    # near the top mode of M^-1 A the series terms shrink slowest
+    top = rng.standard_normal(op.n_free)
+    for _ in range(200):
+        top = op.a_free @ top / m
+        top /= np.abs(top).max()
+    for theta in (2.0 ** -8, 2.0 ** -10, 2.0 ** -16, 1e-6, 1e-9, 1e-12):
+        dt = _dt_at(theta, norm)
+        solver = dynamics._imex_solver(op, dt)
+        lu = spla.splu((op.a_free * dt + sp.diags(m)).tocsc())
+        for b in (rng.standard_normal(op.n_free), m * top):
+            ref = lu.solve(b)
+            assert np.abs(solver.solve(b) - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert dynamics._factor_cache(op).built == 0
+
+
+def test_series_threshold_decides_factoring(monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(8)   # fresh: nothing factorized yet
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    norm = _inf_norm(op)
+    at = _dt_at(2.0 ** -8, norm)
+    above = np.nextafter(at, 1.0)
+    while above * norm <= 2.0 ** -8:
+        above = np.nextafter(above, 1.0)
+    dynamics._imex_solver(op, at).solve(op.mass_diag)
+    assert built == []
+    dynamics._imex_solver(op, above).solve(op.mass_diag)
+    assert len(built) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_series_passes_non_finite_values_on(monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(8)   # fresh: nothing factorized yet
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    dt = _dt_at(2.0 ** -8, _inf_norm(op))
+    solver = dynamics._imex_solver(op, dt)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.ones(op.n_free)
+        b[op.n_free // 2] = bad
+        assert not np.isfinite(solver.solve(b)).all()
+    # u^3 overflows to inf: every step is rejected, down to a stall
+    traj = integrate(op, np.full(op.n_free, 1e120), CUBIC_SOURCE, ZERO, 1.0,
+                     StepControl(dt0=dt, dt_min=dt / 1000, dt_max=dt))
+    assert traj.outcome == "stalled" and traj.stats.accepted == 0
+    assert traj.stats.rejected == traj.stats.attempted == 10
+    assert built == []
