@@ -7,7 +7,7 @@ key can be overridden through the environment as TRANSMISSION_SECTION__KEY;
 the mode and the flags override run.mode, run.out, run.seed and run.jobs in
 the same way, over both.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 blow-up
-detected by a simulate run.
+detected by a simulate or pairs run.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .constants import compute_constants_report, save_constants
 from .diagnostics import (
     EnergyAccumulator,
     HolderModulus,
+    IncompleteRun,
     MoserRatio,
     SnapshotWriter,
     energy_inequality_residual,
@@ -377,8 +378,14 @@ def run_pairs(cfg: SimConfig, out: Path) -> int:
     pert = rng.standard_normal(op.n_free)
     pert /= op.pair_norm(pert)
     U0b = U0a + cfg.pairs.perturbation * pert
-    rep = squeezing_check(op, U0a, U0b, f, h, cfg.pairs.horizon,
-                          _step_control(cfg))
+    try:
+        rep = squeezing_check(op, U0a, U0b, f, h, cfg.pairs.horizon,
+                              _step_control(cfg))
+    except IncompleteRun as exc:
+        if exc.trajectory.outcome != "blowup":
+            raise  # a stalled run stays a numeric failure
+        print(outcome_line(exc.trajectory))
+        return EXIT_BLOWUP
     write_fields(out / "pairs.txt", {key: rep[key] for key in (
         "omega", "m_factor", "k_factor", "terminal_distance", "r2")})
     write_table(out / "pair_distance.csv", "t,dist2", rep["times"], rep["dist2"])

@@ -26,25 +26,22 @@ from .operators import (
 from .textio import text, write_fields
 
 
+def _smooth_fields(op: DiscreteOperator, count: int, seed: int) -> np.ndarray:
+    """(count, n_vertices) random low-frequency fields: the sum over k, l in
+    1..3 of c_kl sin(pi k x) cos(pi l y) / (k l), c_kl standard normal."""
+    x, y = op.mesh.vertices.T
+    wave = np.arange(1, 4)
+    sin_x = np.sin(np.pi * wave[:, None] * x)
+    cos_y = np.cos(np.pi * wave[:, None] * y)
+    coef = np.random.default_rng(seed).standard_normal((count, 3, 3))
+    coef /= np.outer(wave, wave)
+    return np.einsum("skl,kn,ln->sn", coef, sin_x, cos_y)
+
+
 def random_smooth_states(op: DiscreteOperator, count: int,
                          seed: int = 0) -> list[np.ndarray]:
-    """Low-frequency random fields (modes 1 to 4) restricted to free DOFs."""
-    rng = np.random.default_rng(seed)
-    # each sine factor is taken on the distinct abscissae and ordinates only
-    # (a grid mesh has n + 1 of each) and gathered to the vertices
-    xs, ix = np.unique(op.mesh.vertices[:, 0], return_inverse=True)
-    ys, iy = np.unique(op.mesh.vertices[:, 1], return_inverse=True)
-    out = []
-    for _ in range(count):
-        field_full = np.zeros(len(ix))
-        for k in range(1, 5):
-            for l in range(1, 5):
-                c = rng.standard_normal() / (k * l)
-                phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
-                field_full += (c * np.sin(np.pi * k * xs + phase_x)[ix]
-                               * np.sin(np.pi * l * ys + phase_y)[iy])
-        out.append(field_full[op.free_dofs])
-    return out
+    """The random smooth fields of the L1 Poincare search, on free DOFs."""
+    return list(_smooth_fields(op, count, seed)[:, op.free_dofs])
 
 
 def _l1_quotient(op: DiscreteOperator, u: np.ndarray) -> float:
@@ -110,15 +107,8 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
         rows = np.arange(len(areas))
         m_bulk = op.m_bulk.diagonal()
         mass = m_bulk.sum()
-        x = mesh.vertices[:, 0]
-        y = mesh.vertices[:, 1]
-        wave = np.arange(1, 4)
-        sin_x = np.sin(np.pi * wave[:, None] * x)
-        cos_y = np.cos(np.pi * wave[:, None] * y)
-        coef = np.random.default_rng(seed).standard_normal((n_starts, 3, 3))
-        coef /= np.outer(wave, wave)
-        seeds = [x, y]
-        seeds += list(np.einsum("skl,kn,ln->sn", coef, sin_x, cos_y))
+        seeds = [mesh.vertices[:, 0], mesh.vertices[:, 1]]
+        seeds += list(_smooth_fields(op, n_starts, seed))
         seeds += [op.embed(v) for v in spectrum(op, min(10, op.n_free)).eigenvectors.T]
         best, best_set = -1.0, None
         for u in seeds:
@@ -165,17 +155,32 @@ def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
     ||U||_X2^2 <= eps * form(U, U) + eps^-z ||U||_X1^2.
 
     Samples are random smooth fields plus the ten lowest eigenvectors.  The
-    search is a bisection on z (feasibility is monotone in z for eps < 1).
-    Returns the exponent, the worst sample index and its required factor;
-    the exponent is inf when even zeta_max fails.
+    least z is solved for in closed form (`_least_zeta`).  Returns the
+    exponent with its eps; the exponent is inf when even zeta_max fails.
     """
     return _zeta_table(op, (eps,), trials, seed, zeta_max)[0]
+
+
+def _least_zeta(x2: np.ndarray, aa: np.ndarray, x1sq: np.ndarray, eps: float,
+                zeta_max: float) -> float:
+    """Least z >= 0 with x2 <= (eps*aa + eps^-z * x1sq)(1 + 1e-12) + 1e-12 on
+    every sample; inf above zeta_max, and at eps = 1 where z has no say."""
+    if (x2 <= (eps * aa + x1sq) * (1.0 + 1e-12) + 1e-12).all():
+        return 0.0
+    if eps == 1.0:
+        return math.inf
+    # a sample short by need > 0 asks eps^-z >= need / x1sq, inf at x1sq = 0
+    need = (x2 - 1e-12) / (1.0 + 1e-12) - eps * aa
+    short = need > 0.0
+    with np.errstate(divide="ignore"):
+        z = np.log(need[short] / x1sq[short]).max(initial=0.0) / -math.log(eps)
+    return float(z) if z <= zeta_max else math.inf
 
 
 def _zeta_table(op: DiscreteOperator, eps_values: tuple[float, ...],
                 trials: int, seed: int, zeta_max: float = 64.0) -> list[dict]:
     """interpolation_zeta at each of eps_values on one draw of samples: only
-    the feasibility test depends on eps."""
+    the least-z solve depends on eps."""
     for eps in eps_values:
         if not (0.0 < eps <= 1.0):
             raise ValueError(f"eps={eps} outside (0, 1]")
@@ -185,30 +190,8 @@ def _zeta_table(op: DiscreteOperator, eps_values: tuple[float, ...],
     x2 = np.array([op.pair_norm2(u) for u in samples])
     aa = np.array([quadratic_form(op, u) for u in samples])
     x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])
-
-    def feasible(eps: float, z: float) -> bool:
-        rhs = eps * aa + eps ** (-z) * x1sq
-        return bool((x2 <= rhs * (1.0 + 1e-12) + 1e-12).all())
-
-    table = []
-    for eps in eps_values:
-        deficit = x2 - eps * aa
-        worst = int(np.argmax(deficit / np.maximum(x1sq, 1e-300)))
-        if feasible(eps, 0.0):
-            zeta = 0.0
-        elif not feasible(eps, zeta_max):
-            zeta = math.inf
-        else:
-            lo, hi = 0.0, zeta_max
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if feasible(eps, mid):
-                    hi = mid
-                else:
-                    lo = mid
-            zeta = hi
-        table.append({"zeta": zeta, "worst_sample": worst, "eps": eps})
-    return table
+    return [{"zeta": _least_zeta(x2, aa, x1sq, eps, zeta_max), "eps": eps}
+            for eps in eps_values]
 
 
 @dataclass

@@ -221,11 +221,20 @@ def absorbing_ball_check(trajectories: list[Trajectory], op: DiscreteOperator,
     }
 
 
+class IncompleteRun(ValueError):
+    """A run of a pair ended before the horizon; `trajectory` is that run."""
+
+    def __init__(self, trajectory: Trajectory):
+        super().__init__("squeezing fit refuses non-completed trajectories")
+        self.trajectory = trajectory
+
+
 def squeezing_check(op: DiscreteOperator, U0a: np.ndarray, U0b: np.ndarray,
                     f: Nonlinearity, h: Nonlinearity, T: float,
                     ctrl: StepControl | None = None) -> dict:
     """Run the pair and fit the squared-distance decay envelope
-    dist2(t) <= M exp(-omega t) dist2(0) + K int_0^t dist2."""
+    dist2(t) <= M exp(-omega t) dist2(0) + K int_0^t dist2.  Raises
+    IncompleteRun on the first run that blows up or stalls."""
     ctrl = ctrl or StepControl(dt0=1e-3, dt_max=0.02)
     # the two runs may adapt differently; each is sampled on a shared grid
     grid = np.linspace(0.0, T, 200)
@@ -235,7 +244,7 @@ def squeezing_check(op: DiscreteOperator, U0a: np.ndarray, U0b: np.ndarray,
         traj = integrate(op, U0, f, h, T, ctrl,
                          observe=GridSampler(grid, sampled.append))
         if traj.outcome != "completed":
-            raise ValueError("squeezing fit refuses non-completed trajectories")
+            raise IncompleteRun(traj)
         samples.append(sampled)
     d2 = np.array([op.pair_norm2(ua - ub) for ua, ub in zip(*samples)])
     if d2.max() == 0.0:

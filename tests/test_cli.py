@@ -4,6 +4,7 @@ import pytest
 from transmission.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     build_problem,
     initial_state,
@@ -333,6 +334,26 @@ def test_pairs_outputs_read_back_as_floats(tmp_path):
     assert rows[0] == "t,dist2" and len(rows) == 201
     for row in rows[1:]:
         assert len([float(cell) for cell in row.split(",")]) == 2
+
+
+def test_pairs_blowup_exit_code(tmp_path, capsys):
+    from pathlib import Path
+
+    cfg = Path(__file__).parent.parent / "configs" / "blowup.ini"
+    out = tmp_path / "out"
+    assert main(["pairs", "--config", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("OUTCOME,BlowUp,")
+    assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+
+
+def test_pairs_stall_is_numeric_failure(tmp_path, capsys):
+    # the blow-up run stalls once its step must fall below dt_min
+    cfg = write(tmp_path, BLOWUP.replace("[time]", "[time]\ndt_min = 1e-4"))
+    out = tmp_path / "out"
+    assert main(["pairs", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert "refuses non-completed" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["run.log"]
 
 
 def test_initial_state_expression_and_eigenvector(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from transmission.assembly import BetaCoefficient, DiffusionTensor, KernelSpec, build_operator
 from transmission.constants import (
     _l1_quotient,
+    _least_zeta,
+    _smooth_fields,
     best_embedding_constant,
     compute_constants_report,
     interpolation_zeta,
@@ -169,33 +171,85 @@ def test_smooth_states_shape_and_determinism(op16):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def _smooth_states_loop(op, count, seed):
-    # the reference: every sine product taken on all vertices
-    rng = np.random.default_rng(seed)
+def _l1_seed_fields(op, n_starts, seed):
+    # the reference: the random seed fields as the L1 search built them inline
     x = op.mesh.vertices[:, 0]
     y = op.mesh.vertices[:, 1]
-    out = []
-    for _ in range(count):
-        field_full = np.zeros(len(x))
-        for k in range(1, 5):
-            for l in range(1, 5):
-                c = rng.standard_normal() / (k * l)
-                phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
-                field_full += c * np.sin(np.pi * k * x + phase_x) * np.sin(np.pi * l * y + phase_y)
-        out.append(field_full[op.free_dofs])
-    return out
+    wave = np.arange(1, 4)
+    sin_x = np.sin(np.pi * wave[:, None] * x)
+    cos_y = np.cos(np.pi * wave[:, None] * y)
+    coef = np.random.default_rng(seed).standard_normal((n_starts, 3, 3))
+    coef /= np.outer(wave, wave)
+    return np.einsum("skl,kn,ln->sn", coef, sin_x, cos_y)
 
 
 @pytest.mark.parametrize("build", ["op32", "koch"])
-def test_smooth_states_match_the_vertex_loop(build, request):
+def test_smooth_states_are_the_l1_search_fields(build, request):
     from conftest import koch_operator
 
     op = koch_operator() if build == "koch" else request.getfixturevalue(build)
     # same draws in the same order and the same products: equal bit for bit
+    fields = _smooth_fields(op, 5, seed=3)
+    assert np.array_equal(fields, _l1_seed_fields(op, 5, 3))
     got = random_smooth_states(op, 5, seed=3)
-    want = _smooth_states_loop(op, 5, seed=3)
-    assert len(got) == len(want) == 5
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(got) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(got, fields[:, op.free_dofs]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_poincare_l1_is_the_level_set_of_x(n):
+    from conftest import default_operator
+
+    l1 = poincare_mean_sigma(default_operator(n), "L1_empirical", n_starts=20)
+    assert l1 == pytest.approx(0.5 - 1.0 / (2 * n * n), abs=1e-12)
+
+
+def _bisected_zeta(x2, aa, x1sq, eps, zeta_max):
+    # the reference: a 60-step bisection of the feasibility test on z
+    def feasible(z):
+        rhs = eps * aa + eps ** (-z) * x1sq
+        return bool((x2 <= rhs * (1.0 + 1e-12) + 1e-12).all())
+
+    if feasible(0.0):
+        return 0.0
+    if not feasible(zeta_max):
+        return math.inf
+    lo, hi = 0.0, zeta_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# (x2, aa, x1sq) per sample; the 3e-12 sample needs the 1e-12 slack to come
+# out at log2(20), the all-zero sample (x1sq = 0) must not read as short, and
+# the large form moves z by 7e-10 through the 1 + 1e-12 factor
+@pytest.mark.parametrize("x2, aa, x1sq, eps, kind", [
+    ([1.0, 2.0], [1.0, 1.0], [1.0, 2.0], 0.5, "zero"),
+    ([4.0, 1.0], [1.0, 1.0], [1.0, 1.0], 0.5, "finite"),
+    ([4.0, 3e-12, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-13, 0.0], 0.5, "finite"),
+    ([4.0, 3e-12, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-13, 0.0], 0.125, "finite"),
+    ([1e3 + 2.0], [2e3], [1.0], 0.5, "finite"),
+    ([1e30, 1.0], [0.0, 1.0], [1.0, 1.0], 0.5, "inf"),
+    ([3.0], [1.0], [1.0], 1.0, "inf"),
+    ([2.0], [1.0], [1.0], 1.0, "zero"),
+    ([4.0, 2.0], [1.0, 0.0], [1.0, 0.0], 0.5, "inf"),
+], ids=["zero", "finite", "slack", "slack-small-eps", "large-form",
+        "above-zeta-max", "eps-one", "eps-one-feasible", "x1-zero"])
+def test_least_zeta_matches_bisection(x2, aa, x1sq, eps, kind):
+    x2, aa, x1sq = (np.array(v) for v in (x2, aa, x1sq))
+    got = _least_zeta(x2, aa, x1sq, eps, 64.0)
+    want = _bisected_zeta(x2, aa, x1sq, eps, 64.0)
+
+    def kind_of(z):
+        return "zero" if z == 0.0 else "inf" if math.isinf(z) else "finite"
+
+    assert kind_of(got) == kind_of(want) == kind
+    if kind == "finite":
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_report_construction_and_round_trip(op16, tmp_path):
