@@ -6,8 +6,9 @@ Modes: simulate, spectrum, constants, classify, sweep, pairs.  Any config
 key can be overridden through the environment as TRANSMISSION_SECTION__KEY;
 the mode and the flags override run.mode, run.out, run.seed and run.jobs in
 the same way, over both.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 blow-up
-detected by a simulate or pairs run.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (a stalled
+simulate or pairs run among them), 4 blow-up detected by a simulate or pairs
+run.
 """
 
 from __future__ import annotations
@@ -244,17 +245,17 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
                      observe=observe_all(*observers))
     report = energy.report()
-    export_trajectory_csv(traj, op, f, h, out / "trajectory.csv", report=report)
-    _write_fit_summaries(traj, op, f, h, report, holder, moser,
-                         out / "diagnostics.txt")
+    export_trajectory_csv(traj, report, out / "trajectory.csv")
+    _write_fit_summaries(traj, report, holder, moser, out / "diagnostics.txt")
     print(outcome_line(traj))
-    return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
+    # a stalled run is a numeric failure, as it is in pairs
+    return {"blowup": EXIT_BLOWUP, "stalled": EXIT_NUMERIC}.get(traj.outcome, EXIT_OK)
 
 
-def _write_fit_summaries(traj, op, f, h, report, holder, moser, path) -> None:
+def _write_fit_summaries(traj, report, holder, moser, path) -> None:
     """diagnostics.txt of a run: its energy report and the HolderModulus and
     MoserRatio that observed it."""
-    res = energy_inequality_residual(traj, op, f, h, report=report)
+    res = energy_inequality_residual(report)
     fields = {"outcome": traj.outcome, "outcome_time": traj.outcome_time,
               "energy_inequality_max_residual": res["max_residual"],
               "e0": res["e0"]}

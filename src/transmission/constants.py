@@ -38,12 +38,6 @@ def _smooth_fields(op: DiscreteOperator, count: int, seed: int) -> np.ndarray:
     return np.einsum("skl,kn,ln->sn", coef, sin_x, cos_y)
 
 
-def random_smooth_states(op: DiscreteOperator, count: int,
-                         seed: int = 0) -> list[np.ndarray]:
-    """The random smooth fields of the L1 Poincare search, on free DOFs."""
-    return list(_smooth_fields(op, count, seed)[:, op.free_dofs])
-
-
 def _l1_quotient(op: DiscreteOperator, u: np.ndarray) -> float:
     """L1 quotient ||u - interface_mean(u)||_1 / ||grad u||_1 of a field on
     all vertices (unit diffusivity, no boundary constraints)."""
@@ -149,16 +143,28 @@ def best_embedding_constant(op: DiscreteOperator, eps: float) -> float:
     return float(vals[0])
 
 
-def interpolation_zeta(op: DiscreteOperator, eps: float, trials: int = 20,
-                       seed: int = 0, zeta_max: float = 64.0) -> dict:
-    """Smallest exponent z such that, on all sampled states,
+def interpolation_zeta(op: DiscreteOperator, eps_values: tuple[float, ...],
+                       trials: int = 20, seed: int = 0,
+                       zeta_max: float = 64.0) -> list[tuple[float, float]]:
+    """[(eps, z)] for each of eps_values, z the smallest exponent such that,
+    on all sampled states,
     ||U||_X2^2 <= eps * form(U, U) + eps^-z ||U||_X1^2.
 
-    Samples are random smooth fields plus the ten lowest eigenvectors.  The
-    least z is solved for in closed form (`_least_zeta`).  Returns the
-    exponent with its eps; the exponent is inf when even zeta_max fails.
+    The samples, `trials` random smooth fields (those of the L1 Poincare
+    search) on free DOFs plus the ten lowest eigenvectors, are drawn once
+    for every eps.  The least z is solved for in closed form (`_least_zeta`);
+    it is inf when even zeta_max fails.
     """
-    return _zeta_table(op, (eps,), trials, seed, zeta_max)[0]
+    for eps in eps_values:
+        if not (0.0 < eps <= 1.0):
+            raise ValueError(f"eps={eps} outside (0, 1]")
+    samples = list(_smooth_fields(op, trials, seed)[:, op.free_dofs])
+    samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
+
+    x2 = np.array([op.pair_norm2(u) for u in samples])
+    aa = np.array([quadratic_form(op, u) for u in samples])
+    x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])
+    return [(eps, _least_zeta(x2, aa, x1sq, eps, zeta_max)) for eps in eps_values]
 
 
 def _least_zeta(x2: np.ndarray, aa: np.ndarray, x1sq: np.ndarray, eps: float,
@@ -175,23 +181,6 @@ def _least_zeta(x2: np.ndarray, aa: np.ndarray, x1sq: np.ndarray, eps: float,
     with np.errstate(divide="ignore"):
         z = np.log(need[short] / x1sq[short]).max(initial=0.0) / -math.log(eps)
     return float(z) if z <= zeta_max else math.inf
-
-
-def _zeta_table(op: DiscreteOperator, eps_values: tuple[float, ...],
-                trials: int, seed: int, zeta_max: float = 64.0) -> list[dict]:
-    """interpolation_zeta at each of eps_values on one draw of samples: only
-    the least-z solve depends on eps."""
-    for eps in eps_values:
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps={eps} outside (0, 1]")
-    samples = random_smooth_states(op, trials, seed=seed)
-    samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
-
-    x2 = np.array([op.pair_norm2(u) for u in samples])
-    aa = np.array([quadratic_form(op, u) for u in samples])
-    x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])
-    return [{"zeta": _least_zeta(x2, aa, x1sq, eps, zeta_max), "eps": eps}
-            for eps in eps_values]
 
 
 @dataclass
@@ -237,8 +226,7 @@ def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
                                               n_starts=l1_starts, seed=seed),
         c_bar=best_embedding_constant(op, eps),
         c_bar_eps=eps,
-        zeta_table=[(z["eps"], z["zeta"])
-                    for z in _zeta_table(op, (0.125, 0.25, 0.5), 20, seed)],
+        zeta_table=interpolation_zeta(op, (0.125, 0.25, 0.5), seed=seed),
         safety_factor=safety_factor,
         total_mass=op.measure.total_mass,
         domain_area=op.mesh.domain_area,

@@ -7,8 +7,7 @@ squeezing fits, Hoelder-in-time modulus and sup-vs-L2 domination ratios.
 The per-state quantities are streaming observers of `integrate`
 (`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `MoserRatio`,
 `SnapshotWriter`): a run passes them as its observer and keeps no states.
-The functions that take a stored `Trajectory` feed its states through the
-same observers.
+`replay` feeds the states of a stored `Trajectory` to the same observers.
 """
 
 from __future__ import annotations
@@ -65,11 +64,6 @@ class EnergyReport:
     form_term: np.ndarray
     bulk_primitive: np.ndarray
     iface_primitive: np.ndarray
-
-    @property
-    def e1(self) -> np.ndarray:
-        """Squared pair norm along the trajectory (twice G)."""
-        return 2.0 * self.G
 
 
 class EnergyAccumulator:
@@ -132,20 +126,16 @@ def compute_energy_report(traj: Trajectory, op: DiscreteOperator,
     return acc.report()
 
 
-def energy_inequality_residual(traj: Trajectory, op: DiscreteOperator,
-                               f: Nonlinearity, h: Nonlinearity,
-                               report: EnergyReport | None = None) -> dict:
-    """max_n [E(t_n) + D(t_n) - E(0)]; nonpositive for the continuous flow,
-    O(dt) positive at worst for the discrete one.  `report`, when given, is
-    compute_energy_report(traj, op, f, h) computed by the caller."""
-    rep = report if report is not None else compute_energy_report(traj, op, f, h)
-    residuals = rep.E + rep.dissipation - rep.E[0]
+def energy_inequality_residual(report: EnergyReport) -> dict:
+    """max_n [E(t_n) + D(t_n) - E(0)] of a run's energy report; nonpositive
+    for the continuous flow, O(dt) positive at worst for the discrete one."""
+    residuals = report.E + report.dissipation - report.E[0]
     k = int(np.argmax(residuals))
     return {
         "max_residual": float(residuals[k]),
-        "argmax_time": float(rep.times[k]),
+        "argmax_time": float(report.times[k]),
         "residuals": residuals,
-        "e0": float(rep.E[0]),
+        "e0": float(report.E[0]),
     }
 
 
@@ -231,11 +221,10 @@ class IncompleteRun(ValueError):
 
 def squeezing_check(op: DiscreteOperator, U0a: np.ndarray, U0b: np.ndarray,
                     f: Nonlinearity, h: Nonlinearity, T: float,
-                    ctrl: StepControl | None = None) -> dict:
+                    ctrl: StepControl) -> dict:
     """Run the pair and fit the squared-distance decay envelope
     dist2(t) <= M exp(-omega t) dist2(0) + K int_0^t dist2.  Raises
     IncompleteRun on the first run that blows up or stalls."""
-    ctrl = ctrl or StepControl(dt0=1e-3, dt_max=0.02)
     # the two runs may adapt differently; each is sampled on a shared grid
     grid = np.linspace(0.0, T, 200)
     samples = []
@@ -342,14 +331,6 @@ class HolderModulus:
         }
 
 
-def holder_time_modulus(traj: Trajectory, t_lo: float | None = None,
-                        n_scales: int = 6) -> dict:
-    """HolderModulus of a stored trajectory over [t_lo, its last time]."""
-    acc = HolderModulus(traj.times[-1], t_lo, n_scales)
-    replay(traj, acc)
-    return acc.result()
-
-
 class MoserRatio:
     """Observer of the ratio sup_t ||U||_inf / max(C_inf, sup_t ||U||_pair)
     over the window (every state if None), with C_inf = max(1, ||U(0)||_inf)."""
@@ -373,14 +354,6 @@ class MoserRatio:
         if self.sup == -np.inf:
             raise ValueError("empty trajectory window")
         return self.sup / max(self.c_inf, self.l2)
-
-
-def moser_domination_check(traj: Trajectory, op: DiscreteOperator,
-                           window: tuple[float, float] | None = None) -> float:
-    """MoserRatio of a stored trajectory."""
-    acc = MoserRatio(op, window)
-    replay(traj, acc)
-    return acc.result()
 
 
 class SnapshotWriter:
@@ -412,17 +385,9 @@ def outcome_line(traj: Trajectory) -> str:
     return f"OUTCOME,{OUTCOME_LABELS[traj.outcome]},{text(traj.outcome_time)}"
 
 
-def export_trajectory_csv(traj: Trajectory, op: DiscreteOperator,
-                          f: Nonlinearity, h: Nonlinearity, path,
-                          snapshot_stride: int = 0, snapshot_dir=None,
-                          report: EnergyReport | None = None) -> None:
-    """Trajectory CSV with energy columns and a final OUTCOME line; optional
-    field snapshots every snapshot_stride steps as node-value CSVs.
-    `report`, when given, is compute_energy_report(traj, op, f, h) computed
-    by the caller."""
-    rep = report if report is not None else compute_energy_report(traj, op, f, h)
+def export_trajectory_csv(traj: Trajectory, report: EnergyReport, path) -> None:
+    """Trajectory CSV of a run and its energy report, with a final OUTCOME
+    line."""
     write_table(path, "t,dt,sup_norm,l2_norm,E,G,dissipation_integral",
-                traj.times, traj.dts, rep.sup_norm, np.sqrt(2.0 * rep.G),
-                rep.E, rep.G, rep.dissipation, last=outcome_line(traj))
-    if snapshot_stride > 0 and snapshot_dir is not None:
-        replay(traj, SnapshotWriter(op, snapshot_stride, snapshot_dir))
+                traj.times, traj.dts, report.sup_norm, np.sqrt(2.0 * report.G),
+                report.E, report.G, report.dissipation, last=outcome_line(traj))

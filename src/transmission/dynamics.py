@@ -27,12 +27,17 @@ from .operators import NumericError, SpectralData, fit_line, semigroup_apply
 from .poly import Nonlinearity
 
 
+# growth of integrate's target step (see StepControl)
+_GROW_FACTOR = 1.2
+_GROW_AFTER = 5
+
+
 @dataclass(frozen=True)
 class StepControl:
     """Adaptive step-size policy and blow-up detection thresholds.
 
-    `integrate` keeps a target step: dt0 at first, times grow_factor after
-    grow_after accepted steps in a row (at most dt_max), halved on a reject,
+    `integrate` keeps a target step: dt0 at first, times _GROW_FACTOR after
+    _GROW_AFTER accepted steps in a row (at most dt_max), halved on a reject,
     and the run stalls once it falls below dt_min.  Each step is taken at
     the largest rung dt_max * 2**-k (k >= 0 an integer) not above the
     target, so the first step is the largest rung not above dt0; only a
@@ -46,8 +51,6 @@ class StepControl:
     dt_max: float = 0.1
     growth_cap: float = 1.5
     blow_up_threshold: float = 1e8
-    grow_factor: float = 1.2
-    grow_after: int = 5
 
     def __post_init__(self):
         if self.dt_min >= self.dt0:
@@ -268,8 +271,8 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
             outcome, outcome_time = "blowup", t
             break
         accepted_in_row += 1
-        if accepted_in_row >= ctrl.grow_after:
-            dt = min(dt * ctrl.grow_factor, ctrl.dt_max)
+        if accepted_in_row >= _GROW_AFTER:
+            dt = min(dt * _GROW_FACTOR, ctrl.dt_max)
             accepted_in_row = 0
     accepted = len(times) - 1
     stats = StepStats(attempted=attempted, accepted=accepted,

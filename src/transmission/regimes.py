@@ -23,6 +23,7 @@ from .brent import minimize_scalar
 from .constants import ConstantsReport
 from .operators import fit_line
 from .poly import Nonlinearity, PolyFunc
+from .textio import write_fields
 
 
 def alpha_defects(f: Nonlinearity, h: Nonlinearity, alpha: float) -> tuple[PolyFunc, PolyFunc]:
@@ -49,30 +50,24 @@ def _scan_grid() -> np.ndarray:
     return grid
 
 
-def _refined_sup(fun, vals: np.ndarray | None = None) -> tuple[float, float]:
-    """(sup of fun over [-1e3, 1e3], argmax): local bounded refinement around
-    the five largest of its values on _scan_grid() (vals, when the caller
-    has them)."""
+def _refined_sup(fun, vals: np.ndarray | None = None) -> float:
+    """Sup of fun over [-1e3, 1e3]: local bounded refinement around the five
+    largest of its values on _scan_grid() (vals, when the caller has them)."""
     grid = _scan_grid()
     if vals is None:
         vals = fun(grid)
-    order = np.argsort(vals)[::-1][:5]
-    best_val, best_tau = -math.inf, 0.0
-    for k in order:
+    best = -math.inf
+    for k in np.argsort(vals)[::-1][:5]:
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, len(grid) - 1)]
-        if lo == hi:
-            cand_val, cand_tau = float(vals[k]), float(grid[k])
-        else:
+        cand = float(vals[k])
+        if lo != hi:
             res = minimize_scalar(lambda t: -fun(np.array(t)),
                                   bounds=(lo, hi), method="bounded",
                                   options={"xatol": 1e-12})
-            cand_val, cand_tau = float(-res.fun), float(res.x)
-            if vals[k] > cand_val:
-                cand_val, cand_tau = float(vals[k]), float(grid[k])
-        if cand_val > best_val:
-            best_val, best_tau = cand_val, cand_tau
-    return best_val, best_tau
+            cand = max(float(-res.fun), cand)
+        best = max(best, cand)
+    return best
 
 
 # ------------------------------------------------- certified inequalities
@@ -201,13 +196,11 @@ def check_dissipative(f: Nonlinearity, h: Nonlinearity,
     lhs = _dissipative_lhs(f, h, rho, constants.c_star, eps)
     deg, coeff = lhs.leading()
     if deg > 2.0 + 1e-12 and coeff > 0.0:
-        _, witness = _refined_sup(lambda t: lhs(t) / (t * t + 1.0))
-        return {"success": False, "witness_tau": witness,
+        return {"success": False,
                 "reason": f"reaction grows like |tau|^{deg:.3g} with positive "
                           "coefficient: no quadratic absorption"}
     lam_star = max(0.0, lhs.coeff_at(2.0)) if abs(deg - 2.0) <= 1e-12 else 0.0
-    sup_val, _ = _refined_sup(lambda t: lhs(t) - lam_star * t * t)
-    c_fh = max(0.0, sup_val) * (1.0 + 1e-9)
+    c_fh = max(0.0, _refined_sup(lambda t: lhs(t) - lam_star * t * t)) * (1.0 + 1e-9)
     return {
         "success": bool(lam_star < constants.c_bar),
         "lambda_star": lam_star,
@@ -254,8 +247,8 @@ class _QuadraticGap:
             c1, lhs = self.c1[i], self.lhs
             grid = _scan_grid()
             # the grid values are fun(grid), bit for bit
-            sup_val, _ = _refined_sup(lambda t: c1 * t * t - lhs(t),
-                                      (c1 * grid) * grid - self._lhs_grid)
+            sup_val = _refined_sup(lambda t: c1 * t * t - lhs(t),
+                                   (c1 * grid) * grid - self._lhs_grid)
             self._refined[i] = max(0.0, sup_val) * (1.0 + 1e-9)
         return self._refined[i]
 
@@ -537,21 +530,17 @@ def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
 
 
 # -------------------------------------------------------------- serialization
-def verdict_to_lines(v: RegimeVerdict) -> list[str]:
-    lines = [
-        f"verdict={v.verdict}",
-        f"rule={v.rule}",
-        f"threshold_value={v.threshold_value!r}",
-        f"lhs_value={v.lhs_value!r}",
-        f"e0={v.e0!r}",
-        f"conflict={int(v.conflict)}",
-        f"notes={v.notes}",
-    ]
-    for key in sorted(v.certificate):
-        lines.append(f"cert.{key}={v.certificate[key]!r}")
-    return lines
+def verdict_fields(v: RegimeVerdict) -> dict:
+    """The key=value entries of verdict.txt; numbers and certificate values
+    as repr text, so that strings stay quoted."""
+    fields = {"verdict": v.verdict, "rule": v.rule,
+              "threshold_value": repr(v.threshold_value),
+              "lhs_value": repr(v.lhs_value), "e0": repr(v.e0),
+              "conflict": int(v.conflict), "notes": v.notes}
+    fields.update((f"cert.{key}", repr(v.certificate[key]))
+                  for key in sorted(v.certificate))
+    return fields
 
 
 def save_verdict(v: RegimeVerdict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(verdict_to_lines(v)) + "\n")
+    write_fields(path, verdict_fields(v))

@@ -16,6 +16,7 @@ from transmission.constants import (
 )
 from transmission.diagnostics import (
     absorbing_ball_check,
+    compute_energy_report,
     energy_inequality_residual,
     fit_exponential_decay,
     squeezing_check,
@@ -30,7 +31,7 @@ from transmission.dynamics import (
 from transmission.geometry import InterfaceMeasure
 from transmission.operators import markov_check, semigroup_apply, spectrum
 from transmission.poly import Nonlinearity
-from transmission.regimes import classify, replay_certificate, verdict_to_lines
+from transmission.regimes import classify, replay_certificate, verdict_fields
 
 CUBIC_SINK = Nonlinearity.power(1.0, 2.0)
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)
@@ -108,7 +109,7 @@ def test_criterion_05_energy_inequality(op32, rng):
     for dt in (1e-3, 5e-4):
         ctrl = StepControl(dt0=dt, dt_min=dt * 1e-9, dt_max=dt, growth_cap=1e9)
         traj = integrate(op32, U0, f, h, 0.25, ctrl)
-        res = energy_inequality_residual(traj, op32, f, h)
+        res = energy_inequality_residual(compute_energy_report(traj, op32, f, h))
         maxima.append(max(res["max_residual"], 0.0))
         e0 = res["e0"]
     tol = 1e-6 * (1 + abs(e0))
@@ -218,12 +219,11 @@ def test_criterion_10_constants_self_consistency(op16, op32):
     zeta_ok = True
     prev = -1.0
     for eps in (0.9, 0.7, 0.5, 0.3, 0.1):
-        res = interpolation_zeta(op16, eps, trials=10, seed=0)
-        z = res["zeta"]
+        [(_, z)] = interpolation_zeta(op16, (eps,), trials=10, seed=0)
         # feasibility is monotone: the found exponent plus one must verify
-        recheck = interpolation_zeta(op16, eps, trials=10, seed=0,
-                                     zeta_max=max(z + 1.0, 1.0))
-        zeta_ok &= np.isfinite(z) and recheck["zeta"] <= z + 1e-9
+        [(_, recheck)] = interpolation_zeta(op16, (eps,), trials=10, seed=0,
+                                            zeta_max=max(z + 1.0, 1.0))
+        zeta_ok &= np.isfinite(z) and recheck <= z + 1e-9
         zeta_ok &= z >= prev - 1e-9 or True   # table logged; no hard ordering
         prev = z
     ok = monotone_ok and poincare_ok and zeta_ok
@@ -244,7 +244,7 @@ def test_criterion_11_certificate_replay_and_determinism(op16, spec16, constants
     for f, h, U0, alpha in cases:
         v1 = classify(f, h, op16, constants16, U0, lam1=lam1_16, alpha=alpha)
         v2 = classify(f, h, op16, constants16, U0, lam1=lam1_16, alpha=alpha)
-        deterministic &= verdict_to_lines(v1) == verdict_to_lines(v2)
+        deterministic &= verdict_fields(v1) == verdict_fields(v2)
         worst = max(worst, replay_certificate(v1, f, h, constants16,
                                               n_samples=10_000, seed=11))
     from transmission.cli import main

@@ -356,6 +356,18 @@ def test_pairs_stall_is_numeric_failure(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["run.log"]
 
 
+def test_simulate_stall_is_numeric_failure(tmp_path, capsys):
+    # the run of test_pairs_stall_is_numeric_failure, alone: it prints its
+    # OUTCOME line and writes its files, then exits 3 as the pair does
+    cfg = write(tmp_path, BLOWUP.replace("[time]", "[time]\ndt_min = 1e-4"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("OUTCOME,StalledStep,")
+    assert (out / "trajectory.csv").read_text().splitlines()[-1] == lines[0]
+    assert (out / "diagnostics.txt").read_text().startswith("outcome=stalled\n")
+
+
 def test_initial_state_expression_and_eigenvector(tmp_path):
     cfg = parse_config_text(BASE)
     _, _, op, _, _ = build_problem(cfg)

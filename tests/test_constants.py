@@ -13,7 +13,6 @@ from transmission.constants import (
     interpolation_zeta,
     load_constants,
     poincare_mean_sigma,
-    random_smooth_states,
     save_constants,
 )
 from transmission.geometry import Segment, build_interface_measure, build_square_mesh
@@ -132,43 +131,46 @@ def test_embedding_constant_is_min_quotient(op16, rng):
         assert quot >= c_bar - 1e-8
 
 
+def _zeta(op, eps, **kwargs):
+    """The exponent of interpolation_zeta's one-entry table at eps."""
+    [(eps_out, z)] = interpolation_zeta(op, (eps,), **kwargs)
+    assert eps_out == eps
+    return z
+
+
 def test_zeta_at_eps_one_reduces_to_norm_check(op16):
-    res = interpolation_zeta(op16, 1.0, trials=8, seed=0)
     # the exponent is irrelevant at eps = 1; feasibility alone decides
-    assert res["zeta"] in (0.0, math.inf)
+    assert _zeta(op16, 1.0, trials=8, seed=0) in (0.0, math.inf)
 
 
 def test_zeta_zero_when_form_dominates(op16):
-    res = interpolation_zeta(op16, 0.9, trials=8, seed=0)
-    assert res["zeta"] == 0.0
+    assert _zeta(op16, 0.9, trials=8, seed=0) == 0.0
 
 
 def test_zeta_never_decreases_when_eps_halves(op16):
     prev = -1.0
     for eps in (0.8, 0.4, 0.2, 0.1):
-        z = interpolation_zeta(op16, eps, trials=8, seed=0)["zeta"]
+        z = _zeta(op16, eps, trials=8, seed=0)
         assert z >= prev - 1e-9
         prev = z
 
 
 def test_zeta_feasibility_monotone(op16):
-    res = interpolation_zeta(op16, 0.25, trials=8, seed=0)
-    z = res["zeta"]
-    again = interpolation_zeta(op16, 0.25, trials=8, seed=0, zeta_max=z + 1.0)
-    assert again["zeta"] <= z + 1e-9
+    z = _zeta(op16, 0.25, trials=8, seed=0)
+    again = _zeta(op16, 0.25, trials=8, seed=0, zeta_max=z + 1.0)
+    assert again <= z + 1e-9
 
 
 def test_zeta_eps_range(op16):
     with pytest.raises(ValueError):
-        interpolation_zeta(op16, 1.5)
+        interpolation_zeta(op16, (0.5, 1.5))
 
 
 def test_smooth_states_shape_and_determinism(op16):
-    a = random_smooth_states(op16, 3, seed=5)
-    b = random_smooth_states(op16, 3, seed=5)
-    assert len(a) == 3
-    assert all(u.shape == (op16.n_free,) for u in a)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    a = _smooth_fields(op16, 3, seed=5)
+    b = _smooth_fields(op16, 3, seed=5)
+    assert a.shape == (3, len(op16.mesh.vertices))
+    assert np.array_equal(a, b)
 
 
 def _l1_seed_fields(op, n_starts, seed):
@@ -189,11 +191,7 @@ def test_smooth_states_are_the_l1_search_fields(build, request):
 
     op = koch_operator() if build == "koch" else request.getfixturevalue(build)
     # same draws in the same order and the same products: equal bit for bit
-    fields = _smooth_fields(op, 5, seed=3)
-    assert np.array_equal(fields, _l1_seed_fields(op, 5, 3))
-    got = random_smooth_states(op, 5, seed=3)
-    assert len(got) == 5
-    assert all(np.array_equal(a, b) for a, b in zip(got, fields[:, op.free_dofs]))
+    assert np.array_equal(_smooth_fields(op, 5, seed=3), _l1_seed_fields(op, 5, 3))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -325,17 +323,18 @@ def test_report_draws_zeta_samples_once(op16, monkeypatch):
     import transmission.constants as constants
 
     draws = []
-    draw = constants.random_smooth_states
+    draw = constants._smooth_fields
 
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return draw(*args, **kwargs)
+    def counted(op, count, seed):
+        draws.append((count, seed))
+        return draw(op, count, seed)
 
-    monkeypatch.setattr(constants, "random_smooth_states", counted)
-    report = compute_constants_report(op16, l1_starts=2)
-    assert len(draws) == 1
+    monkeypatch.setattr(constants, "_smooth_fields", counted)
+    report = compute_constants_report(op16, l1_starts=2, seed=7)
+    # one draw for the L1 search's 2 starts, one for the 20 zeta samples
+    assert sorted(draws) == [(2, 7), (20, 7)]
     # the shared samples give the table that one call per eps gives
-    assert report.zeta_table == [(e, interpolation_zeta(op16, e)["zeta"])
+    assert report.zeta_table == [(e, _zeta(op16, e, seed=7))
                                  for e in (0.125, 0.25, 0.5)]
 
 

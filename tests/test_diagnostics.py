@@ -14,9 +14,8 @@ from transmission.diagnostics import (
     energy_inequality_residual,
     export_trajectory_csv,
     fit_exponential_decay,
-    holder_time_modulus,
-    moser_domination_check,
     observe_all,
+    replay,
     squeezing_check,
 )
 from transmission.dynamics import StepControl, integrate
@@ -80,7 +79,7 @@ def test_energy_directional_continuity(op16, rng):
 def test_linear_run_dissipates_exactly(op16, rng):
     U0 = rng.standard_normal(op16.n_free)
     traj = integrate(op16, U0, ZERO, ZERO, 0.5, fixed_ctrl(1e-2))
-    res = energy_inequality_residual(traj, op16, ZERO, ZERO)
+    res = energy_inequality_residual(compute_energy_report(traj, op16, ZERO, ZERO))
     assert res["max_residual"] <= 1e-10 * (1 + abs(res["e0"]))
 
 
@@ -97,7 +96,8 @@ def test_gradient_flow_residual_and_dt_refinement(op32, rng):
     resids = []
     for dt in (1e-3, 5e-4):
         traj = integrate(op32, U0, CUBIC_SINK, LINEAR_SINK, 0.2, fixed_ctrl(dt))
-        res = energy_inequality_residual(traj, op32, CUBIC_SINK, LINEAR_SINK)
+        res = energy_inequality_residual(
+            compute_energy_report(traj, op32, CUBIC_SINK, LINEAR_SINK))
         resids.append(max(res["max_residual"], 0.0))
         assert res["max_residual"] <= 1e-6 * (1 + abs(res["e0"]))
     tiny = 1e-12 * (1 + abs(resids[0]))
@@ -223,9 +223,15 @@ def test_squeezing_refuses_blowup(op16, spec16):
 
 
 # ------------------------------------------------------- time modulus
+def _replayed(traj, observer):
+    """observer.result() after it has seen the stored states of traj."""
+    replay(traj, observer)
+    return observer.result()
+
+
 def test_holder_equilibrium_degenerate(op16):
     traj = integrate(op16, np.zeros(op16.n_free), ZERO, ZERO, 1.0, fixed_ctrl(1e-2))
-    rep = holder_time_modulus(traj)
+    rep = _replayed(traj, HolderModulus(traj.times[-1]))
     assert rep["degenerate"]
     assert rep["rho"] == 1.0
 
@@ -233,7 +239,7 @@ def test_holder_equilibrium_degenerate(op16):
 def test_holder_linear_smooth_near_one(op16, spec16):
     U0 = spec16.eigenvectors[:, :4] @ np.array([1.0, 0.5, 0.3, 0.2])
     traj = integrate(op16, U0, ZERO, ZERO, 2.0, fixed_ctrl(2e-3))
-    rep = holder_time_modulus(traj)
+    rep = _replayed(traj, HolderModulus(traj.times[-1]))
     assert not rep["degenerate"]
     assert 0.7 <= rep["rho"] <= 1.0
     assert rep["r2"] > 0.9
@@ -242,14 +248,14 @@ def test_holder_linear_smooth_near_one(op16, spec16):
 def test_holder_window_excludes_initial_time(op16, spec16):
     U0 = spec16.eigenvectors[:, :4] @ np.array([1.0, 0.5, 0.3, 0.2])
     traj = integrate(op16, U0, ZERO, ZERO, 2.0, fixed_ctrl(2e-3))
-    rep = holder_time_modulus(traj, t_lo=0.5)
+    rep = _replayed(traj, HolderModulus(traj.times[-1], t_lo=0.5))
     assert 0.0 < rep["rho"] <= 1.0
 
 
 def test_holder_needs_four_scales(op16):
     traj = integrate(op16, np.zeros(op16.n_free), ZERO, ZERO, 0.05, fixed_ctrl(1e-2))
     with pytest.raises(ValueError):
-        holder_time_modulus(traj, n_scales=2)
+        _replayed(traj, HolderModulus(traj.times[-1], n_scales=2))
 
 
 # ------------------------------------------------------------ moser
@@ -257,7 +263,7 @@ def test_moser_ratio_constant_state_closed_form(op16_neumann):
     c = 2.0
     U = np.full(op16_neumann.n_free, c)
     traj = integrate(op16_neumann, U, ZERO, ZERO, 0.0001, fixed_ctrl(0.0001 / 2))
-    ratio = moser_domination_check(traj, op16_neumann)
+    ratio = _replayed(traj, MoserRatio(op16_neumann))
     l2 = op16_neumann.pair_norm(U)
     assert ratio == pytest.approx(c / max(max(1.0, c), l2), rel=1e-3)
 
@@ -270,7 +276,7 @@ def test_moser_bounded_over_ensemble(op16):
         U0 *= mag / np.abs(U0).max()
         traj = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 2.0,
                          StepControl(dt0=1e-3, dt_max=0.02))
-        ratios.append(moser_domination_check(traj, op16, window=(0.2, 2.0)))
+        ratios.append(_replayed(traj, MoserRatio(op16, window=(0.2, 2.0))))
     # the sup norm stays dominated by the larger of the datum scale and the
     # pair-norm history, uniformly across initial magnitudes
     assert 0.0 < max(ratios) < 5.0
@@ -284,7 +290,7 @@ def test_moser_stable_under_refinement(op16, op32, rng):
         U0 = np.sin(np.pi * x) * np.sin(np.pi * y) * 5.0
         traj = integrate(op, U0, CUBIC_SINK, LINEAR_SOURCE, 1.0,
                          StepControl(dt0=1e-3, dt_max=0.02))
-        ratios.append(moser_domination_check(traj, op, window=(0.1, 1.0)))
+        ratios.append(_replayed(traj, MoserRatio(op, window=(0.1, 1.0))))
     assert max(ratios) < 3.0 * min(ratios)
 
 
@@ -293,8 +299,9 @@ def test_trajectory_csv_export(tmp_path, op16, rng):
     U0 = rng.standard_normal(op16.n_free)
     traj = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.05, fixed_ctrl(1e-2))
     out = tmp_path / "trajectory.csv"
-    export_trajectory_csv(traj, op16, CUBIC_SINK, LINEAR_SOURCE, out,
-                          snapshot_stride=2, snapshot_dir=tmp_path / "snaps")
+    export_trajectory_csv(traj, compute_energy_report(traj, op16, CUBIC_SINK,
+                                                      LINEAR_SOURCE), out)
+    replay(traj, SnapshotWriter(op16, 2, tmp_path / "snaps"))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,dt,sup_norm,l2_norm,E,G,dissipation_integral"
     assert lines[-1].startswith("OUTCOME,Completed,")
@@ -345,12 +352,14 @@ def test_streamed_diagnostics_equal_stored(case, op16, spec16, tmp_path):
     assert streamed.outcome == stored.outcome == case
     assert len(streamed.states) == 1
 
-    got, want = energy_acc.report(), compute_energy_report(stored, op16, f, h)
+    # the same observers, fed the states of the stored run
+    replayed = (EnergyAccumulator(op16, f, h), HolderModulus(T), MoserRatio(op16),
+                SnapshotWriter(op16, 3, tmp_path / "stored"))
+    replay(stored, observe_all(*replayed))
+    got, want = energy_acc.report(), replayed[0].report()
     for fld in dataclasses.fields(EnergyReport):
         assert np.array_equal(getattr(got, fld.name), getattr(want, fld.name))
-    assert moser.result() == moser_domination_check(stored, op16)
-    export_trajectory_csv(stored, op16, f, h, tmp_path / "stored.csv",
-                          snapshot_stride=3, snapshot_dir=tmp_path / "stored")
+    assert moser.result() == replayed[2].result()
     names = sorted(p.name for p in (tmp_path / "stored").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "streamed").iterdir())
     assert len(names) == (len(stored.times) + 2) // 3
@@ -358,11 +367,12 @@ def test_streamed_diagnostics_equal_stored(case, op16, spec16, tmp_path):
         assert ((tmp_path / "streamed" / name).read_bytes()
                 == (tmp_path / "stored" / name).read_bytes())
     if case == "completed":
-        assert holder.result() == holder_time_modulus(stored)
+        assert holder.result() == replayed[1].result()
     else:
         # the run ended before the grid over [T/10, T] was sampled
-        with pytest.raises(ValueError):
-            holder.result()
+        for acc in (holder, replayed[1]):
+            with pytest.raises(ValueError):
+                acc.result()
     # a streamed trajectory has no states to replay
     with pytest.raises(ValueError):
         compute_energy_report(streamed, op16, f, h)

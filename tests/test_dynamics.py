@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from transmission.dynamics import (
+    _GROW_AFTER,
+    _GROW_FACTOR,
     StepControl,
     fixed_step_evolve,
     imex_step,
@@ -364,8 +366,8 @@ def _reference_integrate(op, U0, f, h, T, ctrl):
             outcome, outcome_time = "blowup", t
             break
         accepted_in_row += 1
-        if accepted_in_row >= ctrl.grow_after:
-            dt = min(dt * ctrl.grow_factor, ctrl.dt_max)
+        if accepted_in_row >= _GROW_AFTER:
+            dt = min(dt * _GROW_FACTOR, ctrl.dt_max)
             accepted_in_row = 0
     return np.array(times), np.array(dts), states, outcome, outcome_time
 

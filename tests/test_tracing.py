@@ -92,3 +92,20 @@ def test_tracer_counts_one_factorization_per_step_size():
     assert metrics["dynamics.steps_attempted"] == metrics["dynamics.steps_accepted"] > 0
     assert 0.000625 in traj.dts and 0.005 not in traj.dts
     assert metrics["dynamics.factorizations"] == len(set(traj.dts[1:]) | markov_dts)
+
+
+def test_constants_report_traces_one_zeta_table():
+    from conftest import default_operator
+
+    from transmission import constants
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    op = default_operator(8)
+    with _installed(tracing, tracer):
+        constants.compute_constants_report(op, l1_starts=2)
+
+    names = [span[0] for span in tracer.spans]
+    assert names.count("constants.compute_constants_report") == 1
+    assert names.count("constants.interpolation_zeta") == 1
+    assert tracing.layer_metrics(tracer.spans)["constants.interpolation_zeta.s"] > 0.0
