@@ -216,8 +216,9 @@ class DiscreteOperator:
     ``dirichlet_dofs`` are eliminated once, at construction: ``free_dofs``,
     the form ``a_full`` and its restriction ``a_free``, and the free-DOF
     diagonals ``bulk_mass_diag``, ``iface_mass_diag``, ``mass_diag``
-    (evolution mass, bulk + delta * interface) and ``pair_mass_diag``
-    (pair-norm mass, bulk + interface) are plain attributes.  ``delta``
+    (evolution mass, bulk + delta * interface), ``pair_mass_diag``
+    (pair-norm mass, bulk + interface), and ``iface_dofs`` (nonzero interface
+    mass) with their ``iface_weights`` are plain attributes.  ``delta``
     switches the interface time-derivative term (1 dynamic, 0 static
     transmission condition).  ``_cache`` holds solver results only.
     """
@@ -245,6 +246,8 @@ class DiscreteOperator:
         self.a_free = self.restrict(self.a_full)
         self.bulk_mass_diag = self.m_bulk.diagonal()[self.free_dofs]
         self.iface_mass_diag = self.m_iface.diagonal()[self.free_dofs]
+        self.iface_dofs = np.flatnonzero(self.iface_mass_diag)
+        self.iface_weights = self.iface_mass_diag[self.iface_dofs]
         self.mass_diag = self.bulk_mass_diag + self.delta * self.iface_mass_diag
         self.pair_mass_diag = self.bulk_mass_diag + self.iface_mass_diag
 

@@ -37,10 +37,10 @@ from .diagnostics import (
     EnergyAccumulator,
     HolderModulus,
     IncompleteRun,
-    MoserRatio,
     SnapshotWriter,
     energy_inequality_residual,
     export_trajectory_csv,
+    moser_ratio,
     observe_all,
     outcome_line,
     squeezing_check,
@@ -55,11 +55,7 @@ from .geometry import (
     export_measure_csv,
     export_mesh_csv,
 )
-from .operators import (
-    NumericError,
-    export_spectrum_csv,
-    spectrum,
-)
+from .operators import NumericError, export_spectrum_csv, spectrum
 from .poly import Nonlinearity
 from .regimes import classify, save_verdict
 from .textio import text, write_fields, write_table
@@ -237,8 +233,7 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     # the diagnostics take the states as the run makes them: none is kept
     energy = EnergyAccumulator(op, f, h)
     holder = HolderModulus(cfg.time.horizon)
-    moser = MoserRatio(op)
-    observers = [energy, holder, moser]
+    observers = [energy, holder]
     snap = cfg.run.snapshot_stride
     if snap:
         observers.append(SnapshotWriter(op, snap, out / "snapshots"))
@@ -246,15 +241,15 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
                      observe=observe_all(*observers))
     report = energy.report()
     export_trajectory_csv(traj, report, out / "trajectory.csv")
-    _write_fit_summaries(traj, report, holder, moser, out / "diagnostics.txt")
+    _write_fit_summaries(traj, report, holder, out / "diagnostics.txt")
     print(outcome_line(traj))
     # a stalled run is a numeric failure, as it is in pairs
     return {"blowup": EXIT_BLOWUP, "stalled": EXIT_NUMERIC}.get(traj.outcome, EXIT_OK)
 
 
-def _write_fit_summaries(traj, report, holder, moser, path) -> None:
-    """diagnostics.txt of a run: its energy report and the HolderModulus and
-    MoserRatio that observed it."""
+def _write_fit_summaries(traj, report, holder, path) -> None:
+    """diagnostics.txt of a run: its energy report and the HolderModulus
+    that observed it."""
     res = energy_inequality_residual(report)
     fields = {"outcome": traj.outcome, "outcome_time": traj.outcome_time,
               "energy_inequality_max_residual": res["max_residual"],
@@ -266,7 +261,7 @@ def _write_fit_summaries(traj, report, holder, moser, path) -> None:
             fields["holder_degenerate"] = int(hm["degenerate"])
         except ValueError:
             fields["holder_rho"] = "unavailable"
-        fields["moser_ratio"] = moser.result()
+        fields["moser_ratio"] = moser_ratio(report)
     write_fields(path, fields)
 
 

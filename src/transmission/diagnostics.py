@@ -5,9 +5,9 @@ discrete energy inequality residual, ensemble absorbing-ball fits, pairwise
 squeezing fits, Hoelder-in-time modulus and sup-vs-L2 domination ratios.
 
 The per-state quantities are streaming observers of `integrate`
-(`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `MoserRatio`,
-`SnapshotWriter`): a run passes them as its observer and keeps no states.
-`replay` feeds the states of a stored `Trajectory` to the same observers.
+(`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `SnapshotWriter`): a
+run passes them as its observer and keeps no states, and `replay` feeds them
+the states of a stored `Trajectory`.  `moser_ratio` reads the EnergyReport.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _energy(op: DiscreteOperator, U: np.ndarray, F: PolyFunc,
     """E(U) of `energy` from the primitives F and H."""
     form = 0.5 * quadratic_form(op, U)
     bulk = float(np.sum(op.bulk_mass_diag * F(U)))
-    iface = float(np.sum(op.iface_mass_diag * H(U)))
+    iface = float(np.sum(op.iface_weights * H(U[op.iface_dofs])))
     return EnergyValue(total=form + bulk - iface, form_term=form,
                        bulk_primitive=bulk, iface_primitive=iface)
 
@@ -61,9 +61,6 @@ class EnergyReport:
     G: np.ndarray                    # half squared pair norm
     dissipation: np.ndarray          # cumulative sum dt ||dU/dt||^2
     sup_norm: np.ndarray
-    form_term: np.ndarray
-    bulk_primitive: np.ndarray
-    iface_primitive: np.ndarray
 
 
 class EnergyAccumulator:
@@ -73,18 +70,13 @@ class EnergyAccumulator:
         self.op = op
         self.F, self.H = f.antiderivative(), h.antiderivative()
         self._columns = {name: array("d") for name in (
-            "times", "E", "G", "dissipation", "sup_norm", "form_term",
-            "bulk_primitive", "iface_primitive")}
+            "times", "E", "G", "dissipation", "sup_norm")}
         self._prev = None
 
     def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
         op, col = self.op, self._columns
-        ev = _energy(op, U, self.F, self.H)
         col["times"].append(t)
-        col["E"].append(ev.total)
-        col["form_term"].append(ev.form_term)
-        col["bulk_primitive"].append(ev.bulk_primitive)
-        col["iface_primitive"].append(ev.iface_primitive)
+        col["E"].append(_energy(op, U, self.F, self.H).total)
         col["G"].append(0.5 * op.pair_norm2(U))
         col["sup_norm"].append(float(np.abs(U).max()))
         if self._prev is None:
@@ -126,17 +118,23 @@ def compute_energy_report(traj: Trajectory, op: DiscreteOperator,
     return acc.report()
 
 
+def moser_ratio(report: EnergyReport, window: tuple[float, float] | None = None) -> float:
+    """sup_t ||U||_inf / max(C_inf, sup_t ||U||_pair) over the states of a
+    run's energy report in the window (every state if None), with
+    C_inf = max(1, ||U(0)||_inf); ||U||_pair is sqrt(2 G)."""
+    t_lo, t_hi = window or (-np.inf, np.inf)
+    inside = (report.times >= t_lo) & (report.times <= t_hi)
+    if not inside.any():
+        raise ValueError("empty trajectory window")
+    pair = np.sqrt(2.0 * report.G[inside].max())
+    return float(report.sup_norm[inside].max() / max(1.0, report.sup_norm[0], pair))
+
+
 def energy_inequality_residual(report: EnergyReport) -> dict:
     """max_n [E(t_n) + D(t_n) - E(0)] of a run's energy report; nonpositive
     for the continuous flow, O(dt) positive at worst for the discrete one."""
     residuals = report.E + report.dissipation - report.E[0]
-    k = int(np.argmax(residuals))
-    return {
-        "max_residual": float(residuals[k]),
-        "argmax_time": float(report.times[k]),
-        "residuals": residuals,
-        "e0": float(report.E[0]),
-    }
+    return {"max_residual": float(residuals.max()), "e0": float(report.E[0])}
 
 
 def fit_exponential_decay(times: np.ndarray, values: np.ndarray,
@@ -329,31 +327,6 @@ class HolderModulus:
             "degenerate": False,
             "r2": r2,
         }
-
-
-class MoserRatio:
-    """Observer of the ratio sup_t ||U||_inf / max(C_inf, sup_t ||U||_pair)
-    over the window (every state if None), with C_inf = max(1, ||U(0)||_inf)."""
-
-    def __init__(self, op: DiscreteOperator,
-                 window: tuple[float, float] | None = None):
-        self.op = op
-        self.window = window if window else (-np.inf, np.inf)
-        self.c_inf = None
-        self.sup = self.l2 = -np.inf
-
-    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
-        if self.c_inf is None:
-            self.c_inf = max(1.0, float(np.abs(U).max()))
-        t_lo, t_hi = self.window
-        if t_lo <= t <= t_hi:
-            self.sup = max(self.sup, float(np.abs(U).max()))
-            self.l2 = max(self.l2, self.op.pair_norm(U))
-
-    def result(self) -> float:
-        if self.sup == -np.inf:
-            raise ValueError("empty trajectory window")
-        return self.sup / max(self.c_inf, self.l2)
 
 
 class SnapshotWriter:

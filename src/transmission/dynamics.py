@@ -182,13 +182,20 @@ def _imex_solver(op: DiscreteOperator, dt: float):
     return lu
 
 
+def _reaction(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
+              h: Nonlinearity) -> np.ndarray:
+    """m_bulk * f(U) - w_iface * h(U), with h on the interface DOFs only."""
+    out = op.bulk_mass_diag * f(U)
+    out[op.iface_dofs] -= op.iface_weights * h(U[op.iface_dofs])
+    return out
+
+
 def imex_step(op: DiscreteOperator, U: np.ndarray, dt: float,
               f: Nonlinearity, h: Nonlinearity) -> np.ndarray:
     """One implicit-linear / explicit-nonlinear step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    m = op.mass_diag
-    rhs = m * U - dt * (op.bulk_mass_diag * f(U) - op.iface_mass_diag * h(U))
+    rhs = op.mass_diag * U - dt * _reaction(op, U, f, h)
     try:
         out = _imex_solver(op, dt).solve(rhs)
     except RuntimeError as exc:   # singular factorization
@@ -288,7 +295,7 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
 def nonlinear_drift(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
                     h: Nonlinearity) -> np.ndarray:
     """Mass-normalized reaction term entering the mild formulation."""
-    return (op.bulk_mass_diag * f(U) - op.iface_mass_diag * h(U)) / op.mass_diag
+    return _reaction(op, U, f, h) / op.mass_diag
 
 
 def picard_mild(op: DiscreteOperator, spec: SpectralData, U0: np.ndarray,

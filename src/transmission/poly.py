@@ -11,6 +11,25 @@ import numpy as np
 _PRUNE = 1e-13
 
 
+def _abs_power(tau: np.ndarray, a: float, powers: dict) -> np.ndarray:
+    """|tau|**a for a != 0, kept in `powers` by exponent: tau*tau for 2 (numpy's
+    pow bit for bit), |tau|**(a-2) * tau*tau for the integers 3..8 (within a
+    few ulp of pow), |tau| only when needed, numpy's pow for any other a and
+    0 at t = 0 for a negative a."""
+    if a not in powers:
+        if a == 1.0:
+            powers[a] = np.abs(tau)
+        elif a == 2.0:
+            powers[a] = tau * tau
+        elif a in range(3, 9):
+            powers[a] = _abs_power(tau, a - 2.0, powers) * _abs_power(tau, 2.0, powers)
+        else:
+            a_abs = _abs_power(tau, 1.0, powers)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                powers[a] = a_abs ** a if a > 0.0 else np.where(a_abs > 0, a_abs ** a, 0.0)
+    return powers[a]
+
+
 class PolyFunc:
     """Exact algebra on spans of |t|^a * t^b with b in {0, 1}.
 
@@ -29,9 +48,6 @@ class PolyFunc:
                 a, b = a + 2.0, b - 2
             key = (a, b)
             self.terms[key] = self.terms.get(key, 0.0) + c
-        self._prune()
-
-    def _prune(self):
         scale = max((abs(c) for c in self.terms.values()), default=0.0)
         self.terms = {k: c for k, c in self.terms.items()
                       if abs(c) > _PRUNE * max(scale, 1.0)}
@@ -85,17 +101,22 @@ class PolyFunc:
         return PolyFunc(out)
 
     def __call__(self, tau):
+        """The terms at tau (a float at a scalar), summed from the first in
+        the order of `terms`; each |t|**a is taken once per call by
+        _abs_power, and a coefficient of 1 multiplies nothing."""
         tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape)
-        a_abs = np.abs(tau)
+        powers: dict[float, np.ndarray] = {}
+        out = None
         for (a, b), c in self.terms.items():
-            if a >= 0.0:
-                base = a_abs ** a
-            else:
-                # |t|^a t^b at t = 0 is read as 0 for a negative power
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    base = np.where(a_abs > 0, a_abs ** a, 0.0)
-            out += c * base * (tau if b else 1.0)
+            term = _abs_power(tau, a, powers) if a else tau if b else np.ones(tau.shape)
+            if c != 1.0:
+                term = c * term
+            if a and b:
+                term = term * tau
+            out = term if out is None else out + term
+        # no term, or the single term t: the caller's array is not the result
+        if out is None or out is tau:
+            out = np.zeros(tau.shape) if out is None else tau.copy()
         return out if out.shape else float(out)
 
     def leading(self) -> tuple[float, float]:

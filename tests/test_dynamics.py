@@ -330,6 +330,39 @@ def test_nonlinear_drift_vanishes_for_zero(op16):
     assert np.abs(nonlinear_drift(op16, U, ZERO, ZERO)).max() == 0.0
 
 
+def _full_vector_reaction(op, U, f, h):
+    """m_bulk * f(U) - w_iface * h(U) with h evaluated on every free DOF,
+    as the steps built it before they restricted h to the interface."""
+    return op.bulk_mass_diag * f(U) - op.iface_mass_diag * h(U)
+
+
+@pytest.mark.parametrize("build", ["segment", "koch"])
+def test_interface_only_reaction_is_bit_identical(build):
+    from conftest import default_operator, koch_operator
+
+    from transmission.dynamics import _imex_solver
+
+    # fresh: the step sizes below are not cached on the shared fixtures
+    op = {"segment": lambda: default_operator(16), "koch": koch_operator}[build]()
+    assert np.array_equal(op.iface_dofs, np.flatnonzero(op.iface_mass_diag))
+    assert np.array_equal(op.iface_weights, op.iface_mass_diag[op.iface_dofs])
+    assert 0 < len(op.iface_dofs) < op.n_free
+    mixed_f = Nonlinearity(terms=((1.0, 2.0), (-0.5, 0.0)), constant=0.1)
+    mixed_h = Nonlinearity(terms=((-1.3, 1.0), (0.7, 3.0)), constant=-0.2)
+    rng = np.random.default_rng(5)
+    for f, h in ((CUBIC_SINK, LINEAR_SOURCE), (CUBIC_SOURCE, LINEAR_SINK),
+                 (mixed_f, mixed_h), (ZERO, mixed_h)):
+        for scale in (1.0, 10.0):
+            U = scale * rng.standard_normal(op.n_free)
+            reaction = _full_vector_reaction(op, U, f, h)
+            assert np.array_equal(nonlinear_drift(op, U, f, h),
+                                  reaction / op.mass_diag)
+            for dt in (1e-3, 0.02):
+                rhs = op.mass_diag * U - dt * reaction
+                assert np.array_equal(imex_step(op, U, dt, f, h),
+                                      _imex_solver(op, dt).solve(rhs))
+
+
 # ------------------------------------------- integrate loop and LU ordering
 def _reference_integrate(op, U0, f, h, T, ctrl):
     # the loop of dynamics.integrate as it was before one sup-norm per step:

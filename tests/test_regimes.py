@@ -51,6 +51,128 @@ def test_nonlinearity_adds_terms_in_given_order(rng):
     assert np.array_equal(nl(U), ref)
 
 
+def _former_eval(pf, tau):
+    """PolyFunc's former evaluation: a zeros accumulator plus
+    c * |t|**a * (t if b else 1) per term."""
+    tau = np.asarray(tau, dtype=float)
+    out = np.zeros(tau.shape)
+    a_abs = np.abs(tau)
+    for (a, b), c in pf.terms.items():
+        if a >= 0.0:
+            base = a_abs ** a
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                base = np.where(a_abs > 0, a_abs ** a, 0.0)
+        out += c * base * (tau if b else 1.0)
+    return out if out.shape else float(out)
+
+
+def _config_nonlinearities():
+    """(f, h) of every configs/*.ini, of each of its sweep cells, and of
+    the four cells of a (p, q) = (0, 2) sweep over c_f in {-1, 0.25} and
+    c_h in {-1, 1}."""
+    from pathlib import Path
+
+    from transmission.config import parse_config
+
+    pairs = [(Nonlinearity.power(cf, 2.0), Nonlinearity.power(ch, 0.0))
+             for cf in (-1.0, 0.25) for ch in (-1.0, 1.0)]
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.ini")):
+        cfg = parse_config(path)
+        pairs.append((cfg.bulk_nonlinearity.build(),
+                      cfg.interface_nonlinearity.build()))
+        sw = cfg.sweep
+        pairs += [(Nonlinearity.power(cf, q), Nonlinearity.power(ch, p))
+                  for p in sw.p_values for q in sw.q_values
+                  for cf in sw.cf_values for ch in sw.ch_values]
+    return pairs
+
+
+def _samples(rng):
+    return np.concatenate([rng.uniform(-20, 20, 200), rng.standard_normal(50),
+                           [0.0, -0.0, 1.0, -1.0, 1e-20, -3e10]])
+
+
+def test_evaluation_bit_identical_at_exponents_zero_and_two(rng):
+    U = _samples(rng)
+    checked = 0
+    for pair in _config_nonlinearities():
+        for nl in pair:
+            if all(a in (0.0, 2.0) for a, _ in nl.terms):
+                checked += 1
+                assert np.array_equal(nl(U), _former_eval(nl, U))
+    assert checked >= 12
+    both = PolyFunc({(2.0, 0): 1.0, (2.0, 1): -3.0, (0.0, 1): 1.0, (0.0, 0): 2.0})
+    assert np.array_equal(both(U), _former_eval(both, U))
+
+
+@pytest.mark.parametrize("exponent", range(1, 9))
+def test_integer_powers_agree_with_pow(exponent, rng):
+    U = _samples(rng)
+    for b in (0, 1):
+        for c in (1.0, -2.5):
+            pf = PolyFunc({(float(exponent), b): c})
+            want = _former_eval(pf, U)
+            assert np.allclose(pf(U), want, rtol=1e-15, atol=0.0)
+
+
+def test_mixed_terms_and_products_agree_with_pow(rng):
+    U = _samples(rng)
+    mixed = PolyFunc({(1.0, 0): 0.5, (3.0, 1): -1.25, (4.0, 0): 2.0,
+                      (6.0, 1): 0.125, (7.0, 0): -3.0, (8.0, 0): 1.0})
+    polys = [mixed, mixed * mixed.derivative()]
+    for f, h in _config_nonlinearities():
+        polys += [*alpha_defects(f, h, 3.0), f.antiderivative(), h.antiderivative()]
+    for pf in polys:
+        # the terms differ from pow by a few ulp each: relative to the sum of
+        # the terms' magnitudes, as sums of several terms may cancel
+        scale = sum(abs(c) * np.abs(U) ** (a + b) for (a, b), c in pf.terms.items())
+        assert np.all(np.abs(pf(U) - _former_eval(pf, U)) <= 1e-15 * scale)
+
+
+def test_other_exponents_evaluate_as_before(rng):
+    U = _samples(rng)
+    for a in (0.5, 2.5, 9.0, 12.0, -1.0, -0.5):
+        for b in (0, 1):
+            pf = PolyFunc({(a, b): -1.5, (1.0, 1): 1.0})
+            assert np.array_equal(pf(U), _former_eval(pf, U))
+    # a negative power reads 0 at t = 0
+    assert PolyFunc({(-1.0, 0): 2.0})(0.0) == 0.0
+    assert PolyFunc({(-1.0, 1): 2.0})(np.zeros(3)).tolist() == [0.0] * 3
+
+
+def test_evaluation_propagates_non_finite_values_as_before():
+    U = np.array([np.nan, np.inf, -np.inf, 0.0, 2.0, -3.0])
+    polys = [CUBIC_SINK, LINEAR_SOURCE, Nonlinearity(constant=1.5),
+             PolyFunc({(4.0, 0): 1.0, (1.0, 1): -2.0, (0.0, 0): 1.0}),
+             PolyFunc({(-1.0, 1): 1.0, (3.0, 1): 1.0}), PolyFunc({(0.5, 0): 2.0})]
+    for pf in polys:
+        with np.errstate(invalid="ignore"):
+            got, want = pf(U), _former_eval(pf, U)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got[np.isinf(got)], want[np.isinf(got)])
+        fin = np.isfinite(want)
+        assert np.allclose(got[fin], want[fin], rtol=1e-15, atol=0.0)
+
+
+def test_evaluation_shapes_and_fresh_results():
+    for pf in (CUBIC_SINK, LINEAR_SOURCE, ZERO, Nonlinearity(constant=2.0),
+               PolyFunc({(2.0, 0): 1.0}), PolyFunc({(-1.0, 0): 1.0})):
+        assert type(pf(1.5)) is float
+        assert pf(1.5) == _former_eval(pf, 1.5)
+        U = np.array([[1.0, -2.0], [0.5, 3.0]])
+        out = pf(U)
+        assert out.shape == U.shape and out is not U
+        # the result is the caller's to change: no input or kept power
+        # shares its memory
+        out += 1.0
+        assert U.tolist() == [[1.0, -2.0], [0.5, 3.0]]
+    assert ZERO(np.ones(4)).tolist() == [0.0] * 4
+    assert PolyFunc({})(2.0) == 0.0
+    square_twice = PolyFunc({(2.0, 0): 1.0, (2.0, 1): 1.0})
+    assert square_twice(np.array([2.0, -3.0])).tolist() == [12.0, -18.0]
+
+
 def test_nonlinearity_growth_is_top_odd_term():
     assert Nonlinearity.zero().growth == (0.0, 0.0)
     assert Nonlinearity(constant=2.0).growth == (0.0, 0.0)
