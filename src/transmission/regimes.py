@@ -34,18 +34,15 @@ def alpha_defects(f: Nonlinearity, h: Nonlinearity, alpha: float) -> tuple[PolyF
     return tuple(w.antiderivative().scale(alpha) - w.times_tau() for w in (f, h))
 
 
-def _tau_grid(tau_max: float = 1e3) -> np.ndarray:
+@cache
+def _scan_grid(tau_max: float = 1e3) -> np.ndarray:
+    """The read-only grid of every finite-tau sup over [-tau_max, tau_max].
+    Built on first use rather than at import, which every CLI mode does: the
+    sort that builds it pages in memory that modes without regimes never
+    need."""
     lin = np.linspace(-tau_max, tau_max, 4001)
     logs = np.geomspace(1e-3, tau_max, 1000)
-    return np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
-
-
-@cache
-def _scan_grid() -> np.ndarray:
-    """The read-only grid of every finite-tau sup over [-1e3, 1e3].  Built
-    on first use rather than at import, which every CLI mode does: the sort
-    that builds it pages in memory that modes without regimes never need."""
-    grid = _tau_grid()
+    grid = np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
     grid.flags.writeable = False
     return grid
 
@@ -129,7 +126,7 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
 
     # both nonlinearities within a quadratic envelope of the right signs
     if q <= 1.0 and p <= 1.0:
-        grid = _tau_grid(1e4)
+        grid = _scan_grid(1e4)
         sq = grid * grid + 1.0
         cf_env = float(np.max(-f(grid) / sq))
         ch_env = float(np.max(h(grid) / sq))
@@ -215,10 +212,11 @@ class _QuadraticGap:
     """Minorants C1 t^2 - C2 of lhs on the scanned range, one per feasible
     ladder rung C1.
 
-    lhs is evaluated once on _scan_grid() and every rung's grid-level C2 comes
-    from one (rungs x grid) array.  The refined C2 of a rung is computed on
-    first request and kept.  The refinement maximises over the grid values
-    too, so the grid-level C2 never exceeds the refined one.
+    lhs is evaluated once on _scan_grid(), and the rungs' grid-level C2 are
+    taken rung by rung in one reused row: a (rungs x grid) array would take
+    three fresh multi-MB temporaries per call.  The refined C2 of a rung is
+    computed on first request and kept.  The refinement maximises over the
+    grid values too, so the grid-level C2 never exceeds the refined one.
     """
 
     def __init__(self, lhs: PolyFunc, ladder: np.ndarray):
@@ -230,11 +228,17 @@ class _QuadraticGap:
         self.lhs = lhs
         self.c1 = ladder
         self._refined: dict[int, float] = {}
+        self._grid_c2: list[float] = []
         if len(ladder):
             grid = _scan_grid()
             self._lhs_grid = lhs(grid)
-            sup = ((ladder[:, None] * grid) * grid - self._lhs_grid).max(axis=1)
-            self._grid_c2 = [max(0.0, v) * (1.0 + 1e-9) for v in sup.tolist()]
+            row = np.empty_like(grid)
+            for c1 in ladder:
+                # (c1 * grid) * grid - lhs(grid), as the refinement takes it
+                np.multiply(c1, grid, out=row)
+                row *= grid
+                row -= self._lhs_grid
+                self._grid_c2.append(max(0.0, float(row.max())) * (1.0 + 1e-9))
 
     def __len__(self) -> int:
         return len(self.c1)
