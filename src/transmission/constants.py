@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 from .assembly import DiffusionTensor, DiscreteOperator, assemble_bulk, p1_gradients
 from .operators import (
     NumericError,
+    factor_symmetric,
     lanczos_start,
     lowest_pairs,
     quadratic_form,
@@ -73,7 +74,7 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
         sqrt_m = np.sqrt(op.m_bulk.diagonal())
         col = sp.csc_matrix(a[:, None])
         bordered = sp.bmat([[k_unit, col], [col.T, None]], format="csc")
-        lu = spla.splu(bordered)
+        lu = factor_symmetric(bordered)
         rhs = np.zeros(n_dof + 1)
 
         def matvec(v):
@@ -97,8 +98,8 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
         # r0 < k <= r1 and that of phi_2 while r1 < k <= r2, so cumulative
         # sums of the jumps give the total variation for every k.
         areas, gx, gy = p1_gradients(mesh)
-        corner_tv = areas[:, None] * np.hypot(gx, gy)
-        rows = np.arange(len(areas))
+        corner_tv = (areas[:, None] * np.hypot(gx, gy)).T.copy()   # (3, n_tri)
+        corners = mesh.triangles.T.copy()
         m_bulk = op.m_bulk.diagonal()
         mass = m_bulk.sum()
         seeds = [mesh.vertices[:, 0], mesh.vertices[:, 1]]
@@ -109,12 +110,15 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
             order = np.argsort(-u, kind="stable")
             rank = np.empty(n_dof, dtype=int)
             rank[order] = np.arange(n_dof)
-            ranks = rank[mesh.triangles]
-            first = ranks.argmin(axis=1)
-            last = ranks.argmax(axis=1)
-            r0, r2 = ranks[rows, first], ranks[rows, last]
-            tv0, tv2 = corner_tv[rows, first], corner_tv[rows, last]
-            jumps = np.bincount(np.concatenate([r0, ranks.sum(axis=1) - r0 - r2, r2]) + 1,
+            # the ranks are a permutation: the corners of a triangle differ
+            c0, c1, c2 = rank[corners]
+            r0 = np.minimum(np.minimum(c0, c1), c2)
+            r2 = np.maximum(np.maximum(c0, c1), c2)
+            tv0 = np.where(c0 == r0, corner_tv[0],
+                           np.where(c1 == r0, corner_tv[1], corner_tv[2]))
+            tv2 = np.where(c0 == r2, corner_tv[0],
+                           np.where(c1 == r2, corner_tv[1], corner_tv[2]))
+            jumps = np.bincount(np.concatenate([r0, c0 + c1 + c2 - r0 - r2, r2]) + 1,
                                 weights=np.concatenate([tv0, tv2 - tv0, -tv2]),
                                 minlength=n_dof + 1)
             den = np.cumsum(jumps)[1:n_dof]

@@ -193,6 +193,20 @@ def test_constants_mode(tmp_path):
     assert "c_bar=" in text
 
 
+def test_constants_failed_factorization_exits_numeric(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    def singular(mat, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    code = main(["constants", "--config", write(tmp_path, BASE),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC
+    assert "numeric error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "constants.txt").exists()
+
+
 SWEEP = """
 [geometry]
 n = 8

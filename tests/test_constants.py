@@ -69,6 +69,58 @@ def test_poincare_l1_is_quotient_of_a_vertex_indicator(op16, monkeypatch):
     assert l1 == _l1_quotient(op16, u)
 
 
+def _row_wise_l1_sweep(op, n_starts, seed):
+    # the reference: the L1 level-set sweep with each seed's corner ranks
+    # held as (n_tri, 3) rows and the extreme corners found by argmin/argmax
+    from transmission.assembly import p1_gradients
+    from transmission.operators import spectrum
+
+    mesh = op.mesh
+    n_dof = len(mesh.vertices)
+    a = op.m_iface.diagonal() / op.measure.total_mass
+    areas, gx, gy = p1_gradients(mesh)
+    corner_tv = areas[:, None] * np.hypot(gx, gy)
+    rows = np.arange(len(areas))
+    m_bulk = op.m_bulk.diagonal()
+    mass = m_bulk.sum()
+    seeds = [mesh.vertices[:, 0], mesh.vertices[:, 1]]
+    seeds += list(_l1_seed_fields(op, n_starts, seed))
+    seeds += [op.embed(v) for v in spectrum(op, min(10, op.n_free)).eigenvectors.T]
+    best, best_set = -1.0, None
+    for u in seeds:
+        order = np.argsort(-u, kind="stable")
+        rank = np.empty(n_dof, dtype=int)
+        rank[order] = np.arange(n_dof)
+        ranks = rank[mesh.triangles]
+        first = ranks.argmin(axis=1)
+        last = ranks.argmax(axis=1)
+        r0, r2 = ranks[rows, first], ranks[rows, last]
+        tv0, tv2 = corner_tv[rows, first], corner_tv[rows, last]
+        jumps = np.bincount(np.concatenate([r0, ranks.sum(axis=1) - r0 - r2, r2]) + 1,
+                            weights=np.concatenate([tv0, tv2 - tv0, -tv2]),
+                            minlength=n_dof + 1)
+        den = np.cumsum(jumps)[1:n_dof]
+        m_in = np.cumsum(m_bulk[order])[:-1]
+        a_in = np.cumsum(a[order])[:-1]
+        quot = (m_in * (1.0 - a_in) + (mass - m_in) * a_in) / den
+        k = int(np.argmax(quot))
+        if quot[k] > best:
+            best, best_set = quot[k], order[:k + 1]
+    indicator = np.zeros(n_dof)
+    indicator[best_set] = 1.0
+    return _l1_quotient(op, indicator)
+
+
+@pytest.mark.parametrize("build", ["op32", "koch", "op16_neumann"])
+@pytest.mark.parametrize("seed", range(4))
+def test_poincare_l1_column_sweep_matches_row_wise(build, seed, request):
+    from conftest import koch_operator
+
+    op = koch_operator() if build == "koch" else request.getfixturevalue(build)
+    got = poincare_mean_sigma(op, "L1_empirical", n_starts=20, seed=seed)
+    assert got == _row_wise_l1_sweep(op, 20, seed)
+
+
 def test_poincare_l1_stable_when_seeds_double(op32):
     l1 = poincare_mean_sigma(op32, "L1_empirical", n_starts=20)
     more = poincare_mean_sigma(op32, "L1_empirical", n_starts=40)

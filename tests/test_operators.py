@@ -13,6 +13,8 @@ from transmission.operators import (
     NumericError,
     export_spectrum_csv,
     export_ultracontractivity_csv,
+    factor_symmetric,
+    lanczos_start,
     lowest_pairs,
     markov_check,
     quadratic_form,
@@ -97,23 +99,84 @@ def _dense_lowest_values(a_csr, m_diag, k):
                              eigvals_only=True)
 
 
-@pytest.mark.parametrize("case", ["op16", "koch", "static", "zero_form"])
-@pytest.mark.parametrize("k", [1, 10])
-def test_sparse_pairs_match_dense(case, k, request):
+def _pairs_case(case, request):
     from conftest import default_operator, koch_operator
 
-    op = {
+    return {
         "op16": lambda: request.getfixturevalue("op16"),
         "koch": koch_operator,
         "static": lambda: default_operator(8, delta=0),
         "zero_form": _zero_form_operator,
     }[case]()
+
+
+@pytest.mark.parametrize("case", ["op16", "koch", "static", "zero_form"])
+@pytest.mark.parametrize("k", [1, 10])
+def test_sparse_pairs_match_dense(case, k, request):
+    op = _pairs_case(case, request)
     assert k < op.n_free - 1   # the sparse path serves the request
     vals, V = lowest_pairs(op.a_free, op.mass_diag, k)
     ref = _dense_lowest_values(op.a_free, op.mass_diag, k)
     assert np.abs(vals - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     G = V.T @ (op.mass_diag[:, None] * V)
     assert np.abs(G - np.eye(k)).max() <= 1e-8
+
+
+def _scipy_shift_invert_values(a_csr, m_diag, k):
+    # reference: eigsh on the same reduced matrix, shift and start vector,
+    # factoring B - sigma I itself in scipy's default column order
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    d = sp.diags(1.0 / np.sqrt(m_diag))
+    B = (d @ a_csr @ d).tocsc()
+    B = 0.5 * (B + B.T)
+    vals = spla.eigsh(B, k=k, sigma=-1e-6 * B.diagonal().max(), which="LM",
+                      v0=lanczos_start(B.shape[0]), return_eigenvectors=False)
+    return np.sort(vals)
+
+
+@pytest.mark.parametrize("case", ["op16", "koch", "static", "zero_form"])
+@pytest.mark.parametrize("k", [1, 10])
+def test_sparse_pairs_match_scipy_shift_invert(case, k, request):
+    # the factor order changes the rounding of each solve, nothing more
+    op = _pairs_case(case, request)
+    vals, _ = lowest_pairs(op.a_free, op.mass_diag, k)
+    ref = _scipy_shift_invert_values(op.a_free, op.mass_diag, k)
+    assert np.abs(vals - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_constants_factors_take_minimum_degree_order(op16, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from transmission.constants import poincare_mean_sigma
+
+    orders = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda mat, **kw:
+                        orders.append(kw.get("permc_spec")) or splu(mat, **kw))
+    lowest_pairs(op16.a_free, op16.mass_diag, 3)   # the shift-invert factor
+    poincare_mean_sigma(op16, "L2_eig")            # the bordered L2 system
+    assert orders == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+
+
+def test_failed_factorization_is_numeric_error(op16, monkeypatch):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from transmission.constants import poincare_mean_sigma
+
+    with pytest.raises(NumericError, match="singular"):
+        factor_symmetric(sp.csc_matrix((3, 3)))
+
+    def singular(mat, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(NumericError, match="singular"):
+        lowest_pairs(op16.a_free, op16.mass_diag, 3)
+    with pytest.raises(NumericError, match="singular"):
+        poincare_mean_sigma(op16, "L2_eig")
 
 
 def test_lowest_pairs_residual_check_raises(op16):
