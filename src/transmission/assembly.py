@@ -63,34 +63,17 @@ class DiffusionTensor:
 
 @dataclass
 class KernelSpec:
-    """Interface interaction kernel, comparable to the power law
-    |x - y|^-(d + 2s); the default is the power law itself (c0 = c1 = 1)."""
+    """Interface interaction kernel: the power law |x - y|^-(d + 2s)."""
 
     s: float
     dim_d: float
-    c0: float = 1.0
-    c1: float = 1.0
-    rule: object = None   # callable (r, d, s) -> kernel value; None = power law
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValidationError(f"kernel exponent s={self.s} outside (0, 1)")
-        if not (0.0 < self.c0 <= self.c1):
-            raise ValidationError("kernel comparability needs 0 < c0 <= c1")
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
-        expo = self.dim_d + 2.0 * self.s
-        if self.rule is None:
-            return r ** (-expo)
-        return self.rule(r, self.dim_d, self.s)
-
-    def comparability_gap(self, positions: np.ndarray) -> tuple[float, float]:
-        """(min, max) of K(x,y) |x-y|^(d+2s) over all distinct node pairs."""
-        diff = positions[:, None, :] - positions[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        iu = np.triu_indices(len(positions), k=1)
-        vals = self.evaluate(r[iu]) * r[iu] ** (self.dim_d + 2.0 * self.s)
-        return float(vals.min()), float(vals.max())
+        return r ** (-(self.dim_d + 2.0 * self.s))
 
 
 @dataclass
@@ -231,7 +214,6 @@ class DiscreteOperator:
     b_beta: sp.csr_matrix
     theta: sp.csr_matrix
     d0: float
-    beta0: float
     delta: int = 1
     dirichlet_dofs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     _cache: dict = field(default_factory=dict, repr=False)
@@ -259,9 +241,6 @@ class DiscreteOperator:
         """A full-vertex matrix restricted to the free DOFs."""
         f = self.free_dofs
         return mat[f][:, f].tocsr()
-
-    def beta_weights_diag(self) -> np.ndarray:
-        return self.b_beta.diagonal()[self.free_dofs]
 
     # ---- norms over free-DOF states -----------------------------------
     def pair_norm2(self, u: np.ndarray) -> float:
@@ -301,14 +280,6 @@ def build_operator(mesh: MeshedDomain, measure: InterfaceMeasure,
     return DiscreteOperator(
         mesh=mesh, measure=measure, m_bulk=m_bulk, m_iface=m_iface,
         k_stiff=k_stiff, b_beta=b_beta, theta=theta,
-        d0=D.d0, beta0=beta.beta0, delta=delta, dirichlet_dofs=dv,
+        d0=D.d0, delta=delta, dirichlet_dofs=dv,
     )
 
-
-def export_matrix_triplets(mat: sp.spmatrix, path) -> None:
-    """Coordinate-format text export: sorted 'row col value' lines."""
-    coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")

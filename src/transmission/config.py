@@ -212,11 +212,10 @@ class SimConfig:
         for name in ("p_values", "q_values", "cf_values", "ch_values"):
             if not getattr(self.sweep, name):
                 v.append(f"sweep.{name} is empty: need at least one value")
-        for p, q, c_f, c_h in self.sweep.grid():
-            try:
-                Nonlinearity.power(c_f, q), Nonlinearity.power(c_h, p)
-            except ValueError as exc:
-                v.append(f"sweep cell p = {p}, q = {q}, c_f = {c_f}, c_h = {c_h}: {exc}")
+        for name in ("p_values", "q_values"):
+            negative = [e for e in getattr(self.sweep, name) if e < 0.0]
+            if negative:
+                v.append(f"sweep.{name} has exponents {negative}: each must be >= 0")
         if self.pairs.perturbation <= 0.0:
             v.append(f"pairs.perturbation = {self.pairs.perturbation}: must be positive")
         if self.pairs.horizon <= 0.0:

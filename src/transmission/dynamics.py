@@ -89,9 +89,6 @@ class Trajectory:
     def sup_norms(self) -> np.ndarray:
         return np.array([np.abs(u).max() for u in self.states])
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 # Bound on the total SuperLU.nnz of the factors kept per operator.  It keeps
 # every factor of a Koch sweep whose cells share rungs (18 factors, 0.36 M at

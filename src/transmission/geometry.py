@@ -25,10 +25,6 @@ class ResolutionError(GeometryError):
     """Interface features finer than the mesh can resolve."""
 
 
-class MeasureError(GeometryError):
-    """Degenerate interface measure (zero-length edge, nonpositive weight)."""
-
-
 #: Hausdorff dimension of the Koch curve, ln 4 / ln 3.
 KOCH_DIMENSION = math.log(4.0) / math.log(3.0)
 
@@ -76,7 +72,6 @@ class MeshedDomain:
     interface_nodes: np.ndarray   # (K,) int, ordered along the interface
     interface_cut_edges: np.ndarray  # (E, 2) int, mesh edges forming the cut
     interface: InterfaceSpec = field(default_factory=Segment)
-    dirichlet_side: str = "left"
 
     @property
     def domain_area(self) -> float:
@@ -295,7 +290,6 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
         interface_nodes=iface_nodes,
         interface_cut_edges=cut,
         interface=interface,
-        dirichlet_side=dirichlet_side,
     )
 
 
@@ -312,7 +306,7 @@ def build_interface_measure(mesh: MeshedDomain,
     pos = mesh.vertices[mesh.interface_nodes]
     seg_len = np.linalg.norm(np.diff(pos, axis=0), axis=1)
     if (seg_len <= 0.0).any():
-        raise MeasureError("zero-length interface polyline edge")
+        raise GeometryError("zero-length interface polyline edge")
 
     if isinstance(interface, Segment) or interface.level == 0:
         d = 1.0
@@ -325,7 +319,7 @@ def build_interface_measure(mesh: MeshedDomain,
     w[:-1] += 0.5 * seg_mass
     w[1:] += 0.5 * seg_mass
     if (w <= 0.0).any():
-        raise MeasureError("nonpositive interface weight")
+        raise GeometryError("nonpositive interface weight")
     return InterfaceMeasure(node_positions=pos, weights=w, dim_d=d,
                             segment_mass=seg_mass)
 

@@ -134,10 +134,6 @@ class PolyFunc:
         return sum(c for (a, b), c in self.terms.items()
                    if abs(a + b - degree) < 1e-12)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 class Nonlinearity(PolyFunc):
     """Odd-power polynomial nonlinearity constant + sum_k c_k |t|^{e_k} t

@@ -274,7 +274,7 @@ def test_criterion_12_refinement_sanity(op16, op32, spec16):
         U0 = 5.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
         ctrl = StepControl(dt0=1e-3, dt_min=1e-12, dt_max=1e-3, growth_cap=1e9)
         traj = integrate(op, U0, CUBIC_SINK, LINEAR_SOURCE, 1.0, ctrl)
-        terms.append(op.pair_norm2(traj.final_state()))
+        terms.append(op.pair_norm2(traj.states[-1]))
     term_ok = abs(terms[0] - terms[1]) <= 0.1 * terms[1]
     report(12, "refinement sanity", lam_ok and term_ok,
            f"lam1 {lam16:.4f}->{lam32:.4f}; terminal E1 {terms[0]:.4e}->{terms[1]:.4e}")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from transmission.assembly import (
     AssemblyError,
@@ -12,7 +11,6 @@ from transmission.assembly import (
     assemble_interface_mass,
     assemble_nonlocal,
     build_operator,
-    export_matrix_triplets,
     nonlocal_kernel_matrix,
 )
 from transmission.geometry import (
@@ -138,18 +136,6 @@ def test_nonlocal_coincident_nodes_rejected():
         nonlocal_kernel_matrix(m, KernelSpec(s=0.5, dim_d=1.0))
 
 
-def test_kernel_comparability(measure16):
-    kernel = KernelSpec(s=0.5, dim_d=measure16.dim_d)
-    lo, hi = kernel.comparability_gap(measure16.node_positions)
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert hi == pytest.approx(1.0, abs=1e-12)
-
-    scaled = KernelSpec(s=0.5, dim_d=1.0, c0=0.5, c1=2.0,
-                        rule=lambda r, d, s: 2.0 * r ** (-(d + 2 * s)))
-    lo, hi = scaled.comparability_gap(measure16.node_positions)
-    assert 0.5 <= lo <= hi <= 2.0
-
-
 def test_kernel_s_range():
     with pytest.raises(ValidationError):
         KernelSpec(s=1.5, dim_d=1.0)
@@ -217,22 +203,6 @@ def test_conservation_before_constraints(op16):
     ones = np.ones(op16.a_full.shape[0])
     assert np.abs(op16.k_stiff @ ones).max() <= 1e-12
     assert np.abs(op16.theta @ ones).max() <= 1e-12
-
-
-def test_matrix_export_triplets(tmp_path, op16):
-    path = tmp_path / "k.txt"
-    export_matrix_triplets(op16.k_stiff, path)
-    lines = path.read_text().strip().splitlines()
-    coo = op16.k_stiff.tocoo()
-    assert len(lines) == coo.nnz
-    r, c, v = lines[0].split()
-    assert int(r) == 0
-    mat = np.array([[float(x) for x in ln.split()] for ln in lines])
-    rebuilt = sp.coo_matrix(
-        (mat[:, 2], (mat[:, 0].astype(int), mat[:, 1].astype(int))),
-        shape=op16.k_stiff.shape,
-    )
-    assert np.abs((rebuilt - op16.k_stiff)).max() <= 1e-15
 
 
 def test_form_refinement_consistency_logged():

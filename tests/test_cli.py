@@ -293,6 +293,56 @@ def test_sweep_keeps_cells_finished_before_a_crash(tmp_path, monkeypatch):
     assert len(list((out / "cells").glob("*.csv"))) == 6
 
 
+def test_sweep_simulation_agrees_with_verdicts(tmp_path):
+    cfg = write(tmp_path, SWEEP)
+    simulated = write(tmp_path, SWEEP + "simulate = true\n", "sim.ini")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    out = tmp_path / "sim"
+    assert main(["sweep", "--config", simulated, "--out", str(out)]) == EXIT_OK
+    markers = sorted((out / "cells").glob("*.csv"))
+    assert len(markers) == 6
+    assert all(m.read_text().endswith("#outcome=completed\n") for m in markers)
+    assert not (out / "counterexamples.csv").exists()
+    assert ((out / "regime_diagram.csv").read_bytes()
+            == (tmp_path / "plain" / "regime_diagram.csv").read_bytes())
+
+
+def test_sweep_records_verdict_simulation_mismatches(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from transmission import cli
+
+    real_classify, real_integrate = cli.classify, cli.integrate
+
+    def cell(f, h):
+        """(p, q) of a sweep cell's pair f = c_f |u|^q u, h = c_h |u|^p u."""
+        return h.growth[0], f.growth[0]
+
+    def classify(f, h, *args, **kwargs):
+        v = real_classify(f, h, *args, **kwargs)
+        if cell(f, h) == (0.0, 2.0):
+            v = dataclasses.replace(v, verdict="BlowUpPredicted")
+        return v
+
+    def integrate(op, U0, f, h, *args, **kwargs):
+        traj = real_integrate(op, U0, f, h, *args, **kwargs)
+        if cell(f, h) == (1.0, 1.0):
+            traj.outcome = "blowup"
+        return traj
+
+    monkeypatch.setattr(cli, "classify", classify)
+    monkeypatch.setattr(cli, "integrate", integrate)
+    cfg = write(tmp_path, SWEEP + "simulate = true\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert "WARNING: 2 verdict/simulation mismatches recorded" in capsys.readouterr().out
+    assert (out / "counterexamples.csv").read_text().splitlines() == [
+        "p,q,c_f,c_h,verdict,rule,outcome",
+        "0.0,2.0,1.0,1.0,BlowUpPredicted,bulk-sink-dominates,completed",
+        "1.0,1.0,1.0,1.0,GlobalBounded,quadratic-growth-envelope,blowup",
+    ]
+
+
 def test_env_override_applies(tmp_path, monkeypatch):
     monkeypatch.setenv("TRANSMISSION_RUN__SPECTRUM_COUNT", "4")
     code = main(["spectrum", "--config", write(tmp_path, BASE),

@@ -97,6 +97,15 @@ def test_invalid_values_rejected(section, entry):
     assert any(v.startswith(section) for v in err.value.violations)
 
 
+def test_bad_sweep_exponent_is_one_violation():
+    # one negative exponent in a 2 x 3 x 2 x 2 grid is one mistake, not 12
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[sweep]\np_values = -1,0\nq_values = 1,2,3\n"
+                          "cf_values = 1,2\nch_values = 1,2\n")
+    assert len(err.value.violations) == 1
+    assert "sweep.p_values" in err.value.violations[0]
+
+
 @pytest.mark.parametrize("section,key", [
     ("physics", "c0"), ("physics", "c1"), ("sweep", "c_f"), ("sweep", "c_h"),
 ])

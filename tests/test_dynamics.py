@@ -111,7 +111,7 @@ def _no_reaction_operator(delta):
         m_iface=sp.diags(w, format="csr"), k_stiff=k_stiff,
         b_beta=sp.csr_matrix((n_dof, n_dof)),
         theta=assemble_nonlocal(mesh, measure, KernelSpec(s=0.5, dim_d=1.0)),
-        d0=1.0, beta0=0.0, delta=delta,
+        d0=1.0, delta=delta,
     )
 
 
@@ -162,7 +162,7 @@ def test_linear_dissipative_decay(op16, spec16):
     assert traj.outcome == "completed"
     lam1 = spec16.eigenvalues[0]
     bound = np.exp(-lam1 * 3.0 * (1 - 0.2)) * op16.pair_norm(U0)
-    assert op16.pair_norm(traj.final_state()) <= bound
+    assert op16.pair_norm(traj.states[-1]) <= bound
 
 
 def test_bounded_cubic_sink_with_interface_source(op16):
@@ -587,7 +587,7 @@ def test_observer_sees_every_accepted_state(op16, rng):
     assert all(np.array_equal(U, V) for (_, _, U), V in zip(seen, stored.states))
     # the streamed trajectory keeps the last state only
     assert len(streamed.states) == 1
-    assert np.array_equal(streamed.final_state(), stored.final_state())
+    assert np.array_equal(streamed.states[-1], stored.states[-1])
     assert np.array_equal(streamed.times, stored.times)
 
 

@@ -39,7 +39,7 @@ def test_quadratic_form_psd_and_symmetric(op16, rng):
 
 def test_quadratic_form_on_constants_is_beta_mass(op16_neumann):
     ones = np.ones(op16_neumann.n_free)
-    expected = op16_neumann.beta_weights_diag().sum()
+    expected = op16_neumann.b_beta.diagonal()[op16_neumann.free_dofs].sum()
     assert quadratic_form(op16_neumann, ones) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.0, abs=1e-12)
 
@@ -77,7 +77,7 @@ def _zero_form_operator():
     theta = assemble_nonlocal(mesh, measure, KernelSpec(s=0.5, dim_d=1.0))
     return DiscreteOperator(
         mesh=mesh, measure=measure, m_bulk=m_bulk, m_iface=m_iface,
-        k_stiff=k_stiff, b_beta=b_beta, theta=theta, d0=1.0, beta0=0.0,
+        k_stiff=k_stiff, b_beta=b_beta, theta=theta, d0=1.0,
     )
 
 

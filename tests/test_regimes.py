@@ -198,7 +198,7 @@ def test_alpha_defect_hand_values():
 
 def test_alpha_defect_vanishes_at_matching_exponent():
     g, _ = alpha_defects(CUBIC_SINK, ZERO, 4.0)   # alpha = q + 2
-    assert g.is_zero
+    assert not g.terms
 
 
 def test_alpha_defect_requires_alpha_above_two():
@@ -713,6 +713,27 @@ def test_replay_dissipative_rule(op16, constants, lam1):
     verdict = RegimeVerdict(verdict="GlobalBounded", rule="dissipative-balance",
                             certificate={k: val for k, val in v.items() if k != "success"})
     assert replay_certificate(verdict, f, h, constants) <= 1e-8
+
+
+@pytest.mark.parametrize("f,h,datum,rule,perturb", [
+    # superlinear bulk sink against a weaker superlinear interface source
+    (Nonlinearity.power(10.0, 2.0), Nonlinearity.power(0.1, 1.0), None,
+     "dissipative-balance", lambda c: {"c_fh": -1.0}),
+    (Nonlinearity.power(1.0, 3.0), Nonlinearity.power(-1.0, 0.5), 1.0,
+     "balance-certified", lambda c: {"balance_c": c["balance_c"] / 10.0}),
+    (Nonlinearity(terms=((-1.0, 1.5), (-50.0, 0.0))), Nonlinearity.power(0.1, 1.0),
+     10.0, "sign-pair-blowup", lambda c: {"C_f_prime": 0.0}),
+], ids=["dissipative", "balance", "sign-pair"])
+def test_classify_reaches_rule_and_replays(op16, spec16, constants, lam1,
+                                           f, h, datum, rule, perturb):
+    # datum None is U0 = 1, otherwise a multiple of the first eigenvector
+    U0 = np.ones(op16.n_free) if datum is None else datum * spec16.eigenvectors[:, 0]
+    v = classify(f, h, op16, constants, U0, lam1=lam1)
+    assert (v.rule, v.conflict) == (rule, False)
+    assert replay_certificate(v, f, h, constants) == 0.0
+    broken = RegimeVerdict(verdict=v.verdict, rule=v.rule,
+                           certificate={**v.certificate, **perturb(v.certificate)})
+    assert replay_certificate(broken, f, h, constants) > 0.1
 
 
 def test_fractional_exponents_supported(op16, spec16, constants, lam1):
