@@ -148,23 +148,29 @@ def initial_state(cfg: SimConfig, op) -> np.ndarray:
         if ini.index > op.n_free:
             raise ConfigError([f"initial.index = {ini.index}: the operator has "
                                f"only {op.n_free} free degrees of freedom"])
-        spec = spectrum(op, k=ini.index)
-        return ini.scale * spec.eigenvectors[:, ini.index - 1]
-    if ini.kind == "expression":
-        x = op.mesh.vertices[:, 0]
-        y = op.mesh.vertices[:, 1]
-        full = np.broadcast_to(
-            np.asarray(_eval_expression(ini.expression, {"x": x, "y": y, "pi": np.pi}),
-                       dtype=float),
-            x.shape,
-        ).copy()
-        return ini.scale * full[op.free_dofs]
-    if ini.kind == "file":
+        free = spectrum(op, k=ini.index).eigenvectors[:, ini.index - 1]
+    elif ini.kind == "expression":
+        x, y = op.mesh.vertices.T
+        # a nan or inf value is reported below, not warned about here
+        with np.errstate(all="ignore"):
+            value = _eval_expression(ini.expression, {"x": x, "y": y, "pi": np.pi})
+        free = np.broadcast_to(np.asarray(value, dtype=float), x.shape)[op.free_dofs]
+    elif ini.kind == "file":
         full = np.zeros(len(op.mesh.vertices))
         vertex, value = _read_vertex_values(ini.path, len(full))
         full[vertex] = value
-        return ini.scale * full[op.free_dofs]
-    raise ConfigError([f"initial.kind = {ini.kind!r} not supported"])
+        free = full[op.free_dofs]
+    else:
+        raise ConfigError([f"initial.kind = {ini.kind!r} not supported"])
+    with np.errstate(over="ignore"):
+        state = ini.scale * free
+    bad = int(np.count_nonzero(~np.isfinite(state)))
+    if bad:
+        name = (f"expression = {ini.expression!r}" if ini.kind == "expression"
+                else f"scale = {ini.scale!r}")
+        raise ConfigError([f"initial.{name}: the scaled initial state is not finite "
+                           f"at {bad} of {op.n_free} free degrees of freedom"])
+    return state
 
 
 def _step_control(cfg: SimConfig) -> StepControl:

@@ -1,9 +1,10 @@
 """Structured unit-square meshes with an embedded interface polyline.
 
-The computational domain is the unit square split into two open pieces by a
-polyline interface (a horizontal segment or a snapped Koch prefractal).  The
-interface carries its own measure: positive nodal weights approximating an
-arc-length or self-similar mass distribution of prescribed dimension.
+The computational domain is the unit square, one structured grid, with a
+polyline interface (a horizontal segment or a snapped Koch prefractal) whose
+vertices are mesh vertices.  The interface carries its own measure: positive
+nodal weights approximating an arc-length or self-similar mass distribution
+of prescribed dimension.
 """
 
 from __future__ import annotations
@@ -57,20 +58,17 @@ class MeshedDomain:
 
     ``interface_nodes`` are the measure-carrying vertices, ordered along the
     interface.  For a segment they are the whole mesh row; for a Koch
-    prefractal they are the prefractal vertices snapped to the grid, and the
-    geometric separation is realized by ``interface_cut_edges``, the mesh
-    edges between the triangles above and below the snapped polyline.  The
-    cut leaves exactly two regions: a triangle that its centroid puts on
-    one side but that the other side surrounds joins the side around it.
+    prefractal they are the prefractal vertices snapped to the grid.  The
+    grid itself does not depend on the interface: the field is continuous
+    across it, with one degree of freedom per vertex, so no triangle is
+    assigned to a side.
     """
 
-    n: int
     vertices: np.ndarray          # (N, 2) float
     triangles: np.ndarray         # (T, 3) int
     boundary_edges: np.ndarray    # (B, 2) int
     boundary_tags: np.ndarray     # (B,) '<U10', 'dirichlet' or 'neumann'
     interface_nodes: np.ndarray   # (K,) int, ordered along the interface
-    interface_cut_edges: np.ndarray  # (E, 2) int, mesh edges forming the cut
     interface: InterfaceSpec = field(default_factory=Segment)
 
     @property
@@ -130,28 +128,6 @@ def _koch_vertices(level: int) -> np.ndarray:
     return pts
 
 
-def _points_below_polyline(points: np.ndarray, polyline: np.ndarray,
-                           y0: float) -> np.ndarray:
-    """Even-odd test: which points lie in the region bounded below the
-    interface polyline (polyline runs from (0, y0) to (1, y0))."""
-    # closed region: bottom side, right side up to (1, y0), then back along
-    # the interface to (0, y0); the closing edge down to (0, 0) is implicit
-    poly = np.vstack([[[0.0, 0.0], [1.0, 0.0], [1.0, y0]], polyline[::-1][1:]])
-    ends = np.hstack([poly, np.roll(poly, -1, axis=0)])
-    x0, yy0, x1, yy1 = ends[ends[:, 1] != ends[:, 3]].T
-    # one horizontal ray per distinct ordinate: a point is inside when an odd
-    # number of the ray's edge crossings lie strictly right of it
-    ys, row = np.unique(points[:, 1], return_inverse=True)
-    groups = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
-    inside = np.zeros(len(points), dtype=bool)
-    for y, idx in zip(ys, groups):
-        cond = (yy0 <= y) != (yy1 <= y)
-        xint = np.sort(x0[cond] + (y - yy0[cond]) * (x1[cond] - x0[cond])
-                       / (yy1[cond] - yy0[cond]))
-        inside[idx] = (len(xint) - np.searchsorted(xint, points[idx, 0], side="right")) % 2 == 1
-    return inside
-
-
 def _self_intersects(polyline: np.ndarray) -> bool:
     """Whether two non-adjacent edges of the polyline cross: the ends of each
     lie strictly on either side of the other's line."""
@@ -164,37 +140,6 @@ def _self_intersects(polyline: np.ndarray) -> bool:
 
     straddles = orient(polyline[:-1]) * orient(polyline[1:]) < 0
     return bool(np.triu(straddles & straddles.T, 2).any())
-
-
-def _edge_owners(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mesh edges as sorted vertex pairs in lexicographic order (E, 2), and
-    the triangles holding each (E, 2), -1 in the second column of a boundary
-    edge."""
-    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    n_vert = int(triangles.max()) + 1
-    flat = pairs[:, 0] * n_vert + pairs[:, 1]
-    keys, first, count = np.unique(flat, return_index=True, return_counts=True)
-    last = np.argsort(flat, kind="stable")[np.cumsum(count) - 1]
-    owners = np.column_stack([first // 3, np.where(count == 2, last // 3, -1)])
-    return np.column_stack([keys // n_vert, keys % n_vert]), owners
-
-
-def _component_labels(n_tri: int, pairs: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of n_tri triangles in the graph
-    whose edges are the (m, 2) triangle pairs."""
-    # imported here: segment runs never need csgraph (~5 ms, ~1 MiB)
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    graph = sp.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(n_tri, n_tri))
-    return connected_components(graph, directed=False)[1]
-
-
-def _region(pairs: np.ndarray, member: np.ndarray, seed: int) -> np.ndarray:
-    """The member triangles joined to triangle seed through adjacent pairs
-    of member triangles."""
-    labels = _component_labels(len(member), pairs[member[pairs].all(axis=1)])
-    return labels == labels[seed]
 
 
 def build_square_mesh(n: int, interface: InterfaceSpec,
@@ -245,7 +190,6 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
 
     if level == 0:
         iface_nodes = vid[j0]
-        cut = np.column_stack([vid[j0, :-1], vid[j0, 1:]])
     else:
         if 3.0 ** (-level) < h:
             raise ResolutionError(
@@ -264,31 +208,16 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
         if (interior[:, 0] <= 0).any() or (interior[:, 0] >= n).any() \
                 or (gnodes[:, 1] <= 0).any() or (gnodes[:, 1] >= n).any():
             raise GeometryError("Koch interface touches the outer boundary")
-        snapped = gnodes.astype(float) / n
-        if _self_intersects(snapped):
+        if _self_intersects(gnodes / n):
             raise ResolutionError("snapped interface polyline self-intersects; increase n")
-        # class the triangles by centroid, below or above the snapped
-        # polyline, then keep two regions: the below triangles joined to
-        # triangle 0, and the rest joined to the last triangle (above, like
-        # triangle 0 is below); a stranded triangle joins the side around
-        # it.  The cut is the set of mesh edges between the two regions
-        centroids = vertices[triangles].mean(axis=1)
-        below = _points_below_polyline(centroids, snapped, j0 * h)
-        edges, owners = _edge_owners(triangles)
-        inner = owners[:, 1] >= 0
-        pairs = owners[inner]
-        above = _region(pairs, ~_region(pairs, below, 0), -1)
-        cut = edges[inner][above[pairs[:, 0]] != above[pairs[:, 1]]]
         iface_nodes = vid[gnodes[:, 1], gnodes[:, 0]]
 
     return MeshedDomain(
-        n=n,
         vertices=vertices,
         triangles=triangles,
         boundary_edges=boundary_edges,
         boundary_tags=boundary_tags,
         interface_nodes=iface_nodes,
-        interface_cut_edges=cut,
         interface=interface,
     )
 
@@ -367,17 +296,6 @@ def ahlfors_upper_check(measure: InterfaceMeasure, n_samples: int,
             ratio = _ball_polyline_mass(measure, c, r) / r ** measure.dim_d
             worst = max(worst, ratio)
     return worst
-
-
-def count_interface_components(mesh: MeshedDomain) -> int:
-    """Number of connected components of the triangle adjacency graph once
-    the interface cut edges are removed."""
-    edges, owners = _edge_owners(mesh.triangles)
-    n_vert = len(mesh.vertices)
-    c = np.sort(mesh.interface_cut_edges, axis=1)
-    cut = np.isin(edges[:, 0] * n_vert + edges[:, 1], c[:, 0] * n_vert + c[:, 1])
-    labels = _component_labels(len(mesh.triangles), owners[(owners[:, 1] >= 0) & ~cut])
-    return int(labels.max()) + 1
 
 
 def export_mesh_csv(mesh: MeshedDomain, out_dir) -> None:

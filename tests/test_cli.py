@@ -475,11 +475,13 @@ def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "verdict.txt").exists()
 
 
-@pytest.mark.parametrize("mode", ["classify", "simulate", "sweep"])
+@pytest.mark.parametrize("mode", ["classify", "simulate", "sweep", "pairs"])
 @pytest.mark.parametrize("initial", [
     "kind = eigenvector\nindex = 100",
     "kind = expression\nexpression = x +",
-], ids=["index-beyond-free-dofs", "expression-syntax"])
+    "kind = expression\nexpression = sqrt(x - 0.5)",
+    "kind = expression\nexpression = 1/(x - 0.5)",
+], ids=["index-beyond-free-dofs", "expression-syntax", "expression-nan", "expression-inf"])
 def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, initial):
     one_cell = "[sweep]\np_values = 0\nq_values = 2\ncf_values = -1.0\nch_values = -1.0\n"
     cfg = write(tmp_path, BASE.replace("n = 8", "n = 4")
@@ -606,6 +608,10 @@ ultra_fit = true
 jobs = 1
 """
 
+# the same problem on a Koch interface, whose mesh build must not load csgraph
+IMPORT_GUARD_KOCH = IMPORT_GUARD.replace(
+    "n = 4", "n = 6\ninterface = koch\nkoch_level = 1\ny0 = 0.4")
+
 # every mode in one fresh interpreter (pytest's own has loaded scipy.optimize);
 # the bounded minimiser is counted, so the classifying modes are seen to use it
 IMPORT_GUARD_SCRIPT = """
@@ -617,13 +623,14 @@ regimes.minimize_scalar = lambda *a, **k: calls.append(1) or port(*a, **k)
 loaded = {}
 for mode in sorted(cli._RUNNERS):
     code = cli.main([mode, "--config", sys.argv[1], "--out", sys.argv[2] + "/" + mode])
-    loaded[mode] = (code, sorted(m for m in sys.modules if m.startswith("scipy.optimize")
-                                 or m == "concurrent.futures.process"))
+    loaded[mode] = (code, sorted(m for m in sys.modules if m.startswith(
+        ("scipy.optimize", "scipy.sparse.csgraph")) or m == "concurrent.futures.process"))
 print(json.dumps({"loaded": loaded, "calls": len(calls)}))
 """
 
 
-def test_no_mode_imports_scipy_optimize_or_a_process_pool(tmp_path):
+def _import_guard(tmp_path, config_text):
+    """Every mode's exit code and forbidden imports, and the minimiser's calls."""
     import json
     import os
     import subprocess
@@ -634,10 +641,18 @@ def test_no_mode_imports_scipy_optimize_or_a_process_pool(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD_SCRIPT, write(tmp_path, IMPORT_GUARD),
+        [sys.executable, "-c", IMPORT_GUARD_SCRIPT, write(tmp_path, config_text),
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["loaded"] == {mode: [EXIT_OK, []] for mode in (
         "classify", "constants", "pairs", "simulate", "spectrum", "sweep")}
     assert result["calls"] > 0
+
+
+def test_no_mode_imports_scipy_optimize_or_a_process_pool(tmp_path):
+    _import_guard(tmp_path, IMPORT_GUARD)
+
+
+def test_no_mode_imports_scipy_optimize_or_csgraph_on_a_koch_interface(tmp_path):
+    _import_guard(tmp_path, IMPORT_GUARD_KOCH)

@@ -11,7 +11,6 @@ from transmission.geometry import (
     ahlfors_upper_check,
     build_interface_measure,
     build_square_mesh,
-    count_interface_components,
     export_measure_csv,
     export_mesh_csv,
 )
@@ -49,54 +48,6 @@ def test_mesh_is_conforming():
     assert max(counts.values()) <= 2
     for (a, b), _tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         assert counts[tuple(sorted((a, b)))] == 1
-
-
-def test_edge_owners_match_reference_loop():
-    from transmission.geometry import _edge_owners
-
-    mesh = build_square_mesh(27, KochPrefractal(2, 0.4))
-    owners = {}
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        for e in ((a, b), (b, c), (c, a)):
-            owners.setdefault(tuple(sorted(e)), []).append(t)
-    edges, held = _edge_owners(mesh.triangles)
-    assert [tuple(e) for e in edges] == sorted(owners)
-    assert [[t for t in h if t >= 0] for h in held] == [owners[k] for k in sorted(owners)]
-
-
-# the last five split into 3, 4, 4, 5 and 19 regions by centroid class alone
-@pytest.mark.parametrize("spec,n", [(Segment(0.5), 16), (KochPrefractal(1, 0.5), 27),
-                                    (KochPrefractal(2, 0.4), 27),
-                                    (KochPrefractal(3, 0.4), 162),
-                                    (KochPrefractal(1, 0.4), 5),
-                                    (KochPrefractal(2, 0.4), 20),
-                                    (KochPrefractal(3, 0.4), 81),
-                                    (KochPrefractal(3, 0.4), 108),
-                                    (KochPrefractal(4, 0.5), 160)])
-def test_interface_separates_two_components(spec, n):
-    mesh = build_square_mesh(n, spec)
-    assert count_interface_components(mesh) == 2
-
-
-def _snapped_polyline(mesh):
-    """The snapped Koch polyline and baseline ordinate as build_square_mesh
-    computes them."""
-    n = mesh.n
-    return np.rint(mesh.vertices[mesh.interface_nodes] * n) / n, \
-        round(mesh.interface.y0 * n) * (1.0 / n)
-
-
-@pytest.mark.parametrize("spec,n", [(KochPrefractal(2, 0.4), 27),
-                                    (KochPrefractal(3, 0.4), 162)])
-def test_cut_of_a_two_region_split_is_the_centroid_cut(spec, n):
-    from transmission.geometry import _edge_owners, _points_below_polyline
-
-    mesh = build_square_mesh(n, spec)
-    below = _points_below_polyline(mesh.vertices[mesh.triangles].mean(axis=1),
-                                   *_snapped_polyline(mesh))
-    edges, owners = _edge_owners(mesh.triangles)
-    cut = edges[(owners[:, 1] >= 0) & (below[owners[:, 0]] != below[owners[:, 1]])]
-    assert np.array_equal(mesh.interface_cut_edges, cut)
 
 
 def _reference_grid(n, dirichlet_side):
@@ -140,40 +91,22 @@ def test_grid_matches_reference_loops(n, side):
     row = int(round(0.5 * n)) * (n + 1) + np.arange(n + 1)
     assert mesh.interface_nodes.dtype == row.dtype
     assert np.array_equal(mesh.interface_nodes, row)
-    assert np.array_equal(mesh.interface_cut_edges, np.column_stack([row[:-1], row[1:]]))
 
 
-def _reference_points_below(points, polyline, y0):
-    """The even-odd test by one pass over the points per polygon edge."""
-    poly = np.vstack([np.array([[0.0, 0.0], [1.0, 0.0], [1.0, y0]]),
-                      polyline[::-1][1:]])
-    inside = np.zeros(len(points), dtype=bool)
-    x, y = points[:, 0], points[:, 1]
-    px, py = poly[:, 0], poly[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    for k in range(len(poly)):
-        x0, yy0, x1, yy1 = px[k], py[k], qx[k], qy[k]
-        if yy0 == yy1:
-            continue
-        cond = (yy0 <= y) != (yy1 <= y)
-        xint = x0 + (y - yy0) * (x1 - x0) / (yy1 - yy0)
-        inside ^= cond & (x < xint)
-    return inside
+@pytest.mark.parametrize("n,level,y0", [(27, 2, 0.4), (81, 3, 0.4), (160, 4, 0.5),
+                                        (6, 1, 0.4)])
+def test_koch_mesh_is_the_grid_with_snapped_prefractal_nodes(n, level, y0):
+    from transmission.geometry import _koch_vertices
 
-
-@pytest.mark.parametrize("spec,n", [(KochPrefractal(2, 0.4), 27),
-                                    (KochPrefractal(3, 0.4), 108),
-                                    (KochPrefractal(4, 0.5), 160)])
-def test_points_below_polyline_matches_reference_loop(spec, n):
-    from transmission.geometry import _points_below_polyline
-
-    mesh = build_square_mesh(n, spec)
-    polyline, y0 = _snapped_polyline(mesh)
-    rng = np.random.default_rng(n)
-    for points in (mesh.vertices[mesh.triangles].mean(axis=1), rng.random((3000, 2))):
-        got = _points_below_polyline(points, polyline, y0)
-        assert np.array_equal(got, _reference_points_below(points, polyline, y0))
-        assert 0 < got.sum() < len(points)
+    mesh = build_square_mesh(n, KochPrefractal(level, y0))
+    grid = build_square_mesh(n, Segment(y0))
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        new, old = getattr(mesh, name), getattr(grid, name)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+    nodes = mesh.interface_nodes
+    assert len(nodes) == 4 ** level + 1 == len(np.unique(nodes))
+    target = _koch_vertices(level) + np.array([0.0, y0])
+    assert np.abs(mesh.vertices[nodes] - target).max() <= 0.5 / n + 1e-12
 
 
 def _reference_self_intersects(polyline):
