@@ -23,7 +23,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
-from .operators import NumericError, SpectralData, fit_line, semigroup_apply
+from .operators import (NumericError, SpectralData, _SymmetricLU, fit_line,
+                        semigroup_apply)
 from .poly import Nonlinearity
 
 
@@ -71,6 +72,9 @@ class StepStats:
     dt_min: float           # smallest and largest step size tried (0 if none)
     dt_max: float
     factorizations: int     # LU factors built during the run
+    # steps solved by the Neumann series, not by an LU factor; stats compare
+    # equal by their step and factor counts alone
+    series_solves: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -100,21 +104,27 @@ _LU_CACHE_NNZ = 2_000_000
 # Neumann series instead of an LU factor.  At theta <= 2**-8 the series
 # reaches full precision within 6 products with A (2 at theta <= 1e-6), and A
 # has a fifth of the factor's nonzeros at n=27, a seventh at n=96.  A series
-# solve then costs at most about two LU solves and a factor about forty
-# (n=27), while a blow-up passes each rung this small in a few steps: a
+# solve then costs at most about two to two and a half (transposed) LU solves
+# and a factor about fifty at n=27, under one solve and a factor about sixty
+# at n=96, while a blow-up passes each rung this small in a few steps: a
 # factor there does not pay for itself.
 _SERIES_THETA = 2.0 ** -8
 
 
 class _FactorCache:
     """LU factors of M + dt A by step size, least recently used first; counts
-    the factorizations it builds.  Also keeps ||M^-1 A||_inf, the largest
-    row sum of |A| over the mass."""
+    the factorizations it builds and the series solvers it hands out.  Also
+    keeps ||M^-1 A||_inf, the largest row sum of |A| over the mass.  A is
+    checked once to be exactly symmetric, as the transposed solve of its
+    factors needs."""
 
     def __init__(self, op: DiscreteOperator):
+        if (op.a_free != op.a_free.T).nnz:
+            raise NumericError("the operator's free-DOF matrix is not symmetric")
         self.factors: OrderedDict = OrderedDict()
         self.nnz = 0
         self.built = 0
+        self.series = 0
         row_sums = np.asarray(abs(op.a_free).sum(axis=1)).ravel()
         self.norm = float((row_sums / op.mass_diag).max())
 
@@ -161,6 +171,7 @@ def _imex_solver(op: DiscreteOperator, dt: float):
     dt = float(dt)
     theta = dt * cache.norm
     if theta <= _SERIES_THETA:
+        cache.series += 1
         return _SeriesSolver(op, dt, theta)
     lu = cache.factors.get(dt)
     if lu is not None:
@@ -169,7 +180,7 @@ def _imex_solver(op: DiscreteOperator, dt: float):
     mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
     # the matrix is symmetric positive definite: a minimum-degree order on
     # A^T + A leaves far less fill than the default COLAMD order
-    lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+    lu = _SymmetricLU(spla.splu(mat, permc_spec="MMD_AT_PLUS_A"))
     cache.built += 1
     cache.factors[dt] = lu
     cache.nnz += lu.nnz
@@ -232,7 +243,7 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
             stored.append(U)
 
     cache = _factor_cache(op)
-    built0 = cache.built
+    built0, series0 = cache.built, cache.series
     U = U0.copy()
     times = array("d", [0.0])
     dts = array("d", [0.0])
@@ -282,7 +293,8 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     stats = StepStats(attempted=attempted, accepted=accepted,
                       rejected=attempted - accepted,
                       dt_min=dt_lo if attempted else 0.0, dt_max=dt_hi,
-                      factorizations=cache.built - built0)
+                      factorizations=cache.built - built0,
+                      series_solves=cache.series - series0)
     return Trajectory(
         times=np.array(times), dts=np.array(dts), states=stored or [U],
         outcome=outcome, outcome_time=outcome_time, stats=stats,

@@ -528,6 +528,44 @@ def test_minimum_degree_order_fills_less(op32):
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
+@pytest.mark.parametrize("build", ["op32", "koch"])
+def test_symmetric_factors_are_solved_through_the_transpose(build, request, rng):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from conftest import koch_operator
+
+    from transmission.dynamics import _imex_solver
+    from transmission.operators import factor_symmetric
+
+    op = request.getfixturevalue("op32") if build == "op32" else koch_operator()
+    dt = 0.02
+    assert dt * _inf_norm(op) > 2.0 ** -8   # the LU branch, not the series
+    mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
+    ref = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+    for b in (rng.standard_normal(op.n_free), op.mass_diag):
+        transposed, plain = ref.solve(b, trans="T"), ref.solve(b)
+        for solver in (_imex_solver(op, dt), factor_symmetric(mat)):
+            x = solver.solve(b)
+            assert np.array_equal(x, transposed)
+            assert np.abs(x - plain).max() <= 1e-13 * np.abs(plain).max()
+
+
+def test_imex_solver_rejects_a_non_symmetric_operator():
+    import scipy.sparse as sp
+
+    from conftest import default_operator
+
+    from transmission.dynamics import _imex_solver
+    from transmission.operators import NumericError
+
+    op = default_operator(8)   # fresh: no solver cache on it yet
+    skew = sp.csr_matrix(([1e-9], ([0], [1])), shape=op.a_free.shape)
+    op.a_free = op.a_free + skew
+    with pytest.raises(NumericError, match="not symmetric"):
+        _imex_solver(op, 0.1)
+
+
 # ------------------------------------- run end, solver counters, LU cache
 def test_completed_run_ends_at_the_horizon_bit_for_bit(op16, rng):
     # ten steps of 0.1 add up to 0.9999999999999999, inside the end
@@ -573,6 +611,28 @@ def test_step_stats_count_the_run(case, monkeypatch):
         attempted=stats.attempted, accepted=stats.accepted,
         rejected=stats.rejected, dt_min=stats.dt_min, dt_max=stats.dt_max,
         factorizations=0)
+
+
+@pytest.mark.parametrize("case", ["completed", "blowup"])
+def test_step_stats_count_the_series_solves(case, monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(16)
+    U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
+                                     op.n_free)
+    tried = []
+    step = dynamics.imex_step
+    monkeypatch.setattr(dynamics, "imex_step",
+                        lambda op, U, dt, f, h: tried.append(dt) or step(op, U, dt, f, h))
+    stats = integrate(op, U0, f, h, T, ctrl).stats
+    assert stats.attempted == len(tried)
+    # one series solve per step tried with dt * ||M^-1 A||_inf at most 2**-8,
+    # which only the blow-up (f = -u^3) reaches
+    series = [dt for dt in tried if dt * _inf_norm(op) <= 2.0 ** -8]
+    assert stats.series_solves == len(series)
+    assert (stats.series_solves > 0) == (case == "blowup")
 
 
 def test_observer_sees_every_accepted_state(op16, rng):

@@ -179,6 +179,43 @@ def test_failed_factorization_is_numeric_error(op16, monkeypatch):
         poincare_mean_sigma(op16, "L2_eig")
 
 
+def _anisotropic_operator():
+    from transmission.assembly import BetaCoefficient, build_operator
+
+    mesh = build_square_mesh(16, Segment(0.5))
+    measure = build_interface_measure(mesh)
+    return build_operator(mesh, measure,
+                          DiffusionTensor.constant(mesh, 2.3, 0.37, 2.1, d0=1.0),
+                          BetaCoefficient.constant(measure, 1.0),
+                          KernelSpec(s=0.5, dim_d=measure.dim_d))
+
+
+@pytest.mark.parametrize("case", ["op16", "op16_neumann", "koch", "anisotropic",
+                                  "s09"])
+def test_free_dof_form_is_exactly_symmetric(case, request):
+    # the factors of every solve are solved through their transpose, which
+    # is the same system only for an exactly symmetric matrix
+    from conftest import default_operator, koch_operator
+
+    op = {"op16": lambda: request.getfixturevalue("op16"),
+          "op16_neumann": lambda: request.getfixturevalue("op16_neumann"),
+          "koch": koch_operator,
+          "anisotropic": _anisotropic_operator,
+          "s09": lambda: default_operator(16, s=0.9)}[case]()
+    assert (op.a_free != op.a_free.T).nnz == 0
+
+
+def test_factor_symmetric_rejects_a_non_symmetric_matrix():
+    import scipy.sparse as sp
+
+    with pytest.raises(NumericError, match="symmetric"):
+        factor_symmetric(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
+    # symmetric up to one rounding is not symmetric
+    off = np.nextafter(1.0, 2.0)
+    with pytest.raises(NumericError, match="symmetric"):
+        factor_symmetric(sp.csc_matrix(np.array([[2.0, 1.0], [off, 2.0]])))
+
+
 def test_lowest_pairs_residual_check_raises(op16):
     with pytest.raises(NumericError):
         lowest_pairs(op16.a_free, op16.mass_diag, 3, residual_tol=1e-30)
