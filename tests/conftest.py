@@ -37,6 +37,17 @@ def koch_operator():
     )
 
 
+def anisotropic_operator(n, interface=Segment(0.5), d12=0.37):
+    """Operator of the constant tensor (d11, d12, d22) = (2.3, d12, 2.1): with
+    d12 != 0 it is no grid pencil, and the integrator factors it by SuperLU."""
+    mesh = build_square_mesh(n, interface)
+    measure = build_interface_measure(mesh)
+    return build_operator(mesh, measure,
+                          DiffusionTensor.constant(mesh, 2.3, d12, 2.1, d0=1.0),
+                          BetaCoefficient.constant(measure, 1.0),
+                          KernelSpec(s=0.5, dim_d=measure.dim_d))
+
+
 @pytest.fixture(scope="session")
 def op16():
     return default_operator(16)

@@ -207,6 +207,22 @@ def test_constants_failed_factorization_exits_numeric(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out" / "constants.txt").exists()
 
 
+def test_simulate_failed_grid_probe_exits_numeric(tmp_path, monkeypatch, capsys):
+    from transmission import dynamics
+
+    # a capacitance matrix blind to the grid's response fails the probe of
+    # the first solver built
+    monkeypatch.setattr(dynamics._GridPencil, "gram",
+                        lambda self, lam: np.zeros((len(self.p),) * 2))
+    code = main(["simulate", "--config", write(tmp_path, BASE),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "probe residual" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 SWEEP = """
 [geometry]
 n = 8

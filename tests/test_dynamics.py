@@ -486,12 +486,15 @@ def test_second_run_reuses_the_rungs_of_the_first():
 def test_lu_ordering_changes_rounding_only(build, case, monkeypatch):
     import scipy.sparse.linalg as spla
 
-    from conftest import default_operator, koch_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics
+    from transmission.geometry import KochPrefractal
 
-    # fresh operators: no factorization is cached on them yet
-    make = {"op16": lambda: default_operator(16), "koch": koch_operator}[build]
+    # fresh operators, factorized by SuperLU: no factorization is cached on
+    # them yet
+    make = {"op16": lambda: anisotropic_operator(16),
+            "koch": lambda: anisotropic_operator(27, KochPrefractal(1, 0.4))}[build]
     op = make()
     U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
                                      op.n_free)
@@ -514,17 +517,20 @@ def test_lu_ordering_changes_rounding_only(build, case, monkeypatch):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
-def test_minimum_degree_order_fills_less(op32):
+def test_minimum_degree_order_fills_less():
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+    from conftest import anisotropic_operator
+
     from transmission.dynamics import _imex_solver
 
+    op = anisotropic_operator(32)   # factorized by SuperLU
     dt = 0.02
-    lu = _imex_solver(op32, dt)
-    mat = (op32.a_free * dt + sp.diags(op32.mass_diag)).tocsc()
+    lu = _imex_solver(op, dt)
+    mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
     colamd = spla.splu(mat, permc_spec="COLAMD")
-    # 25,156 against 38,682 entries with scipy 1.17
+    # 35,534 against 45,030 entries with scipy 1.17
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
@@ -533,20 +539,26 @@ def test_symmetric_factors_are_solved_through_the_transpose(build, request, rng)
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    from conftest import koch_operator
+    from conftest import anisotropic_operator, koch_operator
 
     from transmission.dynamics import _imex_solver
+    from transmission.geometry import KochPrefractal
     from transmission.operators import factor_symmetric
 
     op = request.getfixturevalue("op32") if build == "op32" else koch_operator()
+    # the integrator's solver on the same mesh with an anisotropic tensor,
+    # which it factors by SuperLU
+    aniso = (anisotropic_operator(32) if build == "op32"
+             else anisotropic_operator(27, KochPrefractal(1, 0.4)))
     dt = 0.02
-    assert dt * _inf_norm(op) > 2.0 ** -8   # the LU branch, not the series
-    mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
-    ref = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
-    for b in (rng.standard_normal(op.n_free), op.mass_diag):
-        transposed, plain = ref.solve(b, trans="T"), ref.solve(b)
-        for solver in (_imex_solver(op, dt), factor_symmetric(mat)):
-            x = solver.solve(b)
+    for op, solver_of in ((op, factor_symmetric),
+                          (aniso, lambda mat: _imex_solver(aniso, dt))):
+        assert dt * _inf_norm(op) > 2.0 ** -8   # the LU branch, not the series
+        mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
+        ref = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+        for b in (rng.standard_normal(op.n_free), op.mass_diag):
+            transposed, plain = ref.solve(b, trans="T"), ref.solve(b)
+            x = solver_of(mat).solve(b)
             assert np.array_equal(x, transposed)
             assert np.abs(x - plain).max() <= 1e-13 * np.abs(plain).max()
 
@@ -566,6 +578,148 @@ def test_imex_solver_rejects_a_non_symmetric_operator():
         _imex_solver(op, 0.1)
 
 
+# ------------------------------------------------ grid solver of M + dt A
+def _grid_case(case):
+    """A fresh operator whose M + dt A the grid pencil solves."""
+    from conftest import anisotropic_operator, default_operator, koch_operator
+
+    from transmission.geometry import KochPrefractal
+
+    if case.startswith("side-"):
+        return default_operator(16, dirichlet_side=case[5:])
+    return {"delta0": lambda: default_operator(16, delta=0),
+            "beta0": lambda: default_operator(16, beta_value=0.0),
+            "y0": lambda: default_operator(16, y0=0.3125),
+            "diagonal": lambda: anisotropic_operator(16, d12=0.0),
+            "koch": koch_operator,
+            "koch2": lambda: anisotropic_operator(27, KochPrefractal(2, 0.4),
+                                                  d12=0.0)}[case]()
+
+
+def _corners(op):
+    """The free DOFs at the corners of the square."""
+    corner = np.isin(op.mesh.vertices, (0.0, 1.0)).all(axis=1)
+    return np.flatnonzero(corner[op.free_dofs])
+
+
+@pytest.mark.parametrize("case", [
+    "side-left", "side-right", "side-top", "side-bottom", "side-all",
+    "side-none", "delta0", "beta0", "y0", "diagonal", "koch", "koch2"])
+def test_grid_solve_matches_superlu(case, monkeypatch):
+    import scipy.sparse as sp
+
+    from transmission import dynamics
+
+    op = _grid_case(case)
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    grid = dynamics._factor_cache(op).grid
+    # the capacitance set: the interface and the corners whose lumped mass
+    # is not the product of the grid lines' masses, 6 to 21 DOFs here
+    assert set(op.iface_dofs) <= set(grid.p) <= set(op.iface_dofs) | set(_corners(op))
+    assert 6 <= len(grid.p) <= 21
+    rng = np.random.default_rng(3)
+    for dt in (0.005, 0.02, 0.1, 1.0):
+        assert dt * _inf_norm(op) > 2.0 ** -8   # not the series
+        solver = dynamics._imex_solver(op, dt)
+        mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
+        ref = splu(mat, permc_spec="MMD_AT_PLUS_A")   # not counted
+        for b in (rng.standard_normal(op.n_free), op.mass_diag):
+            x = ref.solve(b, trans="T")
+            assert np.abs(solver.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+    assert built == []
+
+
+def test_anisotropic_operator_is_factored_by_superlu(monkeypatch):
+    from conftest import anisotropic_operator
+
+    from transmission import dynamics
+
+    op = anisotropic_operator(16)
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    # d12 != 0 couples the diagonal neighbours, which no grid pencil does
+    assert dynamics._factor_cache(op).grid is None
+    for dt in (0.02, 0.1):
+        dynamics._imex_solver(op, dt)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("case", ["completed", "blowup"])
+def test_grid_path_builds_one_solver_per_step_size(case, monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+
+    op = default_operator(16)   # fresh: every step size is built anew
+    U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
+                                     op.n_free)
+    tried, built = [], []
+    step, splu = dynamics.imex_step, dynamics.spla.splu
+    monkeypatch.setattr(dynamics, "imex_step",
+                        lambda op, U, dt, f, h: tried.append(dt) or step(op, U, dt, f, h))
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    traj = integrate(op, U0, f, h, T, ctrl)
+    assert traj.outcome == case
+    # every step size above the series' threshold, once
+    solved = {dt for dt in tried if dt * _inf_norm(op) > 2.0 ** -8}
+    assert traj.stats.factorizations == len(solved) > 3
+    assert integrate(op, U0, f, h, T, ctrl).stats.factorizations == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("build", ["op16", "koch"])
+@pytest.mark.parametrize("case", ["completed", "blowup"])
+def test_grid_solver_changes_rounding_only(build, case, monkeypatch):
+    from conftest import default_operator, koch_operator
+
+    from transmission import dynamics
+
+    # fresh operators: no solver is cached on them yet
+    make = {"op16": lambda: default_operator(16), "koch": koch_operator}[build]
+    op = make()
+    U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
+                                     op.n_free)
+    grid = integrate(op, U0, f, h, T, ctrl)
+    assert dynamics._factor_cache(op).grid is not None
+
+    monkeypatch.setattr(dynamics, "_grid_pencil", lambda op: None)
+    factored = integrate(make(), U0, f, h, T, ctrl)
+
+    assert grid.outcome == factored.outcome
+    assert grid.outcome_time == factored.outcome_time
+    assert np.array_equal(grid.times, factored.times)
+    assert np.array_equal(grid.dts, factored.dts)
+    if case == "blowup":
+        # the blow-up itself amplifies rounding: only the step sequence and
+        # the outcome must agree
+        return
+    for a, b in zip(grid.states, factored.states):
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+
+def test_failed_grid_probe_is_numeric_error(monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics
+    from transmission.operators import NumericError
+
+    op = default_operator(8)
+    # a capacitance matrix blind to the grid's response: the solve misses
+    # the interface and corner correction, and its probe shows it
+    monkeypatch.setattr(dynamics._GridPencil, "gram",
+                        lambda self, lam: np.zeros((len(self.p),) * 2))
+    with pytest.raises(NumericError, match="probe residual"):
+        dynamics._imex_solver(op, 0.1)
+    with pytest.raises(NumericError, match="dt=0.05"):
+        imex_step(op, np.ones(op.n_free), 0.05, ZERO, ZERO)
+
+
 # ------------------------------------- run end, solver counters, LU cache
 def test_completed_run_ends_at_the_horizon_bit_for_bit(op16, rng):
     # ten steps of 0.1 add up to 0.9999999999999999, inside the end
@@ -579,11 +733,12 @@ def test_completed_run_ends_at_the_horizon_bit_for_bit(op16, rng):
 
 @pytest.mark.parametrize("case", ["completed", "blowup"])
 def test_step_stats_count_the_run(case, monkeypatch):
-    from conftest import default_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics
 
-    op = default_operator(16)   # fresh: every step size is factorized anew
+    # fresh, and factorized by SuperLU: every step size is factorized anew
+    op = anisotropic_operator(16)
     U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
                                      op.n_free)
     tried, built = [], []
@@ -652,11 +807,11 @@ def test_observer_sees_every_accepted_state(op16, rng):
 
 
 def test_lu_cache_evicts_the_least_recently_used_factor(monkeypatch):
-    from conftest import default_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics
 
-    op = default_operator(8)
+    op = anisotropic_operator(8)   # factorized by SuperLU
     built = []
     splu = dynamics.spla.splu
     monkeypatch.setattr(dynamics.spla, "splu",
@@ -723,11 +878,11 @@ def test_series_solve_matches_lu_on_tail_rungs(build):
 
 
 def test_series_threshold_decides_factoring(monkeypatch):
-    from conftest import default_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics
 
-    op = default_operator(8)   # fresh: nothing factorized yet
+    op = anisotropic_operator(8)   # fresh, and factorized by SuperLU
     built = []
     splu = dynamics.spla.splu
     monkeypatch.setattr(dynamics.spla, "splu",
@@ -745,11 +900,11 @@ def test_series_threshold_decides_factoring(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_series_passes_non_finite_values_on(monkeypatch):
-    from conftest import default_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics
 
-    op = default_operator(8)   # fresh: nothing factorized yet
+    op = anisotropic_operator(8)   # fresh, and factorized by SuperLU
     built = []
     splu = dynamics.spla.splu
     monkeypatch.setattr(dynamics.spla, "splu",

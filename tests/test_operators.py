@@ -179,28 +179,17 @@ def test_failed_factorization_is_numeric_error(op16, monkeypatch):
         poincare_mean_sigma(op16, "L2_eig")
 
 
-def _anisotropic_operator():
-    from transmission.assembly import BetaCoefficient, build_operator
-
-    mesh = build_square_mesh(16, Segment(0.5))
-    measure = build_interface_measure(mesh)
-    return build_operator(mesh, measure,
-                          DiffusionTensor.constant(mesh, 2.3, 0.37, 2.1, d0=1.0),
-                          BetaCoefficient.constant(measure, 1.0),
-                          KernelSpec(s=0.5, dim_d=measure.dim_d))
-
-
 @pytest.mark.parametrize("case", ["op16", "op16_neumann", "koch", "anisotropic",
                                   "s09"])
 def test_free_dof_form_is_exactly_symmetric(case, request):
     # the factors of every solve are solved through their transpose, which
     # is the same system only for an exactly symmetric matrix
-    from conftest import default_operator, koch_operator
+    from conftest import anisotropic_operator, default_operator, koch_operator
 
     op = {"op16": lambda: request.getfixturevalue("op16"),
           "op16_neumann": lambda: request.getfixturevalue("op16_neumann"),
           "koch": koch_operator,
-          "anisotropic": _anisotropic_operator,
+          "anisotropic": lambda: anisotropic_operator(16),
           "s09": lambda: default_operator(16, s=0.9)}[case]()
     assert (op.a_free != op.a_free.T).nnz == 0
 
@@ -404,11 +393,11 @@ def test_csv_exports(tmp_path, spec16):
 
 
 def test_markov_check_factors_once_per_step_size(monkeypatch):
-    from conftest import default_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics
 
-    op = default_operator(8)   # fresh: nothing factorized yet
+    op = anisotropic_operator(8)   # fresh, and factorized by SuperLU
     grid = np.linspace(0.005, 0.1, 20)
     # the grid's steps differ in their last bits
     assert len(np.unique(np.diff(grid))) > 1

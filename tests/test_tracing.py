@@ -68,13 +68,14 @@ def test_tracer_installs_on_every_hook_point():
 
 
 def test_tracer_counts_one_factorization_per_step_size():
-    from conftest import default_operator
+    from conftest import anisotropic_operator
 
     from transmission import dynamics, operators, poly
 
     tracing = _load_tracing()
     tracer = tracing.Tracer()
-    op = default_operator(8)   # fresh: nothing factorized yet
+    # fresh, and factorized by SuperLU, whose factors the tracer counts
+    op = anisotropic_operator(8)
     U0 = np.full(op.n_free, 0.5)
     ctrl = dynamics.StepControl(dt0=1e-3, dt_max=0.02)
     # the run starts on the rung 0.02 / 32 below dt0; the Markov grid shares
