@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 
+from .dynamics import StepControl
 from .geometry import DIRICHLET_SIDES as SIDES
 from .poly import Nonlinearity
 
@@ -84,12 +85,13 @@ class InitialConfig:
 
 @dataclass
 class TimeConfig:
+    """The horizon and the step control; the defaults are StepControl's."""
     horizon: float = 1.0
-    dt0: float = 1e-3
-    dt_min: float = 1e-18
-    dt_max: float = 0.1
-    growth_cap: float = 1.5
-    blow_up_threshold: float = 1e8
+    dt0: float = StepControl.dt0
+    dt_min: float = StepControl.dt_min
+    dt_max: float = StepControl.dt_max
+    growth_cap: float = StepControl.growth_cap
+    blow_up_threshold: float = StepControl.blow_up_threshold
 
 
 @dataclass

@@ -26,6 +26,12 @@ from .operators import (
 )
 from .textio import text, write_fields
 
+# random smooth fields drawn per seed: the L1 Poincare search and the zeta
+# table draw the same ones
+_SMOOTH_FIELDS = 20
+# largest interpolation exponent tried; a larger need is inf
+_ZETA_MAX = 64.0
+
 
 def _smooth_fields(op: DiscreteOperator, count: int, seed: int) -> np.ndarray:
     """(count, n_vertices) random low-frequency fields: the sum over k, l in
@@ -51,15 +57,15 @@ def _l1_quotient(op: DiscreteOperator, u: np.ndarray) -> float:
 
 
 def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
-                        n_starts: int = 50, seed: int = 0) -> float:
+                        seed: int = 0) -> float:
     """Best constant in  ||u - interface_mean(u)|| <= C ||grad u||.
 
     'L2_eig' solves the generalized eigenvalue problem of the quotient in
     the L2 norms exactly (unit diffusivity, no boundary constraints) and
     returns 1/sqrt(lambda_min).  'L1_empirical' sweeps every level set of
-    x, y, n_starts random smooth fields and the ten lowest eigenvectors and
-    returns the L1 quotient of the best indicator found, a lower bound on
-    the true L1 constant.
+    x, y, _SMOOTH_FIELDS random smooth fields and the ten lowest
+    eigenvectors and returns the L1 quotient of the best indicator found, a
+    lower bound on the true L1 constant.
     """
     mesh = op.mesh
     n_dof = len(mesh.vertices)
@@ -103,7 +109,7 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
         m_bulk = op.m_bulk.diagonal()
         mass = m_bulk.sum()
         seeds = [mesh.vertices[:, 0], mesh.vertices[:, 1]]
-        seeds += list(_smooth_fields(op, n_starts, seed))
+        seeds += list(_smooth_fields(op, _SMOOTH_FIELDS, seed))
         seeds += [op.embed(v) for v in spectrum(op, min(10, op.n_free)).eigenvectors.T]
         best, best_set = -1.0, None
         for u in seeds:
@@ -148,27 +154,26 @@ def best_embedding_constant(op: DiscreteOperator, eps: float) -> float:
 
 
 def interpolation_zeta(op: DiscreteOperator, eps_values: tuple[float, ...],
-                       trials: int = 20, seed: int = 0,
-                       zeta_max: float = 64.0) -> list[tuple[float, float]]:
+                       seed: int = 0) -> list[tuple[float, float]]:
     """[(eps, z)] for each of eps_values, z the smallest exponent such that,
     on all sampled states,
     ||U||_X2^2 <= eps * form(U, U) + eps^-z ||U||_X1^2.
 
-    The samples, `trials` random smooth fields (those of the L1 Poincare
-    search) on free DOFs plus the ten lowest eigenvectors, are drawn once
-    for every eps.  The least z is solved for in closed form (`_least_zeta`);
-    it is inf when even zeta_max fails.
+    The samples, the random smooth fields of the L1 Poincare search on free
+    DOFs plus the ten lowest eigenvectors, are drawn once for every eps.
+    The least z is solved for in closed form (`_least_zeta`); it is inf when
+    even _ZETA_MAX fails.
     """
     for eps in eps_values:
         if not (0.0 < eps <= 1.0):
             raise ValueError(f"eps={eps} outside (0, 1]")
-    samples = list(_smooth_fields(op, trials, seed)[:, op.free_dofs])
+    samples = list(_smooth_fields(op, _SMOOTH_FIELDS, seed)[:, op.free_dofs])
     samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
 
     x2 = np.array([op.pair_norm2(u) for u in samples])
     aa = np.array([quadratic_form(op, u) for u in samples])
     x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])
-    return [(eps, _least_zeta(x2, aa, x1sq, eps, zeta_max)) for eps in eps_values]
+    return [(eps, _least_zeta(x2, aa, x1sq, eps, _ZETA_MAX)) for eps in eps_values]
 
 
 def _least_zeta(x2: np.ndarray, aa: np.ndarray, x1sq: np.ndarray, eps: float,
@@ -210,8 +215,13 @@ class ConstantsReport:
         return self.safety_factor * max(self.poincare_l2, self.poincare_l1_lower)
 
     @property
+    def rho(self) -> float:
+        """Interface mass per unit area of the domain."""
+        return self.total_mass / self.domain_area
+
+    @property
     def c_star(self) -> float:
-        return self.poincare_effective * self.total_mass / self.domain_area
+        return self.poincare_effective * self.rho
 
     def validate(self) -> None:
         vals = [self.poincare_l2, self.poincare_l1_lower, self.c_bar, self.c_star]
@@ -220,14 +230,12 @@ class ConstantsReport:
 
 
 def compute_constants_report(op: DiscreteOperator, eps: float | None = None,
-                             safety_factor: float = 2.0, seed: int = 0,
-                             l1_starts: int = 20) -> ConstantsReport:
+                             safety_factor: float = 2.0, seed: int = 0) -> ConstantsReport:
     if eps is None:
         eps = op.d0 / 2.0
     report = ConstantsReport(
         poincare_l2=poincare_mean_sigma(op, "L2_eig"),
-        poincare_l1_lower=poincare_mean_sigma(op, "L1_empirical",
-                                              n_starts=l1_starts, seed=seed),
+        poincare_l1_lower=poincare_mean_sigma(op, "L1_empirical", seed=seed),
         c_bar=best_embedding_constant(op, eps),
         c_bar_eps=eps,
         zeta_table=interpolation_zeta(op, (0.125, 0.25, 0.5), seed=seed),

@@ -27,29 +27,20 @@ from .poly import Nonlinearity, PolyFunc
 from .textio import text, write_table
 
 
-@dataclass
-class EnergyValue:
-    total: float
-    form_term: float
-    bulk_primitive: float
-    iface_primitive: float
-
-
 def energy(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
-           h: Nonlinearity) -> EnergyValue:
+           h: Nonlinearity) -> float:
     """E(U) = 1/2 form(U, U) + sum m_i F(u_i) - sum w_i H(u_i) with F, H the
     primitives of the bulk and interface nonlinearities."""
     return _energy(op, U, f.antiderivative(), h.antiderivative())
 
 
 def _energy(op: DiscreteOperator, U: np.ndarray, F: PolyFunc,
-            H: PolyFunc) -> EnergyValue:
+            H: PolyFunc) -> float:
     """E(U) of `energy` from the primitives F and H."""
     form = 0.5 * quadratic_form(op, U)
     bulk = float(np.sum(op.bulk_mass_diag * F(U)))
     iface = float(np.sum(op.iface_weights * H(U[op.iface_dofs])))
-    return EnergyValue(total=form + bulk - iface, form_term=form,
-                       bulk_primitive=bulk, iface_primitive=iface)
+    return form + bulk - iface
 
 
 @dataclass
@@ -76,7 +67,7 @@ class EnergyAccumulator:
     def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
         op, col = self.op, self._columns
         col["times"].append(t)
-        col["E"].append(_energy(op, U, self.F, self.H).total)
+        col["E"].append(_energy(op, U, self.F, self.H))
         col["G"].append(0.5 * op.pair_norm2(U))
         col["sup_norm"].append(float(np.abs(U).max()))
         if self._prev is None:
@@ -280,20 +271,17 @@ class GridSampler:
 class HolderModulus:
     """Observer that fits sup-norm increments against time gaps in log-log.
 
-    Samples the run on a uniform grid of 257 points in [t_lo, T] (t_lo
-    defaults to T/10), forms increment statistics at dyadic gap scales
-    spanning >= 1.5 decades, and fits the exponent; a flat (equilibrium)
-    trajectory reports exponent 1, flagged degenerate.  Only the samples one
-    largest gap back are kept.
+    Samples the run on a uniform grid of 257 points in [T/10, T], forms
+    increment statistics at the gaps of 2**0 .. 2**5 samples (1.5 decades),
+    and fits the exponent; a flat (equilibrium) trajectory reports exponent
+    1, flagged degenerate.  Only the samples one largest gap back are kept.
     """
 
-    def __init__(self, T: float, t_lo: float | None = None, n_scales: int = 6):
-        if t_lo is None:
-            t_lo = 0.1 * T
-        self.grid = np.linspace(t_lo, T, 257)
-        self.strides = [2 ** k for k in range(n_scales) if 2 ** k < len(self.grid)]
+    def __init__(self, T: float):
+        self.grid = np.linspace(0.1 * T, T, 257)
+        self.strides = [2 ** k for k in range(6)]
         self.incs = [-np.inf] * len(self.strides)
-        self._ring: deque = deque(maxlen=max(self.strides, default=1))
+        self._ring: deque = deque(maxlen=self.strides[-1])
         self._sup0 = 0.0
         self._sampler = GridSampler(self.grid, self._sample)
 
@@ -314,8 +302,6 @@ class HolderModulus:
     def result(self) -> dict:
         if self._sampler.count < len(self.grid):
             raise ValueError("the run ended before the end of the sampling grid")
-        if len(self.strides) < 4:
-            raise ValueError("fewer than 4 gap scales available for the fit")
         gaps = np.array([self.grid[s] - self.grid[0] for s in self.strides])
         incs = np.array(self.incs)
         if incs.max() <= 1e-14 * max(1.0, self._sup0):

@@ -336,7 +336,8 @@ def _imex_solver(op: DiscreteOperator, dt: float):
     """A solver of M + dt A: the Neumann series of _SeriesSolver when
     dt ||M^-1 A||_inf <= _SERIES_THETA, else a grid solver when the operator
     has a grid pencil and its LU factors when not, kept on the operator while
-    the solvers kept there total at most _LU_CACHE_NNZ stored numbers."""
+    the solvers kept there total at most _LU_CACHE_NNZ stored numbers.  A
+    failed grid probe or a singular factor is a NumericError naming dt."""
     cache = _factor_cache(op)
     dt = float(dt)
     theta = dt * cache.norm
@@ -353,7 +354,10 @@ def _imex_solver(op: DiscreteOperator, dt: float):
         mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
         # the matrix is symmetric positive definite: a minimum-degree order
         # on A^T + A leaves far less fill than the default COLAMD order
-        solver = _SymmetricLU(spla.splu(mat, permc_spec="MMD_AT_PLUS_A"))
+        try:
+            solver = _SymmetricLU(spla.splu(mat, permc_spec="MMD_AT_PLUS_A"))
+        except RuntimeError as exc:   # a singular factor
+            raise NumericError(f"linear solve failed at dt={dt}: {exc}") from exc
     cache.built += 1
     cache.factors[dt] = solver
     cache.nnz += solver.nnz
@@ -377,11 +381,7 @@ def imex_step(op: DiscreteOperator, U: np.ndarray, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     rhs = op.mass_diag * U - dt * _reaction(op, U, f, h)
-    try:
-        out = _imex_solver(op, dt).solve(rhs)
-    except RuntimeError as exc:   # a singular factor or a failed grid probe
-        raise NumericError(f"linear solve failed at dt={dt}: {exc}") from exc
-    return out
+    return _imex_solver(op, dt).solve(rhs)
 
 
 def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
@@ -391,12 +391,14 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     """March the dynamics to time T with adaptive steps.
 
     Steps whose sup-norm growth factor exceeds ctrl.growth_cap (or which
-    produce non-finite values) are retried with half the step.  Crossing
-    ctrl.blow_up_threshold ends the run with outcome 'blowup' at the last
-    accepted time; running out of step size ends it with 'stalled'.  A
-    completed run ends at T exactly.  Every step but a final one that lands
-    on T is a rung dt_max * 2**-k (see StepControl), so runs on one
-    operator share their factorizations, and the smallest rungs need none.
+    produce non-finite values) are retried with half the step; a step from
+    the zero state has no growth factor, so only its finiteness is tested.
+    Crossing ctrl.blow_up_threshold ends the run with outcome 'blowup' at
+    the last accepted time; running out of step size ends it with
+    'stalled'.  A completed run ends at T exactly.  Every step but a final
+    one that lands on T is a rung dt_max * 2**-k (see StepControl), so runs
+    on one operator share their factorizations, and the smallest rungs need
+    none.
 
     `observe(t, dt, U)`, when given, receives every accepted state, the
     initial one with t = dt = 0 included, and the trajectory keeps only the
@@ -440,7 +442,8 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
         Unew = imex_step(op, U, dt_try, f, h)
         # the max propagates NaN and inf, so it also tests finiteness
         sup_new = float(np.abs(Unew).max())
-        if not np.isfinite(sup_new) or sup_new / max(sup, 1e-300) > ctrl.growth_cap:
+        if not np.isfinite(sup_new) or (
+                sup != 0.0 and sup_new / max(sup, 1e-300) > ctrl.growth_cap):
             dt *= 0.5
             accepted_in_row = 0
             if dt < ctrl.dt_min:

@@ -35,16 +35,12 @@ class SpectralData:
         return len(self.eigenvalues)
 
 
-def quadratic_form(op: DiscreteOperator, u: np.ndarray, v: np.ndarray | None = None) -> float:
-    """Energy pairing v^T A u of free-DOF states (u, u) if v omitted)."""
+def quadratic_form(op: DiscreteOperator, u: np.ndarray) -> float:
+    """Energy u^T A u of a free-DOF state."""
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n_free,):
         raise ValueError(f"state has shape {u.shape}, expected ({op.n_free},)")
-    if v is None:
-        v = u
-    elif np.asarray(v).shape != (op.n_free,):
-        raise ValueError("mismatched state dimensions")
-    return float(np.asarray(v) @ (op.a_free @ u))
+    return float(u @ (op.a_free @ u))
 
 
 def lanczos_start(n: int) -> np.ndarray:
@@ -85,8 +81,12 @@ def factor_symmetric(mat):
         raise NumericError(f"sparse factorization failed: {exc}") from exc
 
 
-def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
-                 residual_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+# Bound on the residual of every returned eigenpair, relative to the scale of
+# its eigenvector and of the largest eigenvalue returned
+_RESIDUAL_TOL = 1e-8
+
+
+def lowest_pairs(a_csr, m_diag: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of the pencil (A, diag(m)), eigenvectors
     m-orthonormal; every returned pair's residual is verified.
 
@@ -123,10 +123,10 @@ def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
     V = V * signs[None, :]
     res = np.linalg.norm(a_csr @ V - (m_diag[:, None] * V) * vals[None, :], axis=0)
     scale = np.linalg.norm(V, axis=0)
-    bad = res > residual_tol * np.maximum(scale, 1.0) * max(np.abs(vals).max(), 1.0)
+    bad = res > _RESIDUAL_TOL * np.maximum(scale, 1.0) * max(np.abs(vals).max(), 1.0)
     if bad.any():
         worst = float((res / np.maximum(scale, 1.0)).max())
-        raise NumericError(f"eigenpair residual {worst:.3e} exceeds {residual_tol:.1e}")
+        raise NumericError(f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return vals, V
 
 

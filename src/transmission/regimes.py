@@ -113,7 +113,7 @@ class RegimeVerdict:
 
 # --------------------------------------------------------------- global rules
 def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
-                 eps: float | None = None, d0: float = 1.0) -> RegimeVerdict | None:
+                 d0: float, eps: float | None = None) -> RegimeVerdict | None:
     """Global-boundedness rules; None when none of them fires."""
     q, c_f = f.growth
     p, c_h = h.growth
@@ -140,7 +140,7 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
     # sampled moment balance with exact tail screening per sampled moment
     if eps is None:
         eps = d0 / 2.0
-    rho = constants.total_mass / constants.domain_area
+    rho = constants.rho
     c_star = constants.c_star
 
     if c_h != 0.0 and p > 0.0 and abs(q - 2.0 * p) < 1e-12:
@@ -182,15 +182,13 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
 
 # ----------------------------------------------------------- dissipativity
 def check_dissipative(f: Nonlinearity, h: Nonlinearity,
-                      constants: ConstantsReport, eps: float,
-                      d0: float = 1.0) -> dict:
+                      constants: ConstantsReport, eps: float, d0: float) -> dict:
     """Smallest quadratic absorption (lambda_star, c_fh) of
     -f(t) t + rho h(t) t + (c_star^2 / 4 eps) (h'(t) t + h(t))^2,
     succeeding when lambda_star < c_bar."""
     if not (0.0 < eps < d0):
         raise ValueError(f"eps={eps} outside (0, d0={d0})")
-    rho = constants.total_mass / constants.domain_area
-    lhs = _dissipative_lhs(f, h, rho, constants.c_star, eps)
+    lhs = _dissipative_lhs(f, h, constants.rho, constants.c_star, eps)
     deg, coeff = lhs.leading()
     if deg > 2.0 + 1e-12 and coeff > 0.0:
         return {"success": False,
@@ -303,7 +301,7 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
         eps = 0.5 * eps_cap
     if not (0.0 < eps < eps_cap):
         raise ValueError(f"eps={eps} outside (0, (alpha/2-1) d0 = {eps_cap})")
-    rho = constants.total_mass / constants.domain_area
+    rho = constants.rho
     c_tilde = 1.0 / lam1
     g, l = alpha_defects(f, h, alpha)
     ladder = np.geomspace(1e-4, 1e4, 33)
@@ -395,22 +393,21 @@ def default_alpha_candidates(f: Nonlinearity, h: Nonlinearity) -> list[float]:
 
 def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
              constants: ConstantsReport, U0: np.ndarray,
-             lam1: float | None = None, alpha: float | None = None,
-             eps: float | None = None) -> RegimeVerdict:
+             alpha: float | None = None, eps: float | None = None) -> RegimeVerdict:
     """Deterministic verdict for the nonlinearity pair and initial datum.
 
     Precedence: global rules, then dissipativity, then blow-up; a blow-up
     certificate that also fires under a global rule is reported as a
-    conflict diagnostic on the global verdict.
+    conflict diagnostic on the global verdict.  lambda_1 is the operator's
+    own, from its cached spectrum.
     """
     from .diagnostics import energy
     from .operators import spectrum
 
-    if lam1 is None:
-        lam1 = float(spectrum(op, k=1).eigenvalues[0])
+    lam1 = float(spectrum(op, k=1).eigenvalues[0])
     U0 = np.asarray(U0, dtype=float)
     u0_norm2 = op.pair_norm2(U0)
-    e0 = energy(op, U0, f, h).total
+    e0 = energy(op, U0, f, h)
 
     alphas = [alpha] if alpha is not None else default_alpha_candidates(f, h)
     gap_cache: dict = {}
@@ -430,7 +427,7 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
                     best = res
         return best
 
-    glob = check_global(f, h, constants, eps=eps, d0=op.d0)
+    glob = check_global(f, h, constants, op.d0, eps=eps)
     if glob is not None:
         glob.e0 = e0
         blow = blowup_scan()
@@ -490,7 +487,7 @@ def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
     rng = np.random.default_rng(seed)
     taus = rng.uniform(-1e3, 1e3, size=n_samples)
     cert = verdict.certificate
-    rho = constants.total_mass / constants.domain_area
+    rho = constants.rho
 
     def rel(excess: np.ndarray, scale: np.ndarray) -> float:
         return float(np.max(np.maximum(excess, 0.0) / scale))

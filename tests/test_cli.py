@@ -219,6 +219,8 @@ def test_simulate_failed_grid_probe_exits_numeric(tmp_path, monkeypatch, capsys)
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric error" in err and "probe residual" in err
+    # the probe's own message names the step size; nothing wraps it again
+    assert err.count("dt=") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
@@ -446,6 +448,19 @@ def test_simulate_stall_is_numeric_failure(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("OUTCOME,StalledStep,")
     assert (out / "trajectory.csv").read_text().splitlines()[-1] == lines[0]
     assert (out / "diagnostics.txt").read_text().startswith("outcome=stalled\n")
+
+
+def test_simulate_from_rest_with_a_forcing_term_completes(tmp_path, monkeypatch,
+                                                          capsys):
+    from pathlib import Path
+
+    # f(0) = -1 moves the zero state at once: no growth factor rejects it
+    cfg = Path(__file__).parent.parent / "configs" / "bounded.ini"
+    monkeypatch.setenv("TRANSMISSION_INITIAL__SCALE", "0")
+    monkeypatch.setenv("TRANSMISSION_BULK_NONLINEARITY__CONSTANT", "-1")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["OUTCOME,Completed,3.0"]
 
 
 def test_initial_state_expression_and_eigenvector(tmp_path):

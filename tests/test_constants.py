@@ -33,7 +33,7 @@ def test_poincare_l2_near_classical_value(op16):
 
 
 def test_poincare_l1_is_finite_lower_bound(op16):
-    l1 = poincare_mean_sigma(op16, "L1_empirical", n_starts=10)
+    l1 = poincare_mean_sigma(op16, "L1_empirical")
     l2 = poincare_mean_sigma(op16, "L2_eig")
     assert l1 > 0
     # Cauchy-Schwarz comparison on the unit square, logged not asserted tight
@@ -49,7 +49,7 @@ def test_poincare_l1_beats_half_square_indicator(n):
     below = (op.mesh.vertices[:, 1] < 0.5).astype(float)
     indicator = _l1_quotient(op, below)
     assert indicator == pytest.approx(0.5 - 1.0 / (2 * n), rel=1e-12)
-    assert poincare_mean_sigma(op, "L1_empirical", n_starts=10) >= indicator
+    assert poincare_mean_sigma(op, "L1_empirical") >= indicator
 
 
 def test_poincare_l1_is_quotient_of_a_vertex_indicator(op16, monkeypatch):
@@ -62,7 +62,7 @@ def test_poincare_l1_is_quotient_of_a_vertex_indicator(op16, monkeypatch):
         return _l1_quotient(op, u)
 
     monkeypatch.setattr(constants, "_l1_quotient", recorded)
-    l1 = poincare_mean_sigma(op16, "L1_empirical", n_starts=10)
+    l1 = poincare_mean_sigma(op16, "L1_empirical")
     assert len(fields) == 1
     u = fields[0]
     assert set(np.unique(u)) == {0.0, 1.0}
@@ -117,20 +117,23 @@ def test_poincare_l1_column_sweep_matches_row_wise(build, seed, request):
     from conftest import koch_operator
 
     op = koch_operator() if build == "koch" else request.getfixturevalue(build)
-    got = poincare_mean_sigma(op, "L1_empirical", n_starts=20, seed=seed)
+    got = poincare_mean_sigma(op, "L1_empirical", seed=seed)
     assert got == _row_wise_l1_sweep(op, 20, seed)
 
 
-def test_poincare_l1_stable_when_seeds_double(op32):
-    l1 = poincare_mean_sigma(op32, "L1_empirical", n_starts=20)
-    more = poincare_mean_sigma(op32, "L1_empirical", n_starts=40)
+def test_poincare_l1_stable_when_seeds_double(op32, monkeypatch):
+    import transmission.constants as constants
+
+    l1 = poincare_mean_sigma(op32, "L1_empirical")
+    monkeypatch.setattr(constants, "_SMOOTH_FIELDS", 40)
+    more = poincare_mean_sigma(op32, "L1_empirical")
     assert abs(more - l1) <= 1e-3 * l1
 
 
 def test_poincare_l1_does_not_fall_under_refinement():
     from conftest import default_operator
 
-    vals = [poincare_mean_sigma(default_operator(n), "L1_empirical", n_starts=20)
+    vals = [poincare_mean_sigma(default_operator(n), "L1_empirical")
             for n in (16, 32, 64)]
     assert vals[0] <= vals[1] <= vals[2]
 
@@ -192,24 +195,27 @@ def _zeta(op, eps, **kwargs):
 
 def test_zeta_at_eps_one_reduces_to_norm_check(op16):
     # the exponent is irrelevant at eps = 1; feasibility alone decides
-    assert _zeta(op16, 1.0, trials=8, seed=0) in (0.0, math.inf)
+    assert _zeta(op16, 1.0, seed=0) in (0.0, math.inf)
 
 
 def test_zeta_zero_when_form_dominates(op16):
-    assert _zeta(op16, 0.9, trials=8, seed=0) == 0.0
+    assert _zeta(op16, 0.9, seed=0) == 0.0
 
 
 def test_zeta_never_decreases_when_eps_halves(op16):
     prev = -1.0
     for eps in (0.8, 0.4, 0.2, 0.1):
-        z = _zeta(op16, eps, trials=8, seed=0)
+        z = _zeta(op16, eps, seed=0)
         assert z >= prev - 1e-9
         prev = z
 
 
-def test_zeta_feasibility_monotone(op16):
-    z = _zeta(op16, 0.25, trials=8, seed=0)
-    again = _zeta(op16, 0.25, trials=8, seed=0, zeta_max=z + 1.0)
+def test_zeta_feasibility_monotone(op16, monkeypatch):
+    import transmission.constants as constants
+
+    z = _zeta(op16, 0.25, seed=0)
+    monkeypatch.setattr(constants, "_ZETA_MAX", z + 1.0)
+    again = _zeta(op16, 0.25, seed=0)
     assert again <= z + 1e-9
 
 
@@ -250,7 +256,7 @@ def test_smooth_states_are_the_l1_search_fields(build, request):
 def test_poincare_l1_is_the_level_set_of_x(n):
     from conftest import default_operator
 
-    l1 = poincare_mean_sigma(default_operator(n), "L1_empirical", n_starts=20)
+    l1 = poincare_mean_sigma(default_operator(n), "L1_empirical")
     assert l1 == pytest.approx(0.5 - 1.0 / (2 * n * n), abs=1e-12)
 
 
@@ -303,7 +309,7 @@ def test_least_zeta_matches_bisection(x2, aa, x1sq, eps, kind):
 
 
 def test_report_construction_and_round_trip(op16, tmp_path):
-    report = compute_constants_report(op16, l1_starts=5)
+    report = compute_constants_report(op16)
     assert report.c_star == report.poincare_effective * report.total_mass / report.domain_area
     assert report.poincare_effective == report.safety_factor * max(
         report.poincare_l2, report.poincare_l1_lower
@@ -317,7 +323,7 @@ def test_report_construction_and_round_trip(op16, tmp_path):
 
 
 def test_report_positive_finite(op16):
-    report = compute_constants_report(op16, l1_starts=5)
+    report = compute_constants_report(op16)
     for val in (report.poincare_l2, report.poincare_l1_lower, report.c_bar,
                 report.c_star):
         assert math.isfinite(val) and val > 0
@@ -367,7 +373,7 @@ def test_report_runs_one_spectrum_and_one_embedding_solve(monkeypatch):
 
     monkeypatch.setattr(operators, "lowest_pairs", counted)
     monkeypatch.setattr(constants, "lowest_pairs", counted)
-    compute_constants_report(default_operator(12), l1_starts=2)
+    compute_constants_report(default_operator(12))
     assert sorted(calls) == [1, 10]
 
 
@@ -382,9 +388,9 @@ def test_report_draws_zeta_samples_once(op16, monkeypatch):
         return draw(op, count, seed)
 
     monkeypatch.setattr(constants, "_smooth_fields", counted)
-    report = compute_constants_report(op16, l1_starts=2, seed=7)
-    # one draw for the L1 search's 2 starts, one for the 20 zeta samples
-    assert sorted(draws) == [(2, 7), (20, 7)]
+    report = compute_constants_report(op16, seed=7)
+    # one draw of the 20 fields for the L1 search, one for the zeta samples
+    assert sorted(draws) == [(20, 7), (20, 7)]
     # the shared samples give the table that one call per eps gives
     assert report.zeta_table == [(e, _zeta(op16, e, seed=7))
                                  for e in (0.125, 0.25, 0.5)]
@@ -395,8 +401,7 @@ def test_reports_byte_identical(tmp_path):
 
     paths = []
     for run in range(2):
-        report = compute_constants_report(default_operator(12), l1_starts=3,
-                                          seed=4)
+        report = compute_constants_report(default_operator(12), seed=4)
         paths.append(tmp_path / f"constants{run}.txt")
         save_constants(report, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()

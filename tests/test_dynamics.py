@@ -208,6 +208,16 @@ def test_stalled_outcome_when_step_floor_hit(op16, spec16):
     assert traj.outcome_time <= 0.011
 
 
+def test_run_from_rest_with_a_forcing_term_completes(op16):
+    # f = |u|^2 u - 1 moves the zero state at once; a step from zero has no
+    # growth factor, so the run does not stall at t = 0
+    f = Nonlinearity(terms=((1.0, 2.0),), constant=-1.0)
+    traj = integrate(op16, np.zeros(op16.n_free), f, ZERO, 1.0, StepControl())
+    assert traj.outcome == "completed"
+    assert traj.times[-1] == 1.0
+    assert np.abs(traj.states[-1]).max() > 0.0
+
+
 def test_positivity_preserved_for_sign_safe_nonlinearities(op16):
     # bulk sink with f(u) u >= 0 and interface damping h(u) u <= 0
     rng = np.random.default_rng(10)

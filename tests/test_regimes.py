@@ -258,7 +258,7 @@ def test_minimize_scalar_sign_is_numpy_sign_plus_zero_test():
 
 # ------------------------------------------------------------- global rules
 def test_sink_dominates_rule(constants):
-    v = check_global(CUBIC_SINK, LINEAR_SOURCE, constants)
+    v = check_global(CUBIC_SINK, LINEAR_SOURCE, constants, d0=1.0)
     assert v is not None
     assert v.verdict == "GlobalBounded"
     assert v.rule == "bulk-sink-dominates"
@@ -269,19 +269,19 @@ def test_boundary_exponent_does_not_fire_sink_rule(constants):
     # soundly certify the pair
     f = Nonlinearity.power(1.0, 2.0)
     h = Nonlinearity.power(1.0, 1.0)
-    v = check_global(f, h, constants)
+    v = check_global(f, h, constants, d0=1.0)
     assert v is None
 
 
 def test_quadratic_envelope_rule(constants):
-    v = check_global(Nonlinearity.linear(-1.0), LINEAR_SOURCE, constants)
+    v = check_global(Nonlinearity.linear(-1.0), LINEAR_SOURCE, constants, d0=1.0)
     assert v is not None
     assert v.rule == "quadratic-growth-envelope"
     assert v.certificate["c_f_envelope"] >= 0.0
 
 
 def test_balance_certificate_for_zero_pair(constants):
-    v = check_global(ZERO, ZERO, constants)
+    v = check_global(ZERO, ZERO, constants, d0=1.0)
     assert v is not None
     assert v.verdict == "GlobalBounded"
 
@@ -290,27 +290,28 @@ def test_balance_certified_fit_shape(constants):
     # superquadratic sink vs linear source at the sampled moments
     f = Nonlinearity(terms=((1.0, 2.0), (-0.5, 0.0)))
     h = LINEAR_SOURCE
-    v = check_global(f, h, constants)
+    v = check_global(f, h, constants, d0=1.0)
     assert v.rule == "bulk-sink-dominates" or v.rule == "balance-certified"
 
 
 # ------------------------------------------------------------ dissipativity
 def test_dissipative_cubic_pair(constants):
-    res = check_dissipative(CUBIC_SINK, LINEAR_SOURCE, constants, eps=0.5)
+    res = check_dissipative(CUBIC_SINK, LINEAR_SOURCE, constants, eps=0.5, d0=1.0)
     assert res["success"]
     assert res["lambda_star"] == 0.0
     assert res["c_fh"] > 0.0
 
 
 def test_dissipative_zero_pair(constants):
-    res = check_dissipative(ZERO, ZERO, constants, eps=0.5)
+    res = check_dissipative(ZERO, ZERO, constants, eps=0.5, d0=1.0)
     assert res["success"]
     assert res["lambda_star"] == 0.0
     assert res["c_fh"] == 0.0
 
 
 def test_dissipative_superquadratic_source_fails(constants):
-    res = check_dissipative(ZERO, Nonlinearity.power(1.0, 2.0), constants, eps=0.5)
+    res = check_dissipative(ZERO, Nonlinearity.power(1.0, 2.0), constants, eps=0.5,
+                            d0=1.0)
     assert not res["success"]
     assert res == {"success": False,
                    "reason": "reaction grows like |tau|^6 with positive "
@@ -505,7 +506,7 @@ def test_lazy_selection_is_first_largest_margin(rng):
         assert all(bound[k] >= exact.max() for k in refined)
 
 
-def test_blowup_classify_refines_few_rungs(op16, spec16, constants, lam1,
+def test_blowup_classify_refines_few_rungs(op16, spec16, constants,
                                            monkeypatch):
     # the eager search made 4835 minimize_scalar calls for this classify
     calls = []
@@ -516,7 +517,7 @@ def test_blowup_classify_refines_few_rungs(op16, spec16, constants, lam1,
 
     monkeypatch.setattr(regimes, "minimize_scalar", counting)
     v = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants,
-                 8.0 * spec16.eigenvectors[:, 0], lam1=lam1)
+                 8.0 * spec16.eigenvectors[:, 0])
     assert v.rule == "quadratic-gap-blowup-case-a"
     assert 0 < len(calls) <= 4835 // 10
 
@@ -624,23 +625,23 @@ def test_blowup_alpha_validation(constants, lam1):
 
 
 # ------------------------------------------------------------------ classify
-def test_classify_sink_pair(op16, constants, lam1):
+def test_classify_sink_pair(op16, constants):
     v = classify(CUBIC_SINK, LINEAR_SOURCE, op16, constants,
-                 np.zeros(op16.n_free), lam1=lam1)
+                 np.zeros(op16.n_free))
     assert v.verdict == "GlobalBounded"
 
 
-def test_classify_blowup_pair_with_large_datum(op16, spec16, constants, lam1):
+def test_classify_blowup_pair_with_large_datum(op16, spec16, constants):
     phi1 = spec16.eigenvectors[:, 0]
     v = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants, 8.0 * phi1,
-                 lam1=lam1, alpha=3.0)
+                 alpha=3.0)
     assert v.verdict == "BlowUpPredicted"
     assert v.lhs_value > v.threshold_value
 
 
-def test_classify_cubic_cubic_indeterminate(op16, constants, lam1):
+def test_classify_cubic_cubic_indeterminate(op16, constants):
     v = classify(Nonlinearity.power(1.0, 2.0), Nonlinearity.power(1.0, 2.0),
-                 op16, constants, np.zeros(op16.n_free), lam1=lam1)
+                 op16, constants, np.zeros(op16.n_free))
     assert v.verdict == "Indeterminate"
 
 
@@ -656,31 +657,31 @@ def test_classify_sums_repeated_exponents(op16):
     assert split.certificate == whole.certificate
 
 
-def test_classify_zero_datum_below_threshold(op16, constants, lam1):
+def test_classify_zero_datum_below_threshold(op16, constants):
     v = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants,
-                 np.zeros(op16.n_free), lam1=lam1, alpha=3.0)
+                 np.zeros(op16.n_free), alpha=3.0)
     assert v.verdict == "Indeterminate"
     assert v.rule == "threshold-not-met"
 
 
-def test_threshold_monotone_in_datum_scale(op16, spec16, constants, lam1):
+def test_threshold_monotone_in_datum_scale(op16, spec16, constants):
     phi1 = spec16.eigenvectors[:, 0]
     fired = []
     for c in (1.0, 2.0, 4.0, 8.0):
         v = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants, c * phi1,
-                     lam1=lam1, alpha=3.0)
+                     alpha=3.0)
         fired.append(v.verdict == "BlowUpPredicted")
     # once the predicate fires it stays fired for every doubled datum
     for a, b in zip(fired, fired[1:]):
         assert b or not a
 
 
-def test_classifier_deterministic(op16, spec16, constants, lam1):
+def test_classifier_deterministic(op16, spec16, constants):
     phi1 = spec16.eigenvectors[:, 0]
     a = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants, 4.0 * phi1,
-                 lam1=lam1, alpha=3.0)
+                 alpha=3.0)
     b = classify(CUBIC_SOURCE, LINEAR_SINK, op16, constants, 4.0 * phi1,
-                 lam1=lam1, alpha=3.0)
+                 alpha=3.0)
     assert verdict_fields(a) == verdict_fields(b)
 
 
@@ -696,20 +697,20 @@ def test_alpha_candidates_respect_growth():
     (CUBIC_SINK, LINEAR_SOURCE, 0.0, None),
     (Nonlinearity.linear(-1.0), LINEAR_SOURCE, 0.0, None),
 ])
-def test_certificate_replay(op16, spec16, constants, lam1, f, h, datum_scale, alpha):
+def test_certificate_replay(op16, spec16, constants, f, h, datum_scale, alpha):
     U0 = datum_scale * spec16.eigenvectors[:, 0]
-    v = classify(f, h, op16, constants, U0, lam1=lam1, alpha=alpha)
+    v = classify(f, h, op16, constants, U0, alpha=alpha)
     if v.rule in ("none",):
         pytest.skip("no certificate emitted")
     viol = replay_certificate(v, f, h, constants, n_samples=10_000, seed=7)
     assert viol <= 1e-8
 
 
-def test_replay_dissipative_rule(op16, constants, lam1):
+def test_replay_dissipative_rule(op16, constants):
     # force the dissipative path: superlinear sink without sign-dominance
     f = Nonlinearity(terms=((1.0, 2.0),), constant=0.0)
     h = Nonlinearity.power(0.5, 0.0)
-    v = check_dissipative(f, h, constants, 0.5)
+    v = check_dissipative(f, h, constants, 0.5, d0=1.0)
     verdict = RegimeVerdict(verdict="GlobalBounded", rule="dissipative-balance",
                             certificate={k: val for k, val in v.items() if k != "success"})
     assert replay_certificate(verdict, f, h, constants) <= 1e-8
@@ -724,11 +725,11 @@ def test_replay_dissipative_rule(op16, constants, lam1):
     (Nonlinearity(terms=((-1.0, 1.5), (-50.0, 0.0))), Nonlinearity.power(0.1, 1.0),
      10.0, "sign-pair-blowup", lambda c: {"C_f_prime": 0.0}),
 ], ids=["dissipative", "balance", "sign-pair"])
-def test_classify_reaches_rule_and_replays(op16, spec16, constants, lam1,
+def test_classify_reaches_rule_and_replays(op16, spec16, constants,
                                            f, h, datum, rule, perturb):
     # datum None is U0 = 1, otherwise a multiple of the first eigenvector
     U0 = np.ones(op16.n_free) if datum is None else datum * spec16.eigenvectors[:, 0]
-    v = classify(f, h, op16, constants, U0, lam1=lam1)
+    v = classify(f, h, op16, constants, U0)
     assert (v.rule, v.conflict) == (rule, False)
     assert replay_certificate(v, f, h, constants) == 0.0
     broken = RegimeVerdict(verdict=v.verdict, rule=v.rule,
@@ -736,24 +737,24 @@ def test_classify_reaches_rule_and_replays(op16, spec16, constants, lam1,
     assert replay_certificate(broken, f, h, constants) > 0.1
 
 
-def test_fractional_exponents_supported(op16, spec16, constants, lam1):
+def test_fractional_exponents_supported(op16, spec16, constants):
     # non-integer growth: the tail algebra works on real exponents
     f = Nonlinearity.power(1.0, 2.5)
     h = LINEAR_SOURCE
-    v = check_global(f, h, constants)
+    v = check_global(f, h, constants, d0=1.0)
     assert v is not None and v.rule == "bulk-sink-dominates"
 
     fb = Nonlinearity.power(-1.0, 1.5)
     phi1 = spec16.eigenvectors[:, 0]
-    v = classify(fb, LINEAR_SINK, op16, constants, 10.0 * phi1, lam1=lam1)
+    v = classify(fb, LINEAR_SINK, op16, constants, 10.0 * phi1)
     assert v.verdict in ("BlowUpPredicted", "Indeterminate")
     if v.verdict == "BlowUpPredicted":
         assert replay_certificate(v, fb, LINEAR_SINK, constants) <= 1e-8
 
 
-def test_verdict_serialization(tmp_path, op16, constants, lam1):
+def test_verdict_serialization(tmp_path, op16, constants):
     v = classify(CUBIC_SINK, LINEAR_SOURCE, op16, constants,
-                 np.zeros(op16.n_free), lam1=lam1)
+                 np.zeros(op16.n_free))
     save_verdict(v, tmp_path / "verdict.txt")
     text = (tmp_path / "verdict.txt").read_text()
     assert "verdict=GlobalBounded" in text

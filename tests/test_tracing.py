@@ -104,7 +104,7 @@ def test_constants_report_traces_one_zeta_table():
     tracer = tracing.Tracer()
     op = default_operator(8)
     with _installed(tracing, tracer):
-        constants.compute_constants_report(op, l1_starts=2)
+        constants.compute_constants_report(op)
 
     names = [span[0] for span in tracer.spans]
     assert names.count("constants.compute_constants_report") == 1
