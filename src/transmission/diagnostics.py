@@ -38,8 +38,8 @@ def _energy(op: DiscreteOperator, U: np.ndarray, F: PolyFunc,
             H: PolyFunc) -> float:
     """E(U) of `energy` from the primitives F and H."""
     form = 0.5 * quadratic_form(op, U)
-    bulk = float(np.sum(op.bulk_mass_diag * F(U)))
-    iface = float(np.sum(op.iface_weights * H(U[op.iface_dofs])))
+    bulk = float(np.dot(op.bulk_mass_diag, F(U)))
+    iface = float(np.dot(op.iface_weights, H(U[op.iface_dofs])))
     return form + bulk - iface
 
 
@@ -73,9 +73,9 @@ class EnergyAccumulator:
         if self._prev is None:
             col["dissipation"].append(0.0)
         else:
-            du = (U - self._prev) / dt
+            du = U - self._prev     # dt ||du/dt||^2_M as (du M du) / dt
             col["dissipation"].append(
-                col["dissipation"][-1] + dt * float(np.dot(du * op.mass_diag, du)))
+                col["dissipation"][-1] + float(np.dot(du * op.mass_diag, du)) / dt)
         self._prev = U
 
     def report(self) -> EnergyReport:

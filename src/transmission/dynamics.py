@@ -281,19 +281,20 @@ class _GridSolver:
     with C = c_m + dt c_a on P, never inverting C:
         x = y - B^-1 P z,  y = B^-1 b,  z = S^-1 C P^T y,
     with B = M_g + dt A_g solved in the eigenbasis of the grid lines and
-    S = I + C P^T B^-1 P solved once, for W = S^-1 C.  It stores lam and W:
+    S = I + C P^T B^-1 P solved once, for W = S^-1 C.  It stores 1/lam and W:
     that count of floats is its `nnz` in the solver cache."""
 
-    __slots__ = ("grid", "lam", "w", "nnz")
+    __slots__ = ("grid", "inv_lam", "w", "nnz")
 
     def __init__(self, grid: _GridPencil, dt: float):
         self.grid = grid
-        self.lam = 1.0 + dt * (grid.d11 * grid.lam_x + grid.d22 * grid.lam_y[:, None])
+        lam = 1.0 + dt * (grid.d11 * grid.lam_x + grid.d22 * grid.lam_y[:, None])
         cap = grid.c_m + dt * grid.c_a
-        s = np.eye(len(cap)) + cap @ grid.gram(self.lam)
+        s = np.eye(len(cap)) + cap @ grid.gram(lam)
         self.w = scipy.linalg.lu_solve(scipy.linalg.lu_factor(s, check_finite=False),
                                        cap, check_finite=False)
-        self.nnz = self.lam.size + self.w.size
+        self.inv_lam = 1.0 / lam
+        self.nnz = self.inv_lam.size + self.w.size
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -301,13 +302,13 @@ class _GridSolver:
         # solve, and warn no more than it does
         with np.errstate(invalid="ignore", over="ignore"):
             coef = g.phi_y.T @ b.reshape(g.shape) @ g.phi_x
-            coef /= self.lam
+            coef *= self.inv_lam
             # y on P: the rows of P in the x modes, each p's value at its column
             y_p = (g.x_p @ (g.phi_y_rows @ coef).T)[g.index, g.row_of]
             # B^-1 P z in the eigenbasis: the x modes of z summed row by row
             sums = np.zeros((len(g.phi_y_rows), len(y_p)))
             sums[g.row_of, g.index] = self.w @ y_p
-            coef -= (g.phi_y_rows.T @ (sums @ g.x_p)) / self.lam
+            coef -= (g.phi_y_rows.T @ (sums @ g.x_p)) * self.inv_lam
             return (g.phi_y @ coef @ g.phi_x.T).ravel()
 
 
@@ -380,7 +381,9 @@ def imex_step(op: DiscreteOperator, U: np.ndarray, dt: float,
     """One implicit-linear / explicit-nonlinear step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rhs = op.mass_diag * U - dt * _reaction(op, U, f, h)
+    rhs = _reaction(op, U, f, h)
+    rhs *= -dt
+    rhs += op.mass_diag * U      # M U - dt r, bit for bit
     return _imex_solver(op, dt).solve(rhs)
 
 
@@ -390,9 +393,9 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
               ) -> Trajectory:
     """March the dynamics to time T with adaptive steps.
 
-    Steps whose sup-norm growth factor exceeds ctrl.growth_cap (or which
-    produce non-finite values) are retried with half the step; a step from
-    the zero state has no growth factor, so only its finiteness is tested.
+    A step of size dt from sup-norm s is retried with half the step when it
+    leaves a non-finite value or a sup-norm above ctrl.growth_cap (s + dt d0),
+    with d0 = ||M^-1 r(0)||_inf the drift of the zero state.
     Crossing ctrl.blow_up_threshold ends the run with outcome 'blowup' at
     the last accepted time; running out of step size ends it with
     'stalled'.  A completed run ends at T exactly.  Every step but a final
@@ -426,6 +429,7 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     outcome, outcome_time = "completed", T
     t, dt = 0.0, ctrl.dt0
     sup = float(np.abs(U).max())
+    d0 = float(np.abs(nonlinear_drift(op, np.zeros_like(U), f, h)).max())
     accepted_in_row = attempted = 0
     dt_lo, dt_hi = np.inf, 0.0
     m_max = math.frexp(ctrl.dt_max)[0]
@@ -443,7 +447,7 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
         # the max propagates NaN and inf, so it also tests finiteness
         sup_new = float(np.abs(Unew).max())
         if not np.isfinite(sup_new) or (
-                sup != 0.0 and sup_new / max(sup, 1e-300) > ctrl.growth_cap):
+                sup_new / max(sup + dt_try * d0, 1e-300) > ctrl.growth_cap):
             dt *= 0.5
             accepted_in_row = 0
             if dt < ctrl.dt_min:

@@ -23,10 +23,13 @@ def write_table(path, header: str, *columns, last: str | None = None) -> None:
     cols = [np.asarray(c).tolist() for c in columns]
     if header.count(",") + 1 != len(cols) or len({len(c) for c in cols}) > 1:
         raise ValueError(f"{path}: {header!r} over columns of {[len(c) for c in cols]} rows")
-    lines = [header] + [",".join(map(str, row)) for row in zip(*cols)]
-    if last is not None:
-        lines.append(last)
-    Path(path).write_text("\n".join(lines) + "\n")
+    # every value in one row-major list, formatted by one %s per value
+    k, rows = len(cols), len(cols[0])
+    flat = [None] * (k * rows)
+    for j, col in enumerate(cols):
+        flat[j::k] = col
+    body = (",".join(["%s"] * k) + "\n") * rows % tuple(flat)
+    Path(path).write_text(f"{header}\n{body}" + ("" if last is None else f"{last}\n"))
 
 
 def write_fields(path, mapping: dict) -> None:

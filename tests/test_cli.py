@@ -463,6 +463,20 @@ def test_simulate_from_rest_with_a_forcing_term_completes(tmp_path, monkeypatch,
     assert capsys.readouterr().out.splitlines() == ["OUTCOME,Completed,3.0"]
 
 
+def test_simulate_from_a_tiny_state_with_a_forcing_term_completes(
+        tmp_path, monkeypatch, capsys):
+    from pathlib import Path
+
+    # f(0) = -1 moves a state of sup-norm 1e-25 far beyond growth_cap times
+    # itself in one step; the growth test allows for that move
+    cfg = Path(__file__).parent.parent / "configs" / "bounded.ini"
+    monkeypatch.setenv("TRANSMISSION_INITIAL__SCALE", "1e-25")
+    monkeypatch.setenv("TRANSMISSION_BULK_NONLINEARITY__CONSTANT", "-1")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["OUTCOME,Completed,3.0"]
+
+
 def test_initial_state_expression_and_eigenvector(tmp_path):
     cfg = parse_config_text(BASE)
     _, _, op, _, _ = build_problem(cfg)

@@ -218,6 +218,18 @@ def test_run_from_rest_with_a_forcing_term_completes(op16):
     assert np.abs(traj.states[-1]).max() > 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-25, 0.0])
+def test_run_from_a_tiny_state_with_a_forcing_term_completes(op16, scale):
+    # f = |u|^2 u - 1 moves a state of sup-norm 1e-25 by about dt at once; the
+    # growth test allows for that move, so the run does not stall at t = 0
+    f = Nonlinearity(terms=((1.0, 2.0),), constant=-1.0)
+    traj = integrate(op16, np.full(op16.n_free, scale), f, ZERO, 1.0, StepControl())
+    assert traj.outcome == "completed"
+    assert traj.times[-1] == 1.0
+    assert traj.stats.rejected == 0
+    assert np.abs(traj.states[-1]).max() > 0.0
+
+
 def test_positivity_preserved_for_sign_safe_nonlinearities(op16):
     # bulk sink with f(u) u >= 0 and interface damping h(u) u <= 0
     rng = np.random.default_rng(10)

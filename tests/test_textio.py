@@ -30,6 +30,32 @@ def test_table_matches_a_repr_loop(tmp_path):
     assert text(x[0]) == repr(float(x[0]))
 
 
+def _joined(header, *columns, last=None):
+    # the reference: the per-row join of str() values that write_table replaced
+    cols = [np.asarray(c).tolist() for c in columns]
+    lines = [header] + [",".join(map(str, row)) for row in zip(*cols)]
+    return "\n".join(lines + ([] if last is None else [last])) + "\n"
+
+
+@pytest.mark.parametrize("last", [None, "OUTCOME,Completed,3.0"])
+def test_table_matches_the_per_row_join(tmp_path, last):
+    columns = ([1, -2, 0, 10 ** 20],
+               np.array([7, -1, 0, 2 ** 62], dtype=np.int64),
+               [0.1 + 0.2, 1e16, 1e-05, -0.0],
+               np.array([np.nan, np.inf, -np.inf, 1e-300]),
+               np.array([True, False, True, False]),
+               np.array(["dirichlet", "neumann", "interface", ""]))
+    header = "py_int,np_int,py_float,np_float,np_bool,tag"
+    write_table(tmp_path / "t.csv", header, *columns, last=last)
+    assert (tmp_path / "t.csv").read_text() == _joined(header, *columns, last=last)
+
+
+@pytest.mark.parametrize("last", [None, "END,1.5"])
+def test_table_of_zero_rows_matches_the_per_row_join(tmp_path, last):
+    write_table(tmp_path / "t.csv", "k,x", [], np.array([]), last=last)
+    assert (tmp_path / "t.csv").read_text() == _joined("k,x", [], [], last=last)
+
+
 @pytest.mark.parametrize("header, columns", [
     ("a,b", ([1.0, 2.0], [1.0])),
     ("a,b", ([1.0, 2.0],)),
