@@ -254,28 +254,3 @@ def save_constants(report: ConstantsReport, path) -> None:
     values = {name: getattr(report, name) for name in names}
     values.update((f"zeta[{text(e)}]", z) for e, z in report.zeta_table)
     write_fields(path, values)
-
-
-def load_constants(path) -> ConstantsReport:
-    raw: dict[str, float] = {}
-    zetas: list[tuple[float, float]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, val = line.split("=", 1)
-            if key.startswith("zeta["):
-                zetas.append((float(key[5:-1]), float(val)))
-            else:
-                raw[key] = float(val)
-    return ConstantsReport(
-        poincare_l2=raw["poincare_l2"],
-        poincare_l1_lower=raw["poincare_l1_lower"],
-        c_bar=raw["c_bar"],
-        c_bar_eps=raw["c_bar_eps"],
-        zeta_table=zetas,
-        safety_factor=raw["safety_factor"],
-        total_mass=raw["total_mass"],
-        domain_area=raw["domain_area"],
-    )

@@ -1,7 +1,7 @@
 """Energy and Lyapunov diagnostics along trajectories.
 
 Per-step energy bookkeeping (form term plus nonlinearity primitives), the
-discrete energy inequality residual, ensemble absorbing-ball fits, pairwise
+discrete energy inequality residual, exponential decay fits, pairwise
 squeezing fits, Hoelder-in-time modulus and sup-vs-L2 domination ratios.
 
 The per-state quantities are streaming observers of `integrate`
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import DiscreteOperator
-from .constants import ConstantsReport
 from .dynamics import StepControl, Trajectory, integrate
 from .operators import fit_line, quadratic_form
 from .poly import Nonlinearity, PolyFunc
@@ -150,53 +149,6 @@ def fit_exponential_decay(times: np.ndarray, values: np.ndarray,
         "intercept": float(np.exp(intercept)),
         "r2": r2,
         "points": int(mask.sum()),
-    }
-
-
-def absorbing_ball_check(trajectories: list[Trajectory], op: DiscreteOperator,
-                         constants: ConstantsReport, lambda_star: float,
-                         verdict: str | None = None) -> dict:
-    """Ensemble fit of E1(t) <= E1(0) exp(-eta t) + C.
-
-    Returns the fitted decay rate (the slowest member), the fitted offset,
-    the terminal E1 values, and whether they agree: either within 10 percent
-    of each other or all inside 10 percent of the smallest initial energy
-    (every member entered a common small ball).  Pass the classifier verdict
-    to refuse non-dissipative configurations up front.
-    """
-    if verdict is not None and verdict != "GlobalBounded":
-        raise ValueError(f"absorbing-ball fit refuses verdict {verdict!r}")
-    if any(tr.outcome != "completed" for tr in trajectories):
-        raise ValueError("absorbing-ball fit needs completed trajectories")
-    if len(trajectories) < 3:
-        raise ValueError("need at least 3 initial magnitudes")
-    e1s = [np.array([op.pair_norm2(u) for u in tr.states]) for tr in trajectories]
-    terminals = np.array([e[-1] for e in e1s])
-    initials = np.array([e[0] for e in e1s])
-    c_fit = float(np.median(terminals))
-    rates, envelope_ok = [], True
-    for tr, e1 in zip(trajectories, e1s):
-        if e1[0] <= 10.0 * max(c_fit, 1e-300):
-            continue
-        # tail window: past the transient, above the floor noise
-        fit = fit_exponential_decay(tr.times, e1, floor=c_fit,
-                                    hi_frac=1e-2, lo_frac=1e-10)
-        rates.append(fit["rate"])
-        bound = e1[0] * np.exp(-fit["rate"] * tr.times) + c_fit
-        envelope_ok &= bool((e1 <= 1.05 * bound + 1e-12 * e1[0]).all())
-    eta_fit = float(min(rates)) if rates else np.inf
-    spread = float(terminals.max() - terminals.min())
-    rel_ok = terminals.max() <= 1.1 * max(terminals.min(), 1e-300)
-    ball_ok = terminals.max() <= 0.1 * initials.min()
-    threshold = 2.0 * (constants.c_bar - lambda_star)
-    return {
-        "eta_fit": eta_fit,
-        "c_fit": c_fit,
-        "eta_threshold": threshold,
-        "envelope_holds": envelope_ok,
-        "terminals": terminals,
-        "terminal_agreement": bool(rel_ok or ball_ok),
-        "terminal_spread": spread,
     }
 
 

@@ -5,9 +5,7 @@ explicitly with lumped masses:
 
     (M + dt A) U+ = M U - dt (m_bulk * f(U) - w_iface * h(U)),
 
-where M = M_bulk + delta M_iface is the diagonal evolution mass.  A Picard
-iteration on the variation-of-constants form provides an independent
-cross-check of the integrator on short horizons.
+where M = M_bulk + delta M_iface is the diagonal evolution mass.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
-from .operators import (NumericError, SpectralData, _SymmetricLU, fit_line,
-                        lanczos_start, semigroup_apply)
+from .operators import NumericError, _SymmetricLU, lanczos_start
 from .poly import Nonlinearity
 
 
@@ -485,130 +482,3 @@ def nonlinear_drift(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
                     h: Nonlinearity) -> np.ndarray:
     """Mass-normalized reaction term entering the mild formulation."""
     return _reaction(op, U, f, h) / op.mass_diag
-
-
-def picard_mild(op: DiscreteOperator, spec: SpectralData, U0: np.ndarray,
-                f: Nonlinearity, h: Nonlinearity, T_star: float,
-                n_grid: int = 64, n_iter: int = 8) -> dict:
-    """Fixed-point iteration on the variation-of-constants form.
-
-    Evaluates V -> exp(-tA)U0 - int_0^t exp(-(t-s)A) N(V(s)) ds on a uniform
-    grid with trapezoidal quadrature and full eigenexpansion propagators.
-    Returns the iterates, the successive sup-norm contraction ratios, and the
-    local slope bound used for the contraction budget T* Q.
-    """
-    if spec.count != op.n_free:
-        raise ValueError("picard iteration needs the full eigendecomposition")
-    U0 = np.asarray(U0, dtype=float)
-    times = np.linspace(0.0, T_star, n_grid + 1)
-    ds = times[1] - times[0]
-    lam, V = spec.eigenvalues, spec.eigenvectors
-    m = spec.mass_diag
-    r_star = 2.0 * float(np.abs(U0).max())
-    q_modulus = max(f.local_slope_bound(r_star), h.local_slope_bound(r_star))
-
-    free_term = np.array([semigroup_apply(spec, t, U0) for t in times])
-
-    def apply_map(traj: np.ndarray) -> np.ndarray:
-        # coefficients of N(V(s_k)) in the eigenbasis
-        drift = np.array([nonlinear_drift(op, traj[k], f, h) for k in range(len(times))])
-        coef = drift @ (m[:, None] * V)          # (n_grid+1, K)
-        out = free_term.copy()
-        for j in range(1, len(times)):
-            wts = np.full(j + 1, ds)
-            wts[0] = wts[-1] = 0.5 * ds
-            decay = np.exp(-np.outer(times[j] - times[: j + 1], lam))
-            out[j] -= V @ (wts @ (decay * coef[: j + 1]))
-        return out
-
-    iterates = [np.tile(U0, (len(times), 1))]
-    ratios: list[float] = []
-    diverged = False
-    prev_diff = None
-    for _ in range(n_iter):
-        nxt = apply_map(iterates[-1])
-        if np.abs(nxt).max() > 10.0 * max(r_star, 1e-300):
-            diverged = True
-            break
-        diff = float(np.abs(nxt - iterates[-1]).max())
-        if prev_diff is not None and prev_diff > 0:
-            ratios.append(diff / prev_diff)
-        prev_diff = diff
-        iterates.append(nxt)
-        if diff == 0.0:
-            break
-    return {
-        "times": times,
-        "iterates": iterates,
-        "ratios": ratios,
-        "q_modulus": q_modulus,
-        "r_star": r_star,
-        "contraction_budget": T_star * q_modulus,
-        "diverged": diverged,
-    }
-
-
-def fixed_step_evolve(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
-                      h: Nonlinearity, T: float, dt: float) -> np.ndarray:
-    """Fixed-dt marching; deterministic replay building block.
-
-    When T is a multiple of dt the march is exactly round(T/dt) equal steps
-    (bitwise reproducible); otherwise a final partial step covers the
-    remainder.
-    """
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, dt):
-        n_steps = int(T / dt)
-    U = np.asarray(U0, dtype=float).copy()
-    for _ in range(n_steps):
-        U = imex_step(op, U, dt, f, h)
-    rest = T - n_steps * dt
-    if rest > 1e-12 * max(T, dt):
-        U = imex_step(op, U, rest, f, h)
-    return U
-
-
-def semigroup_property_check(op: DiscreteOperator, U0: np.ndarray,
-                             f: Nonlinearity, h: Nonlinearity,
-                             t: float, s: float, method: str = "imex",
-                             dt: float = 1e-2,
-                             spec: SpectralData | None = None) -> float:
-    """Defect || S(t+s)U0 - S(t)S(s)U0 || in the pair norm.
-
-    'linear' evaluates the propagator by eigenexpansion (f, h ignored);
-    'imex' replays fixed-dt marching, so the defect vanishes exactly when
-    both t and s are multiples of dt.
-    """
-    if method == "linear":
-        if spec is None:
-            raise ValueError("linear path needs the spectral data")
-        once = semigroup_apply(spec, t + s, U0)
-        twice = semigroup_apply(spec, t, semigroup_apply(spec, s, U0))
-    elif method == "imex":
-        once = fixed_step_evolve(op, U0, f, h, t + s, dt) if t + s > 0 else np.array(U0, dtype=float)
-        mid = fixed_step_evolve(op, U0, f, h, s, dt) if s > 0 else np.array(U0, dtype=float)
-        twice = fixed_step_evolve(op, mid, f, h, t, dt) if t > 0 else mid
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return op.pair_norm(once - twice)
-
-
-def semigroup_defect_fit(op: DiscreteOperator, U0: np.ndarray,
-                         f: Nonlinearity, h: Nonlinearity,
-                         t: float, s: float, dts: tuple[float, ...]) -> dict:
-    """Replay defects across step sizes with a fitted linear law C * dt.
-
-    Misaligned split times make the one-shot and composed marches disagree
-    by the local truncation error, which is first order in dt.
-    """
-    defects = np.array([
-        semigroup_property_check(op, U0, f, h, t, s, method="imex", dt=dt)
-        for dt in dts
-    ])
-    dts_arr = np.array(dts, dtype=float)
-    c_fit = float(np.sum(defects * dts_arr) / np.sum(dts_arr * dts_arr))
-    order = fit_line(np.log(dts_arr), np.log(np.maximum(defects, 1e-300)))[0] \
-        if (defects > 0).all() else np.inf
-    return {"dts": dts_arr, "defects": defects, "c_fit": c_fit, "order": order}
-
-

@@ -253,51 +253,6 @@ def build_interface_measure(mesh: MeshedDomain,
                             segment_mass=seg_mass)
 
 
-def _ball_polyline_mass(measure: InterfaceMeasure, center: np.ndarray,
-                        r: float) -> float:
-    """Mass of the interface inside the closed ball B(center, r), computed
-    from exact chord overlaps with each polyline edge (mass uniform per edge)."""
-    a = measure.node_positions[:-1]
-    b = measure.node_positions[1:]
-    d = b - a
-    L2 = np.einsum("ij,ij->i", d, d)
-    # parameter interval of |a + t d - c| <= r, clipped to [0, 1]
-    f = a - center
-    B = np.einsum("ij,ij->i", f, d)
-    C = np.einsum("ij,ij->i", f, f) - r * r
-    disc = B * B - L2 * C
-    ok = disc > 0.0
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    t0 = np.clip((-B - sq) / L2, 0.0, 1.0)
-    t1 = np.clip((-B + sq) / L2, 0.0, 1.0)
-    overlap = np.where(ok, t1 - t0, 0.0)
-    return float(np.sum(overlap * measure.segment_mass))
-
-
-def ahlfors_upper_check(measure: InterfaceMeasure, n_samples: int,
-                        radii: list[float], seed: int = 0) -> float:
-    """Empirical upper-regularity diagnostic: the maximum of
-    mass(B(x, r)) / r^d over sampled interface centers x and the given radii.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    radii = list(radii)
-    if not radii:
-        return 0.0
-    if any(r <= 0.0 or r > 1.0 for r in radii):
-        raise ValueError("radii must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    k = len(measure.node_positions)
-    idx = rng.choice(k, size=min(n_samples, k), replace=False)
-    worst = 0.0
-    for i in idx:
-        c = measure.node_positions[i]
-        for r in radii:
-            ratio = _ball_polyline_mass(measure, c, r) / r ** measure.dim_d
-            worst = max(worst, ratio)
-    return worst
-
-
 def export_mesh_csv(mesh: MeshedDomain, out_dir) -> None:
     """Plain-text mesh export: vertices.csv, triangles.csv, boundary_edges.csv."""
     out = Path(out_dir)

@@ -1,8 +1,8 @@
-"""Spectral and semigroup machinery for the assembled operator.
+"""Spectral machinery for the assembled operator.
 
-The generalized eigenproblem A v = lambda M v (M the diagonal evolution
-mass) underpins exact propagator evaluation; Markov-property and smoothing
-diagnostics probe the structural guarantees of the discretization.
+The lowest eigenpairs of A v = lambda M v (M the diagonal evolution mass),
+the symmetric sparse factors that they and the integrator solve with, and
+the smoothing fit of the propagator's 2->inf norm.
 """
 
 from __future__ import annotations
@@ -158,47 +158,6 @@ def spectrum(op: DiscreteOperator, k: int | None = None) -> SpectralData:
                         mass_diag=full.mass_diag)
 
 
-def semigroup_apply(spec: SpectralData, t: float, F: np.ndarray) -> np.ndarray:
-    """Propagator exp(-t M^-1 A) applied to F through the eigenexpansion."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    coeff = spec.eigenvectors.T @ (spec.mass_diag * F)
-    return spec.eigenvectors @ (np.exp(-spec.eigenvalues * t) * coeff)
-
-
-def markov_check(op: DiscreteOperator, trials: int, t_grid: np.ndarray,
-                 seed: int = 0) -> dict:
-    """Positivity and sup-norm contraction of backward-Euler steps.
-
-    Runs random nonnegative initial vectors through the implicit steps
-    (M + dt A) u+ = M u along t_grid and reports the minimum entry ever seen
-    and the largest per-step sup-norm ratio.
-    """
-    from .dynamics import _imex_solver   # dynamics imports this module
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 1 or (np.diff(t_grid) <= 0).any():
-        raise ValueError("t_grid must be strictly increasing")
-    dts = np.diff(np.concatenate([[0.0], t_grid]))
-    # the steps of a uniform grid differ in their last bits: rounded to 12
-    # significant digits they share one factorization
-    dts = [float(f"{dt:.12g}") for dt in dts]
-    rng = np.random.default_rng(seed)
-    m = op.mass_diag
-    min_entry = np.inf
-    sup_ratio = 0.0
-    for _ in range(trials):
-        u = np.abs(rng.standard_normal(op.n_free))
-        for dt in dts:
-            unew = _imex_solver(op, dt).solve(m * u)
-            min_entry = min(min_entry, float(unew.min()))
-            denom = np.abs(u).max()
-            if denom > 0:
-                sup_ratio = max(sup_ratio, float(np.abs(unew).max() / denom))
-            u = unew
-    return {"min_entry": min_entry, "sup_ratio": sup_ratio}
-
-
 def two_to_inf_norm(spec: SpectralData, t: float) -> float:
     """Operator norm of the propagator from the mass-weighted l2 norm to the
     max norm: the largest mass-weighted row norm of the eigenexpansion."""
@@ -221,7 +180,7 @@ def ultracontractivity_fit(spec: SpectralData, t_grid: np.ndarray) -> dict:
     Returns the fitted slope/intercept/R^2 together with the small-t
     flattening scale (finite-dimensional saturation) and the crossover time
     1/lambda_1 beyond which pure spectral decay dominates.  Callers compare
-    the slope against -gamma/4 themselves (see smoothing_exponent).
+    the slope against -gamma/4 themselves, gamma = 2d / (d - N + 2).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 3:
@@ -242,12 +201,6 @@ def ultracontractivity_fit(spec: SpectralData, t_grid: np.ndarray) -> dict:
         "saturation_scale": saturation,
         "spectral_crossover": float(1.0 / spec.eigenvalues[0]),
     }
-
-
-def smoothing_exponent(dim_d: float, ambient_dim: int = 2) -> float:
-    """Exponent gamma = 2d / (d - N + 2) governing the 2->inf smoothing rate
-    t^(-gamma/4)."""
-    return 2.0 * dim_d / (dim_d - ambient_dim + 2.0)
 
 
 def export_spectrum_csv(spec: SpectralData, path) -> None:

@@ -176,10 +176,3 @@ class Nonlinearity(PolyFunc):
         growth at infinity; (0, 0) when there is no nonzero odd term."""
         live = [(e, c) for (e, b), c in self.terms.items() if b and c != 0.0]
         return max(live, default=(0.0, 0.0))
-
-    def local_slope_bound(self, radius: float) -> float:
-        """Upper bound on |f'| over [-radius, radius]: term-wise triangle
-        inequality, so sign cancellations between terms are ignored."""
-        r = abs(radius)
-        return float(sum(abs(c) * (e + 1.0) * r ** e
-                         for (e, b), c in self.terms.items() if b))

@@ -7,6 +7,8 @@ report; every tolerance is fixed here, nothing is calibrated at run time.
 import numpy as np
 import pytest
 
+from paper_checks import (absorbing_ball_check, fixed_step_evolve, markov_check,
+                          picard_mild, semigroup_apply, semigroup_property_check)
 from transmission.assembly import KernelSpec, nonlocal_kernel_matrix
 from transmission.constants import (
     best_embedding_constant,
@@ -15,21 +17,14 @@ from transmission.constants import (
     poincare_mean_sigma,
 )
 from transmission.diagnostics import (
-    absorbing_ball_check,
     compute_energy_report,
     energy_inequality_residual,
     fit_exponential_decay,
     squeezing_check,
 )
-from transmission.dynamics import (
-    StepControl,
-    fixed_step_evolve,
-    integrate,
-    picard_mild,
-    semigroup_property_check,
-)
+from transmission.dynamics import StepControl, integrate
 from transmission.geometry import InterfaceMeasure
-from transmission.operators import markov_check, semigroup_apply, spectrum
+from transmission.operators import spectrum
 from transmission.poly import Nonlinearity
 from transmission.regimes import classify, replay_certificate, verdict_fields
 

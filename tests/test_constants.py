@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from paper_checks import load_constants
 from transmission.assembly import BetaCoefficient, DiffusionTensor, KernelSpec, build_operator
 from transmission.constants import (
     _l1_quotient,
@@ -11,7 +12,6 @@ from transmission.constants import (
     best_embedding_constant,
     compute_constants_report,
     interpolation_zeta,
-    load_constants,
     poincare_mean_sigma,
     save_constants,
 )

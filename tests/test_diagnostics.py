@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from paper_checks import absorbing_ball_check
 from transmission.constants import ConstantsReport, best_embedding_constant
 from transmission.diagnostics import (
     EnergyAccumulator,
     EnergyReport,
     HolderModulus,
     SnapshotWriter,
-    absorbing_ball_check,
     compute_energy_report,
     energy,
     energy_inequality_residual,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paper_checks import ahlfors_upper_check
 from transmission.geometry import (
     DIRICHLET_SIDES,
     KOCH_DIMENSION,
@@ -8,7 +9,6 @@ from transmission.geometry import (
     KochPrefractal,
     ResolutionError,
     Segment,
-    ahlfors_upper_check,
     build_interface_measure,
     build_square_mesh,
     export_measure_csv,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paper_checks import markov_check, semigroup_apply, smoothing_exponent
 from transmission.assembly import (
     DiffusionTensor,
     DiscreteOperator,
@@ -16,10 +17,7 @@ from transmission.operators import (
     factor_symmetric,
     lanczos_start,
     lowest_pairs,
-    markov_check,
     quadratic_form,
-    semigroup_apply,
-    smoothing_exponent,
     spectrum,
     two_to_inf_norm,
     ultracontractivity_fit,

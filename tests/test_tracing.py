@@ -69,8 +69,9 @@ def test_tracer_installs_on_every_hook_point():
 
 def test_tracer_counts_one_factorization_per_step_size():
     from conftest import anisotropic_operator
+    from paper_checks import markov_check
 
-    from transmission import dynamics, operators, poly
+    from transmission import dynamics, poly
 
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -85,8 +86,7 @@ def test_tracer_counts_one_factorization_per_step_size():
     with _installed(tracing, tracer):
         traj = dynamics.integrate(op, U0, poly.Nonlinearity.power(1.0, 2.0),
                                   poly.Nonlinearity.zero(), 0.05, ctrl)
-        operators.markov_check(op, trials=2,
-                               t_grid=np.cumsum([0.000625, 0.000625, 0.005]))
+        markov_check(op, trials=2, t_grid=np.cumsum([0.000625, 0.000625, 0.005]))
 
     metrics = tracing.layer_metrics(tracer.spans)
     # no step was rejected, so the accepted step sizes are all that were tried
