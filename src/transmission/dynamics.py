@@ -53,12 +53,16 @@ class StepControl:
     blow_up_threshold: float = 1e8
 
     def __post_init__(self):
-        if self.dt_min >= self.dt0:
-            raise ValueError("invalid step control: dt_min must be below dt0")
-        if self.dt0 > self.dt_max:
-            raise ValueError("invalid step control: dt0 must not exceed dt_max")
+        # a zero dt_min never stalls: halving dt ends at 0.0, whose rung is
+        # above dt_max, so every later try is rejected
+        if not (0.0 < self.dt_min < self.dt0 <= self.dt_max < math.inf):
+            raise ValueError("invalid step control: need finite steps with "
+                             "0 < dt_min < dt0 <= dt_max")
         if self.growth_cap <= 1.0:
             raise ValueError("growth_cap must exceed 1")
+        if not 0.0 < self.blow_up_threshold < math.inf:
+            raise ValueError("invalid step control: blow_up_threshold must be "
+                             "positive and finite")
 
 
 @dataclass(frozen=True)

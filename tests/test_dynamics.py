@@ -146,10 +146,14 @@ def test_equilibrium_is_fixed_point(op16):
 
 
 def test_invalid_step_control():
-    with pytest.raises(ValueError):
-        StepControl(dt0=1e-3, dt_min=1e-3)
-    with pytest.raises(ValueError):
-        StepControl(dt0=0.2, dt_max=0.1)
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(dt0=1e-3, dt_min=1e-3), dict(dt0=0.2, dt_max=0.1),
+                dict(dt_min=0.0), dict(dt_min=-1e-18), dict(dt_min=nan),
+                dict(dt0=nan), dict(dt_max=nan), dict(dt_max=inf),
+                dict(blow_up_threshold=0.0), dict(blow_up_threshold=-1.0),
+                dict(blow_up_threshold=nan), dict(blow_up_threshold=inf)):
+        with pytest.raises(ValueError):
+            StepControl(**bad)
 
 
 # ---------------------------------------------------------------- integrate
