@@ -113,6 +113,8 @@ def _eval_expression(text: str, names: dict):
         return ev(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise bad(f"syntax error: {exc.msg}") from exc
+    except RecursionError as exc:   # from the parse or the evaluation
+        raise bad("nested too deeply") from exc
     except ArithmeticError as exc:
         raise bad(str(exc)) from exc
 

@@ -526,7 +526,11 @@ def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
     "kind = expression\nexpression = x +",
     "kind = expression\nexpression = sqrt(x - 0.5)",
     "kind = expression\nexpression = 1/(x - 0.5)",
-], ids=["index-beyond-free-dofs", "expression-syntax", "expression-nan", "expression-inf"])
+    # too deep for the parser, and too deep to evaluate though it parses
+    "kind = expression\nexpression = " + "-" * 5000 + "x",
+    "kind = expression\nexpression = " + "-" * 1000 + "x",
+], ids=["index-beyond-free-dofs", "expression-syntax", "expression-nan", "expression-inf",
+        "expression-too-deep", "expression-too-deep-to-evaluate"])
 def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, initial):
     one_cell = "[sweep]\np_values = 0\nq_values = 2\ncf_values = -1.0\nch_values = -1.0\n"
     cfg = write(tmp_path, BASE.replace("n = 8", "n = 4")
