@@ -124,18 +124,29 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
             certificate={"q": q, "p": p, "c_f": c_f, "c_h": c_h},
         )
 
-    # both nonlinearities within a quadratic envelope of the right signs
+    # f(t) t >= -C (t^2 + 1) and h(t) t <= C (t^2 + 1): the energy grows at
+    # most exponentially.  A tail of f(t) t or h(t) t of degree above 2 with
+    # the wrong sign (a superlinear source) breaks the bound for every C
     if q <= 1.0 and p <= 1.0:
-        grid = _scan_grid(1e4)
-        sq = grid * grid + 1.0
-        cf_env = float(np.max(-f(grid) / sq))
-        ch_env = float(np.max(h(grid) / sq))
-        return RegimeVerdict(
-            verdict="GlobalBounded", rule="quadratic-growth-envelope",
-            certificate={"q": q, "p": p,
-                         "c_f_envelope": max(cf_env, 0.0),
-                         "c_h_envelope": max(ch_env, 0.0)},
-        )
+        ft, ht = f.times_tau(), h.times_tau()
+        (f_deg, f_lead), (h_deg, h_lead) = ft.leading(), ht.leading()
+        if not (f_deg > 2.0 + 1e-12 and f_lead < 0.0
+                or h_deg > 2.0 + 1e-12 and h_lead > 0.0):
+            grid = _scan_grid(1e4)
+            sq = grid * grid + 1.0
+            cf_env = float(np.max(-ft(grid) / sq))
+            ch_env = float(np.max(ht(grid) / sq))
+            # at degree 2 the ratio tends to the leading coefficient
+            if abs(f_deg - 2.0) <= 1e-12:
+                cf_env = max(cf_env, -f_lead)
+            if abs(h_deg - 2.0) <= 1e-12:
+                ch_env = max(ch_env, h_lead)
+            return RegimeVerdict(
+                verdict="GlobalBounded", rule="quadratic-growth-envelope",
+                certificate={"q": q, "p": p,
+                             "c_f_envelope": max(cf_env, 0.0),
+                             "c_h_envelope": max(ch_env, 0.0)},
+            )
 
     # sampled moment balance with exact tail screening per sampled moment
     if eps is None:
@@ -500,8 +511,8 @@ def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
         return 0.0 if ok else math.inf
     if verdict.rule == "quadratic-growth-envelope":
         sq = taus * taus + 1.0
-        exc_f = -f(taus) - cert["c_f_envelope"] * sq
-        exc_h = h(taus) - cert["c_h_envelope"] * sq
+        exc_f = -f.times_tau()(taus) - cert["c_f_envelope"] * sq
+        exc_h = h.times_tau()(taus) - cert["c_h_envelope"] * sq
         return rel(np.maximum(exc_f, exc_h), sq)
     if verdict.rule == "balance-certified":
         worst = 0.0

@@ -340,6 +340,9 @@ def test_sweep_records_verdict_simulation_mismatches(tmp_path, monkeypatch, caps
         v = real_classify(f, h, *args, **kwargs)
         if cell(f, h) == (0.0, 2.0):
             v = dataclasses.replace(v, verdict="BlowUpPredicted")
+        if cell(f, h) == (1.0, 1.0):
+            v = dataclasses.replace(v, verdict="GlobalBounded",
+                                    rule="quadratic-growth-envelope")
         return v
 
     def integrate(op, U0, f, h, *args, **kwargs):

@@ -278,6 +278,18 @@ def test_quadratic_envelope_rule(constants):
     assert v is not None
     assert v.rule == "quadratic-growth-envelope"
     assert v.certificate["c_f_envelope"] >= 0.0
+    # f(t) t = -t^2 >= -C (t^2 + 1) far beyond the scan grid too
+    assert v.certificate["c_f_envelope"] >= 1.0
+
+
+@pytest.mark.parametrize("f, h", [
+    (Nonlinearity.power(-1.0, 1.0), LINEAR_SOURCE),
+    (Nonlinearity.power(1.0, 1.0), Nonlinearity.power(1.0, 1.0)),
+], ids=["bulk-source", "interface-source"])
+def test_quadratic_envelope_rejects_superlinear_source(constants, f, h):
+    # u' = |u|u blows up: f(t) t >= -C (t^2 + 1) or h(t) t <= C (t^2 + 1)
+    # fails for every C, and no other rule certifies the pair
+    assert check_global(f, h, constants, d0=1.0) is None
 
 
 def test_balance_certificate_for_zero_pair(constants):
