@@ -203,7 +203,8 @@ class DiscreteOperator:
     (pair-norm mass, bulk + interface), and ``iface_dofs`` (nonzero interface
     mass) with their ``iface_weights`` are plain attributes.  ``delta``
     switches the interface time-derivative term (1 dynamic, 0 static
-    transmission condition).  ``_cache`` holds solver results only.
+    transmission condition).  ``_cache`` holds solver results only: the
+    spectrum, the grid pencil and the integrator's solvers.
     """
 
     mesh: MeshedDomain

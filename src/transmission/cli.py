@@ -109,6 +109,10 @@ def _eval_expression(text: str, names: dict):
             return _EXPR_FUNCTIONS[node.func.id](ev(node.args[0]))
         raise bad(f"{ast.unparse(node)!r} is not allowed")
 
+    # checked before parsing: the parser fails on deep nesting with a bare
+    # MemoryError (20,000 nested minus signs), not a RecursionError
+    if len(text) > 1000:
+        raise bad("longer than 1000 characters")
     try:
         return ev(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:

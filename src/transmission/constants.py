@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiffusionTensor, DiscreteOperator, assemble_bulk, p1_gradients
 from .operators import (
     NumericError,
+    _grid_pencil,
+    _GridSolver,
+    _pencil,
     factor_symmetric,
     lanczos_start,
     lowest_pairs,
@@ -73,27 +75,32 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
 
     if mode == "L2_eig":
         # K annihilates constants and a sums to 1, so the quotient may be
-        # taken in the gauge a^T u = 0, where u - interface_mean(u) = u.  The
-        # bordered solve S f = u of  K u + a mu = f, a^T u = 0  inverts K on
-        # that gauge, and 1/lambda_min is the top eigenvalue of M^1/2 S M^1/2.
+        # taken in the gauge a^T u = 0, where u - interface_mean(u) = u.  With
+        # K_s = K - sigma M = (M + dt K) / dt, sigma = -1/dt as in
+        # lowest_pairs, the bordered solve S f = u of  K_s u + a mu = f,
+        # a^T u = 0  is a solve of K_s (on the grid, P the 4 corners, or by a
+        # sparse factor) corrected by z = K_s^-1 a, and 1/(lambda_min - sigma)
+        # is the top eigenvalue of M^1/2 S M^1/2
         _, k_unit = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
-        sqrt_m = np.sqrt(op.m_bulk.diagonal())
-        col = sp.csc_matrix(a[:, None])
-        bordered = sp.bmat([[k_unit, col], [col.T, None]], format="csc")
-        lu = factor_symmetric(bordered)
-        rhs = np.zeros(n_dof + 1)
+        m_bulk = op.m_bulk.diagonal()
+        sqrt_m = np.sqrt(m_bulk)
+        dt = 1e6 / (k_unit.diagonal() / m_bulk).max()
+        grid = _grid_pencil(mesh.vertices, np.arange(n_dof), k_unit, k_unit, m_bulk)
+        solve = (factor_symmetric(op.m_bulk + dt * k_unit) if grid is None
+                 else _GridSolver(grid, dt)).solve
+        z = solve(a)
 
         def matvec(v):
-            rhs[:n_dof] = sqrt_m * np.ravel(v)
-            return sqrt_m * lu.solve(rhs)[:n_dof]
+            y = solve(sqrt_m * np.ravel(v))
+            return sqrt_m * (y - z * ((a @ y) / (a @ z))) * dt
 
         op_s = spla.LinearOperator((n_dof, n_dof), matvec=matvec, dtype=float)
         try:
             top = spla.eigsh(op_s, k=1, which="LA", v0=lanczos_start(n_dof),
-                             return_eigenvectors=False)
+                             return_eigenvectors=False)[0]
         except spla.ArpackError as exc:
             raise NumericError(f"Poincare eigensolve failed: {exc}") from exc
-        return float(math.sqrt(top[0]))
+        return float(math.sqrt(top / (1.0 - top / dt)))
 
     if mode == "L1_empirical":
         # Level sets approach the L1 quotient (coarea formula), so all level
@@ -148,8 +155,11 @@ def best_embedding_constant(op: DiscreteOperator, eps: float) -> float:
     [(1 - eps/d0) K + B_beta + Theta] v = lambda (M_bulk + M_iface) v."""
     if not (0.0 < eps < op.d0):
         raise ValueError(f"eps={eps} outside (0, d0={op.d0})")
-    damped = (1.0 - eps / op.d0) * op.k_stiff + op.b_beta + op.theta
-    vals, _ = lowest_pairs(op.restrict(damped), op.pair_mass_diag, 1)
+    scale = 1.0 - eps / op.d0
+    damped = op.restrict(scale * op.k_stiff + op.b_beta + op.theta)
+    grid = _pencil(op)   # its lines, with d11 and d22 scaled
+    vals, _ = lowest_pairs(damped, op.pair_mass_diag, 1,
+                           grid and grid.fit(damped, op.pair_mass_diag, scale))
     return float(vals[0])
 
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperator
-from .operators import NumericError, _SymmetricLU, lanczos_start
+from .operators import NumericError, _GridSolver, _pencil, _SymmetricLU
 from .poly import Nonlinearity
 
 
@@ -125,8 +124,8 @@ _SERIES_THETA = 2.0 ** -8
 class _FactorCache:
     """Solvers of M + dt A by step size, least recently used first; counts
     the solvers it builds and the series solvers it hands out.  Also keeps
-    the row sums of |A| and ||M^-1 A||_inf, the largest of them over the
-    mass, and the operator's grid pencil (None when SuperLU factors it).  A
+    ||M^-1 A||_inf, the largest row sum of |A| over the mass, and the
+    operator's grid pencil (None when SuperLU factors it).  A
     is checked once to be exactly symmetric, as the transposed solve of its
     factors needs."""
 
@@ -137,9 +136,9 @@ class _FactorCache:
         self.nnz = 0
         self.built = 0
         self.series = 0
-        self.row_sums = np.asarray(abs(op.a_free).sum(axis=1)).ravel()
-        self.norm = float((self.row_sums / op.mass_diag).max())
-        self.grid = _grid_pencil(op)
+        row_sums = np.asarray(abs(op.a_free).sum(axis=1)).ravel()
+        self.norm = float((row_sums / op.mass_diag).max())
+        self.grid = _pencil(op)
 
 
 def _factor_cache(op: DiscreteOperator) -> _FactorCache:
@@ -175,171 +174,13 @@ class _SeriesSolver:
         return x
 
 
-def _line_pencil(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and lumped mass of P1 elements on the grid line `coords`."""
-    h = np.diff(coords)
-    k = np.diag(np.append(1.0 / h, 0.0) + np.insert(1.0 / h, 0, 0.0))
-    k -= np.diag(1.0 / h, 1) + np.diag(1.0 / h, -1)
-    return k, 0.5 * (np.append(h, 0.0) + np.insert(h, 0, 0.0))
-
-
-# An entry of the assembled M or A that differs from the grid pencil's by at
-# most this many ulp of the pencil's diagonal is taken as equal to it.  The
-# assembled masses come from triangle areas, rounded relative to the mesh
-# width: away from the interface and the corners they differ from the
-# pencil's by up to 8 ulp at n=96 and 11 at n=243, the stiffness by 1 or 2
-_GRID_ULPS = 64
-
-
-class _GridPencil:
-    """M and A on a tensor grid of free DOFs, as a pencil that fast
-    diagonalization solves (Lynch, Rice & Thomas, Numer. Math. 6, 1964) plus
-    a correction on a few DOFs (Buzbee, Dorr, George & Golub, SIAM J. Numer.
-    Anal. 8, 1971).
-
-    The free DOFs are the grid points (x_i, y_j) of the free lines ix, iy,
-    in row-major order.  The pencil is M_g = my (x) mx and A_g = d11 my (x) Kx
-    + d22 Ky (x) mx, with (Kx, mx) and (Ky, my) the lumped P1 pencils of the
-    free lines.  Their M-orthonormal eigenvectors phi_x, phi_y diagonalize
-    M_g + dt A_g to lam = 1 + dt (d11 lam_x + d22 lam_y).  The assembled
-    matrices differ from M_g and A_g by c_m and c_a on the DOFs p, the
-    capacitance set: the interface nodes and the corners whose lumped mass
-    is not the product of the lines' masses, in free-DOF order.  row_of[k]
-    indexes the grid row of p[k] in phi_y_rows, and x_p[k] holds the x modes
-    at its column.
-    """
-
-    def __init__(self, x_line, y_line, d11, d22, p, c_m, c_a):
-        (kx, mx), (ky, my) = x_line, y_line
-        self.d11, self.d22 = d11, d22
-        self.lam_x, self.phi_x = scipy.linalg.eigh(kx, np.diag(mx))
-        self.lam_y, self.phi_y = scipy.linalg.eigh(ky, np.diag(my))
-        self.shape = (len(my), len(mx))
-        self.p = p
-        rows, cols = np.divmod(p, len(mx))
-        uniq, self.row_of = np.unique(rows, return_inverse=True)
-        self.phi_y_rows = self.phi_y[uniq]
-        self.x_p = self.phi_x[cols]
-        self.index = np.arange(len(p))
-        self.c_m, self.c_a = c_m, c_a
-
-    def gram(self, lam: np.ndarray) -> np.ndarray:
-        """P^T (M_g + dt A_g)^-1 P, one grid row of p at a time: the sum over
-        the y modes k of phi_y[j, k] phi_y[j', k] / lam[k, l] for every pair
-        of rows j, j' of p is a row of x-mode weights between them."""
-        inv = 1.0 / lam
-        out = np.empty((len(self.x_p), len(self.x_p)))
-        for a, row in enumerate(self.phi_y_rows):
-            weights = (self.phi_y_rows * row) @ inv
-            on_row = self.row_of == a
-            out[on_row] = self.x_p[on_row] @ (self.x_p * weights[self.row_of]).T
-        return out
-
-
-def _grid_pencil(op: DiscreteOperator) -> _GridPencil | None:
-    """The grid pencil of the operator, or None when its free DOFs are not a
-    tensor grid or the pencil leaves more than 4 sqrt(n_free) of them to the
-    correction (an anisotropic tensor with d12 != 0 leaves all of them)."""
-    verts = op.mesh.vertices
-    side = math.isqrt(len(verts))
-    xs, ys = verts[:side, 0], verts[::side, 1]
-    if not np.array_equal(verts, np.column_stack([np.tile(xs, side),
-                                                  np.repeat(ys, side)])):
-        return None
-    free = np.zeros(len(verts), dtype=bool)
-    free[op.free_dofs] = True
-    free = free.reshape(side, side)
-    iy, ix = np.flatnonzero(free.any(axis=1)), np.flatnonzero(free.any(axis=0))
-    if len(iy) * len(ix) != op.n_free:
-        return None
-    (kx, mx), (ky, my) = _line_pencil(xs), _line_pencil(ys)
-    # d11 and d22 from the couplings of a vertex inside the square
-    j = i = side // 2
-    v = j * side + i
-    d11 = op.k_stiff[v, v + 1] / (my[j] * kx[i, i + 1])
-    d22 = op.k_stiff[v, v + side] / (ky[j, j + 1] * mx[i])
-    if not (d11 > 0.0 and d22 > 0.0):
-        return None
-    kx, mx = kx[np.ix_(ix, ix)], mx[ix]
-    ky, my = ky[np.ix_(iy, iy)], my[iy]
-    a_grid = (d11 * sp.kron(sp.diags(my), kx) + d22 * sp.kron(ky, sp.diags(mx))).tocsr()
-    m_grid = np.outer(my, mx).ravel()
-    d_a = op.a_free - a_grid
-    d_m = op.mass_diag - m_grid
-    ulps = _GRID_ULPS * np.finfo(float).eps
-    coo = d_a.tocoo()
-    off = np.abs(coo.data) > ulps * a_grid.diagonal()[coo.row]
-    p = np.unique(np.concatenate([np.flatnonzero(np.abs(d_m) > ulps * m_grid),
-                                  coo.row[off], coo.col[off]]))
-    if len(p) > 4.0 * math.sqrt(op.n_free):
-        return None
-    return _GridPencil((kx, mx), (ky, my), d11, d22, p, np.diag(d_m[p]),
-                       d_a[p][:, p].toarray())
-
-
-class _GridSolver:
-    """Solves (M + dt A) x = b on the grid pencil by the Woodbury identity
-    with C = c_m + dt c_a on P, never inverting C:
-        x = y - B^-1 P z,  y = B^-1 b,  z = S^-1 C P^T y,
-    with B = M_g + dt A_g solved in the eigenbasis of the grid lines and
-    S = I + C P^T B^-1 P solved once, for W = S^-1 C.  It stores 1/lam and W:
-    that count of floats is its `nnz` in the solver cache."""
-
-    __slots__ = ("grid", "inv_lam", "w", "nnz")
-
-    def __init__(self, grid: _GridPencil, dt: float):
-        self.grid = grid
-        lam = 1.0 + dt * (grid.d11 * grid.lam_x + grid.d22 * grid.lam_y[:, None])
-        cap = grid.c_m + dt * grid.c_a
-        s = np.eye(len(cap)) + cap @ grid.gram(lam)
-        self.w = scipy.linalg.lu_solve(scipy.linalg.lu_factor(s, check_finite=False),
-                                       cap, check_finite=False)
-        self.inv_lam = 1.0 / lam
-        self.nnz = self.inv_lam.size + self.w.size
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        g = self.grid
-        # non-finite entries of b spread through x, as they do through an LU
-        # solve, and warn no more than it does
-        with np.errstate(invalid="ignore", over="ignore"):
-            coef = g.phi_y.T @ b.reshape(g.shape) @ g.phi_x
-            coef *= self.inv_lam
-            # y on P: the rows of P in the x modes, each p's value at its column
-            y_p = (g.x_p @ (g.phi_y_rows @ coef).T)[g.index, g.row_of]
-            # B^-1 P z in the eigenbasis: the x modes of z summed row by row
-            sums = np.zeros((len(g.phi_y_rows), len(y_p)))
-            sums[g.row_of, g.index] = self.w @ y_p
-            coef -= (g.phi_y_rows.T @ (sums @ g.x_p)) * self.inv_lam
-            return (g.phi_y @ coef @ g.phi_x.T).ravel()
-
-
-# Bound on the probe residual of a grid solver: ||(M + dt A) x - b||_inf over
-# ||M + dt A||_inf ||x||_inf + ||b||_inf, a backward error
-_GRID_PROBE_TOL = 1e-12
-
-
-def _checked_grid_solver(op: DiscreteOperator, cache: _FactorCache,
-                         dt: float) -> _GridSolver:
-    """A grid solver of M + dt A that solves one probe against the assembled
-    matrix to within _GRID_PROBE_TOL; beyond it is a NumericError."""
-    solver = _GridSolver(cache.grid, dt)
-    b = lanczos_start(op.n_free)
-    x = solver.solve(b)
-    residual = np.abs(op.a_free @ x * dt + op.mass_diag * x - b).max()
-    norm = (op.mass_diag + dt * cache.row_sums).max()   # ||M + dt A||_inf
-    scale = norm * np.abs(x).max() + np.abs(b).max()
-    if not residual <= _GRID_PROBE_TOL * scale:
-        raise NumericError(f"grid solver probe residual {residual / scale:.3e} "
-                           f"exceeds {_GRID_PROBE_TOL:.1e} at dt={dt}")
-    return solver
-
-
 def _imex_solver(op: DiscreteOperator, dt: float):
     """A solver of M + dt A: the Neumann series of _SeriesSolver when
     dt ||M^-1 A||_inf <= _SERIES_THETA, else a grid solver when the operator
-    has a grid pencil and its LU factors when not, kept on the operator while
-    the solvers kept there total at most _LU_CACHE_NNZ stored numbers.  A
-    failed grid probe or a singular factor is a NumericError naming dt."""
+    has a grid pencil accurate at dt and its LU factors when not, kept on the
+    operator while the solvers kept there total at most _LU_CACHE_NNZ stored
+    numbers.  A failed grid probe or a singular factor is a NumericError
+    naming dt."""
     cache = _factor_cache(op)
     dt = float(dt)
     theta = dt * cache.norm
@@ -350,8 +191,8 @@ def _imex_solver(op: DiscreteOperator, dt: float):
     if solver is not None:
         cache.factors.move_to_end(dt)
         return solver
-    if cache.grid is not None:
-        solver = _checked_grid_solver(op, cache, dt)
+    if cache.grid is not None and cache.grid.accurate_at(dt):
+        solver = _GridSolver(cache.grid, dt)
     else:
         mat = (op.a_free * dt + sp.diags(op.mass_diag)).tocsc()
         # the matrix is symmetric positive definite: a minimum-degree order

@@ -196,10 +196,15 @@ def test_constants_mode(tmp_path):
 def test_constants_failed_factorization_exits_numeric(tmp_path, monkeypatch, capsys):
     import scipy.sparse.linalg as spla
 
+    from transmission import constants, operators
+
     def singular(mat, **kw):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)
+    # no grid pencil: every eigen-solve of the report factors
+    monkeypatch.setattr(operators, "_grid_pencil", lambda *args: None)
+    monkeypatch.setattr(constants, "_grid_pencil", lambda *args: None)
     code = main(["constants", "--config", write(tmp_path, BASE),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERIC
@@ -208,11 +213,11 @@ def test_constants_failed_factorization_exits_numeric(tmp_path, monkeypatch, cap
 
 
 def test_simulate_failed_grid_probe_exits_numeric(tmp_path, monkeypatch, capsys):
-    from transmission import dynamics
+    from transmission import operators
 
     # a capacitance matrix blind to the grid's response fails the probe of
     # the first solver built
-    monkeypatch.setattr(dynamics._GridPencil, "gram",
+    monkeypatch.setattr(operators._GridPencil, "gram",
                         lambda self, lam: np.zeros((len(self.p),) * 2))
     code = main(["simulate", "--config", write(tmp_path, BASE),
                  "--out", str(tmp_path / "out")])
@@ -529,11 +534,13 @@ def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
     "kind = expression\nexpression = x +",
     "kind = expression\nexpression = sqrt(x - 0.5)",
     "kind = expression\nexpression = 1/(x - 0.5)",
-    # too deep for the parser, and too deep to evaluate though it parses
+    # too deep for the parser (the parser's stack overflows at 20,000), and
+    # too deep to evaluate though it parses
     "kind = expression\nexpression = " + "-" * 5000 + "x",
-    "kind = expression\nexpression = " + "-" * 1000 + "x",
+    "kind = expression\nexpression = " + "-" * 20000 + "x",
+    "kind = expression\nexpression = " + "-" * 999 + "x",
 ], ids=["index-beyond-free-dofs", "expression-syntax", "expression-nan", "expression-inf",
-        "expression-too-deep", "expression-too-deep-to-evaluate"])
+        "expression-too-deep", "expression-far-too-deep", "expression-too-deep-to-evaluate"])
 def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, initial):
     one_cell = "[sweep]\np_values = 0\nq_values = 2\ncf_values = -1.0\nch_values = -1.0\n"
     cfg = write(tmp_path, BASE.replace("n = 8", "n = 4")

@@ -359,6 +359,50 @@ def test_poincare_l2_matches_dense_formula(y0):
     assert poincare_mean_sigma(op, "L2_eig") == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("build", ["op16", "koch"])
+def test_grid_operator_constants_make_no_factor(build, monkeypatch):
+    import scipy.sparse.linalg as spla
+    from conftest import default_operator, koch_operator
+
+    import transmission.constants as constants
+    import transmission.operators as operators
+    from transmission.operators import spectrum
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a sparse factor was made")
+
+    monkeypatch.setattr(spla, "splu", no_factor)
+    monkeypatch.setattr(operators, "factor_symmetric", no_factor)
+    monkeypatch.setattr(constants, "factor_symmetric", no_factor)
+    # fresh operators: nothing is cached on them yet
+    op = {"op16": lambda: default_operator(16), "koch": koch_operator}[build]()
+    assert spectrum(op, 10).count == 10
+    compute_constants_report(op)
+
+
+def test_anisotropic_constants_factor_and_match_dense(monkeypatch):
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+    from conftest import anisotropic_operator
+
+    from transmission.operators import spectrum
+
+    op = anisotropic_operator(16)   # d12 != 0: no grid pencil
+    built = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    vals = spectrum(op, 10).eigenvalues
+    eps = op.d0 / 2.0
+    c_bar = best_embedding_constant(op, eps)
+    assert len(built) == 2
+    dense = op.a_free.toarray()
+    ref = scipy.linalg.eigh(dense, np.diag(op.mass_diag), eigvals_only=True)[:10]
+    assert np.allclose(vals, ref, rtol=1e-10, atol=0.0)
+    damped = op.restrict((1.0 - eps / op.d0) * op.k_stiff + op.b_beta + op.theta)
+    ref = scipy.linalg.eigh(damped.toarray(), np.diag(op.pair_mass_diag), eigvals_only=True)[0]
+    assert c_bar == pytest.approx(ref, rel=1e-10)
+
+
 def test_report_runs_one_spectrum_and_one_embedding_solve(monkeypatch):
     import transmission.constants as constants
     import transmission.operators as operators

@@ -702,7 +702,7 @@ def test_grid_path_builds_one_solver_per_step_size(case, monkeypatch):
 def test_grid_solver_changes_rounding_only(build, case, monkeypatch):
     from conftest import default_operator, koch_operator
 
-    from transmission import dynamics
+    from transmission import dynamics, operators
 
     # fresh operators: no solver is cached on them yet
     make = {"op16": lambda: default_operator(16), "koch": koch_operator}[build]
@@ -712,7 +712,7 @@ def test_grid_solver_changes_rounding_only(build, case, monkeypatch):
     grid = integrate(op, U0, f, h, T, ctrl)
     assert dynamics._factor_cache(op).grid is not None
 
-    monkeypatch.setattr(dynamics, "_grid_pencil", lambda op: None)
+    monkeypatch.setattr(operators, "_grid_pencil", lambda *args: None)
     factored = integrate(make(), U0, f, h, T, ctrl)
 
     assert grid.outcome == factored.outcome
@@ -727,16 +727,38 @@ def test_grid_solver_changes_rounding_only(build, case, monkeypatch):
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
 
 
-def test_failed_grid_probe_is_numeric_error(monkeypatch):
+def test_grid_without_dirichlet_side_factors_large_steps(monkeypatch):
     from conftest import default_operator
 
     from transmission import dynamics
+
+    # with no Dirichlet side the Woodbury correction loses about dt lambda_1
+    # to rounding: at dt = 1000 its probe would fail, so that step size is
+    # factored, while dt = 0.1 keeps the grid
+    op = default_operator(16, dirichlet_side="none")
+    built = []
+    splu = dynamics.spla.splu
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda mat, **kw: built.append(mat) or splu(mat, **kw))
+    big = dynamics._imex_solver(op, 1000.0)
+    assert len(built) == 1
+    assert isinstance(dynamics._imex_solver(op, 0.1), dynamics._GridSolver)
+    assert len(built) == 1
+    b = op.mass_diag
+    x = big.solve(b)
+    assert np.abs(op.a_free @ x * 1000.0 + op.mass_diag * x - b).max() <= 1e-12
+
+
+def test_failed_grid_probe_is_numeric_error(monkeypatch):
+    from conftest import default_operator
+
+    from transmission import dynamics, operators
     from transmission.operators import NumericError
 
     op = default_operator(8)
     # a capacitance matrix blind to the grid's response: the solve misses
     # the interface and corner correction, and its probe shows it
-    monkeypatch.setattr(dynamics._GridPencil, "gram",
+    monkeypatch.setattr(operators._GridPencil, "gram",
                         lambda self, lam: np.zeros((len(self.p),) * 2))
     with pytest.raises(NumericError, match="probe residual"):
         dynamics._imex_solver(op, 0.1)
