@@ -20,6 +20,7 @@ import operator
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -267,12 +268,10 @@ def _write_fit_summaries(traj, report, holder, path) -> None:
               "energy_inequality_max_residual": res["max_residual"],
               "e0": res["e0"]}
     if traj.outcome == "completed":
-        try:
-            hm = holder.result()
-            fields["holder_rho"] = hm["rho"]
-            fields["holder_degenerate"] = int(hm["degenerate"])
-        except ValueError:
-            fields["holder_rho"] = "unavailable"
+        # a completed run ends at T, the last point of the sampling grid
+        hm = holder.result()
+        fields["holder_rho"] = hm["rho"]
+        fields["holder_degenerate"] = int(hm["degenerate"])
         fields["moser_ratio"] = moser_ratio(report)
     write_fields(path, fields)
 
@@ -282,22 +281,10 @@ def _cell_hash(cfg_text: str, cell: tuple) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-_WORKER_CACHE: dict = {}
-
-
-def _sweep_cell(args: tuple) -> tuple[str, str]:
-    cfg_text, cell, do_simulate = args
-    key = hashlib.sha256(cfg_text.encode()).hexdigest()
-    if key not in _WORKER_CACHE:
-        from .config import parse_config_text
-
-        # a worker serves one sweep's config at a time: drop the last one
-        _WORKER_CACHE.clear()
-        cfg = parse_config_text(cfg_text)
-        _, _, op, _, _ = build_problem(cfg)
-        report = _constants_report(cfg, op)
-        _WORKER_CACHE[key] = (cfg, op, report)
-    cfg, op, report = _WORKER_CACHE[key]
+def _sweep_cell(task: tuple) -> tuple[str, str]:
+    """(diagram row, simulated outcome or "") of one cell of a sweep: task
+    is ((cfg, op, constants report), (p, q, c_f, c_h))."""
+    (cfg, op, report), cell = task
     p, q, c_f, c_h = cell
     f, h = Nonlinearity.power(c_f, q), Nonlinearity.power(c_h, p)
     U0 = initial_state(cfg, op)
@@ -305,7 +292,7 @@ def _sweep_cell(args: tuple) -> tuple[str, str]:
                        alpha=_auto(cfg.run.alpha), eps=_auto(cfg.run.eps))
     row = ",".join(map(repr, cell)) + f",{verdict.verdict},{verdict.rule}"
     outcome = ""
-    if do_simulate:
+    if cfg.sweep.simulate:
         # only the outcome is read: no state is kept
         traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
                          observe=lambda t, dt, U: None)
@@ -323,51 +310,58 @@ def _write_marker(marker: Path, row: str, outcome: str) -> None:
 
 
 def run_sweep(cfg: SimConfig, out: Path) -> int:
-    import copy
-
     cells = cfg.sweep.grid()
     # content-address cells by the problem, not by where results land
-    cfg_for_hash = copy.deepcopy(cfg)
-    cfg_for_hash.run.out = ""
-    cfg_for_hash.run.jobs = 1
-    cfg_text = serialize_config(cfg_for_hash)
-    cells_dir = out / "cells"
-    pending = []
-    for cell in cells:
-        marker = cells_dir / f"{_cell_hash(cfg_text, cell)}.csv"
-        if not marker.exists():
-            pending.append(((cfg_text, cell, cfg.sweep.simulate), marker))
+    cfg_text = serialize_config(replace(cfg, run=replace(cfg.run, out="", jobs=1)))
+    markers = {cell: out / "cells" / f"{_cell_hash(cfg_text, cell)}.csv"
+               for cell in cells}
+    done = {}
+    for cell, marker in markers.items():
+        text = marker.read_text() if marker.exists() else ""
+        lines = text.splitlines() or [""]
+        row = lines[0].split(",")
+        outcome = lines[1].partition("#outcome=")[2] if len(lines) > 1 else ""
+        # a marker is whole when it ends its last line and holds its own
+        # cell's row, with an outcome exactly when the sweep simulates; any
+        # other (emptied, cut short, another cell's) is recomputed
+        if (text.endswith("\n") and len(row) == 6 and row[:4] == list(map(repr, cell))
+                and bool(outcome) == cfg.sweep.simulate):
+            done[cell] = lines[0], outcome
+    tasks = []
+    if len(done) < len(markers):
+        # only f and h vary by cell: every cell shares one operator and report
+        _, _, op, _, _ = build_problem(cfg)
+        problem = (cfg, op, _constants_report(cfg, op))
+        tasks = [(problem, cell) for cell in markers if cell not in done]
     # each marker is written as its cell finishes, so a killed sweep keeps
     # every finished cell
-    if cfg.run.jobs > 1 and pending:
+    if cfg.run.jobs > 1 and tasks:
         # imported here: a serial run never loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with ProcessPoolExecutor(max_workers=cfg.run.jobs) as pool:
-            futures = {pool.submit(_sweep_cell, task): marker
-                       for task, marker in pending}
+            futures = {pool.submit(_sweep_cell, task): task[1] for task in tasks}
             try:
                 for fut in as_completed(futures):
-                    _write_marker(futures[fut], *fut.result())
+                    cell = futures[fut]
+                    done[cell] = fut.result()
+                    _write_marker(markers[cell], *done[cell])
             finally:
                 for fut in futures:
                     fut.cancel()
     else:
-        for task, marker in pending:
-            _write_marker(marker, *_sweep_cell(task))
+        for task in tasks:
+            done[task[1]] = _sweep_cell(task)
+            _write_marker(markers[task[1]], *done[task[1]])
 
     rows, mismatches = [], []
     for cell in cells:
-        marker = cells_dir / f"{_cell_hash(cfg_text, cell)}.csv"
-        lines = marker.read_text().strip().splitlines()
-        row = lines[0].split(",")
+        line, outcome = done[cell]
+        row = line.split(",")
         rows.append(row)
-        if len(lines) > 1 and lines[1].startswith("#outcome="):
-            outcome = lines[1].split("=", 1)[1]
-            verdict = row[4]
-            if (verdict == "BlowUpPredicted" and outcome != "blowup") or \
-               (verdict == "GlobalBounded" and outcome == "blowup"):
-                mismatches.append(row + [outcome])
+        if outcome and ((row[4] == "BlowUpPredicted" and outcome != "blowup")
+                        or (row[4] == "GlobalBounded" and outcome == "blowup")):
+            mismatches.append(row + [outcome])
     header = "p,q,c_f,c_h,verdict,rule"
     diagram = out / "regime_diagram.csv"
     write_table(diagram, header, *zip(*rows))

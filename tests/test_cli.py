@@ -270,19 +270,50 @@ def test_sweep_parallel_matches_serial(tmp_path):
             == (tmp_path / "par" / "regime_diagram.csv").read_bytes())
 
 
-def test_sweep_resumes_from_partial_cells(tmp_path):
-    cfg = write(tmp_path, SWEEP)
+@pytest.mark.parametrize("damage", ["deleted", "emptied", "truncated", "cut-in-the-rule",
+                                    "another-cells-row", "outcome-lost"])
+def test_sweep_resumes_from_partial_cells(tmp_path, damage):
+    # the lost outcome line is a damage only where the sweep simulates
+    simulate = "simulate = true\n" if damage == "outcome-lost" else ""
+    cfg = write(tmp_path, SWEEP + simulate)
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     cells = sorted((out / "cells").glob("*.csv"))
     assert len(cells) == 6
     stamps = {c: c.stat().st_mtime_ns for c in cells}
-    # removing one cell and rerunning recomputes only that cell
-    cells[0].unlink()
+    diagram, marker = (out / "regime_diagram.csv").read_bytes(), cells[0].read_text()
+    # removing or damaging one cell and rerunning recomputes only that cell
+    if damage == "deleted":
+        cells[0].unlink()
+    else:
+        cells[0].write_text({"emptied": "", "truncated": marker[:9],
+                             "cut-in-the-rule": marker[:-4],
+                             "another-cells-row": cells[1].read_text(),
+                             "outcome-lost": marker.splitlines()[0] + "\n"}[damage])
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for c in cells[1:]:
         assert c.stat().st_mtime_ns == stamps[c]
     assert cells[0].exists()
+    assert cells[0].read_text() == marker
+    assert (out / "regime_diagram.csv").read_bytes() == diagram
+
+
+def test_parallel_sweep_computes_the_constants_once_in_the_parent(tmp_path, monkeypatch):
+    from transmission import cli
+
+    calls = []
+    real = cli._constants_report
+    monkeypatch.setattr(cli, "_constants_report",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = write(tmp_path, SWEEP + "simulate = true\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == EXIT_OK
+    assert len(calls) == 1
+    assert len(list((tmp_path / "out" / "cells").glob("*.csv"))) == 6
+    # a finished sweep builds nothing again
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_sweep_keeps_cells_finished_before_a_crash(tmp_path, monkeypatch):
@@ -621,19 +652,6 @@ def test_determinism_of_simulate_csv(tmp_path):
     a = (tmp_path / "r1" / "trajectory.csv").read_bytes()
     b = (tmp_path / "r2" / "trajectory.csv").read_bytes()
     assert a == b
-
-
-def test_worker_cache_keeps_only_the_current_config(tmp_path):
-    from transmission import cli
-
-    first = write(tmp_path, SWEEP, "first.ini")
-    second = write(tmp_path, SWEEP + "\n[run]\nseed = 5\n", "second.ini")
-    for i, cfg in enumerate((first, second)):
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / f"o{i}"),
-                     "--jobs", "1"]) == EXIT_OK
-    assert len(cli._WORKER_CACHE) == 1
-    (cfg, _, _), = cli._WORKER_CACHE.values()
-    assert cfg.run.seed == 5
 
 
 IMPORT_GUARD = """

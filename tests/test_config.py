@@ -86,6 +86,14 @@ def test_invalid_nonlinearity_rejected(section, entry):
     ("run", "snapshot_stride = -2"),
     ("run", "safety_factor = 0"),
     ("pairs", "horizon = 0"),
+    ("physics", "d0 = 0"),
+    ("physics", "beta0 = -1"),
+    ("physics", "beta = 0.5"),
+    ("initial", "kind = noise"),
+    ("initial", "index = 0"),
+    ("time", "horizon = 0"),
+    ("time", "growth_cap = 1"),
+    ("time", "blow_up_threshold = 0"),
     ("sweep", "p_values = abc"),
     ("sweep", "cf_values = nan,1.0"),
     ("sweep", "p_values = -1"),
@@ -95,6 +103,17 @@ def test_invalid_values_rejected(section, entry):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"[geometry]\nn = 16\n\n[{section}]\n{entry}\n")
     assert any(v.startswith(section) for v in err.value.violations)
+
+
+
+@pytest.mark.parametrize("entry", ["interface = ring", "koch_level = -1",
+                                   "dirichlet_side = front", "total_mass = 0"])
+def test_invalid_geometry_rejected(entry):
+    # the [geometry] section of test_invalid_values_rejected would repeat
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[geometry]\n{entry}\n")
+    key = entry.split(" = ")[0]
+    assert [v.split(" = ")[0] for v in err.value.violations] == [f"geometry.{key}"]
 
 
 def test_bad_sweep_exponent_is_one_violation():

@@ -602,6 +602,22 @@ def test_imex_solver_rejects_a_non_symmetric_operator():
         _imex_solver(op, 0.1)
 
 
+
+def test_imex_solver_singular_factor_is_numeric_error_naming_dt(monkeypatch):
+    from conftest import anisotropic_operator
+
+    from transmission import dynamics
+    from transmission.operators import NumericError
+
+    def singular(mat, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    op = anisotropic_operator(8)   # d12 != 0: no grid pencil, so SuperLU
+    monkeypatch.setattr(dynamics.spla, "splu", singular)
+    with pytest.raises(NumericError, match=r"dt=0\.01: Factor is exactly singular"):
+        dynamics._imex_solver(op, 0.01)
+
+
 # ------------------------------------------------ grid solver of M + dt A
 def _grid_case(case):
     """A fresh operator whose M + dt A the grid pencil solves."""

@@ -154,6 +154,17 @@ def test_koch_too_fine_for_mesh_rejected():
         build_square_mesh(8, KochPrefractal(level=3, y0=0.5))
 
 
+
+@pytest.mark.parametrize("n,spec,error,match", [
+    # round(0.1 * 3) = 0: the baseline snaps onto the bottom side
+    (3, Segment(0.1), GeometryError, "snaps onto the boundary at n=3"),
+    (9, KochPrefractal(level=2, y0=0.175), ResolutionError, "snap to the same mesh vertex"),
+], ids=["segment-baseline", "koch-vertices"])
+def test_interface_that_snaps_badly_rejected(n, spec, error, match):
+    with pytest.raises(error, match=match):
+        build_square_mesh(n, spec)
+
+
 def test_n_too_small_rejected():
     with pytest.raises(GeometryError):
         build_square_mesh(1, Segment(0.5))

@@ -177,6 +177,24 @@ def test_failed_factorization_is_numeric_error(op16, monkeypatch):
         poincare_mean_sigma(op16, "L2_eig")
 
 
+
+def test_failed_lanczos_is_numeric_error(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from conftest import default_operator
+    from transmission.constants import poincare_mean_sigma
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    op = default_operator(8)   # fresh: no spectrum cached on it yet
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NumericError, match="shift-invert Lanczos failed"):
+        spectrum(op, k=3)
+    with pytest.raises(NumericError, match="Poincare eigensolve failed"):
+        poincare_mean_sigma(op, "L2_eig")
+
+
 @pytest.mark.parametrize("case", ["op16", "op16_neumann", "koch", "anisotropic",
                                   "s09"])
 def test_free_dof_form_is_exactly_symmetric(case, request):
