@@ -42,7 +42,6 @@ from .diagnostics import (
     energy_inequality_residual,
     export_trajectory_csv,
     moser_ratio,
-    observe_all,
     outcome_line,
     squeezing_check,
 )
@@ -246,12 +245,12 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     # the diagnostics take the states as the run makes them: none is kept
     energy = EnergyAccumulator(op, f, h)
     holder = HolderModulus(cfg.time.horizon)
-    observers = [energy, holder]
+    observers = (energy, holder)
     snap = cfg.run.snapshot_stride
     if snap:
-        observers.append(SnapshotWriter(op, snap, out / "snapshots"))
+        observers += (SnapshotWriter(op, snap, out / "snapshots"),)
     traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
-                     observe=observe_all(*observers))
+                     observers=observers)
     report = energy.report()
     export_trajectory_csv(traj, report, out / "trajectory.csv")
     _write_fit_summaries(traj, report, holder, out / "diagnostics.txt")
@@ -293,10 +292,8 @@ def _sweep_cell(task: tuple) -> tuple[str, str]:
     row = ",".join(map(repr, cell)) + f",{verdict.verdict},{verdict.rule}"
     outcome = ""
     if cfg.sweep.simulate:
-        # only the outcome is read: no state is kept
-        traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
-                         observe=lambda t, dt, U: None)
-        outcome = traj.outcome
+        outcome = integrate(op, U0, f, h, cfg.time.horizon,
+                            _step_control(cfg)).outcome
     return row, outcome
 
 

@@ -6,8 +6,8 @@ squeezing fits, Hoelder-in-time modulus and sup-vs-L2 domination ratios.
 
 The per-state quantities are streaming observers of `integrate`
 (`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `SnapshotWriter`): a
-run passes them as its observer and keeps no states, and `replay` feeds them
-the states of a stored `Trajectory`.  `moser_ratio` reads the EnergyReport.
+run passes them as its observers and keeps no states.  `moser_ratio` reads
+the EnergyReport.
 """
 
 from __future__ import annotations
@@ -82,32 +82,6 @@ class EnergyAccumulator:
                                for name, values in self._columns.items()})
 
 
-def observe_all(*observers):
-    """One observer that hands each accepted state to every one of
-    `observers` in turn."""
-    def observe(t, dt, U):
-        for obs in observers:
-            obs(t, dt, U)
-    return observe
-
-
-def replay(traj: Trajectory, observer) -> None:
-    """Feed the stored states of `traj` to `observer` as integrate would
-    have."""
-    if len(traj.states) != len(traj.times):
-        raise ValueError("the trajectory kept only its last state: pass the "
-                         "observer to integrate instead")
-    for t, dt, U in zip(traj.times, traj.dts, traj.states):
-        observer(t, dt, U)
-
-
-def compute_energy_report(traj: Trajectory, op: DiscreteOperator,
-                          f: Nonlinearity, h: Nonlinearity) -> EnergyReport:
-    acc = EnergyAccumulator(op, f, h)
-    replay(traj, acc)
-    return acc.report()
-
-
 def moser_ratio(report: EnergyReport, window: tuple[float, float] | None = None) -> float:
     """sup_t ||U||_inf / max(C_inf, sup_t ||U||_pair) over the states of a
     run's energy report in the window (every state if None), with
@@ -172,7 +146,7 @@ def squeezing_check(op: DiscreteOperator, U0a: np.ndarray, U0b: np.ndarray,
     for U0 in (U0a, U0b):
         sampled: list = []
         traj = integrate(op, U0, f, h, T, ctrl,
-                         observe=GridSampler(grid, sampled.append))
+                         observers=(GridSampler(grid, sampled.append),))
         if traj.outcome != "completed":
             raise IncompleteRun(traj)
         samples.append(sampled)

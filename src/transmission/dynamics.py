@@ -14,7 +14,7 @@ import math
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,8 +83,10 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Accepted times and step sizes of one integration run, and its states:
-    every state, or only the last one when an observer took them."""
+    """Accepted times and step sizes of one integration run, and its last
+    state: `states` is the one-element list [U(t_end)], every state having
+    gone to the run's observers.  It stays a list because the benchmark's
+    tracer (perfbench/tracing.py) reads `result.states`."""
 
     times: np.ndarray
     dts: np.ndarray                 # step size used to reach each time
@@ -92,10 +94,6 @@ class Trajectory:
     outcome: str = "completed"      # completed | blowup | stalled
     outcome_time: float = 0.0
     stats: StepStats | None = None
-
-    @property
-    def sup_norms(self) -> np.ndarray:
-        return np.array([np.abs(u).max() for u in self.states])
 
 
 # Bound on the numbers stored by the solvers kept per operator: a SuperLU
@@ -231,7 +229,7 @@ def imex_step(op: DiscreteOperator, U: np.ndarray, dt: float,
 
 def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
               h: Nonlinearity, T: float, ctrl: StepControl,
-              observe: Callable[[float, float, np.ndarray], None] | None = None,
+              observers: Sequence[Callable[[float, float, np.ndarray], None]] = (),
               ) -> Trajectory:
     """March the dynamics to time T with adaptive steps.
 
@@ -245,9 +243,10 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     on one operator share their factorizations, and the smallest rungs need
     none.
 
-    `observe(t, dt, U)`, when given, receives every accepted state, the
-    initial one with t = dt = 0 included, and the trajectory keeps only the
-    last state; without it the trajectory keeps every state.
+    Each of `observers`, in order, is called as obs(t, dt, U) with every
+    accepted state, the initial one with t = dt = 0 included.  The run keeps
+    no other state: its trajectory holds the last one alone, as the
+    one-element list `states`.
     """
     U0 = np.asarray(U0, dtype=float)
     if not np.isfinite(U0).all():
@@ -255,19 +254,13 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     if U0.shape != (op.n_free,):
         raise ValueError(f"initial state has shape {U0.shape}, expected ({op.n_free},)")
 
-    stored: list = []
-    if observe is None:
-        # states are never written in place: the trajectory keeps each
-        # solver result as it is
-        def observe(t, dt, U):
-            stored.append(U)
-
     cache = _factor_cache(op)
     built0, series0 = cache.built, cache.series
     U = U0.copy()
     times = array("d", [0.0])
     dts = array("d", [0.0])
-    observe(0.0, 0.0, U)
+    for obs in observers:
+        obs(0.0, 0.0, U)
     outcome, outcome_time = "completed", T
     t, dt = 0.0, ctrl.dt0
     sup = float(np.abs(U).max())
@@ -303,7 +296,10 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
         U, sup = Unew, sup_new
         times.append(t)
         dts.append(dt_try)
-        observe(t, dt_try, U)
+        # states are never written in place: an observer may keep each
+        # solver result as it is
+        for obs in observers:
+            obs(t, dt_try, U)
         if sup > ctrl.blow_up_threshold:
             outcome, outcome_time = "blowup", t
             break
@@ -318,7 +314,7 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
                       factorizations=cache.built - built0,
                       series_solves=cache.series - series0)
     return Trajectory(
-        times=np.array(times), dts=np.array(dts), states=stored or [U],
+        times=np.array(times), dts=np.array(dts), states=[U],
         outcome=outcome, outcome_time=outcome_time, stats=stats,
     )
 

@@ -13,6 +13,8 @@ from transmission.geometry import (
     build_interface_measure,
     build_square_mesh,
 )
+from transmission.diagnostics import EnergyAccumulator
+from transmission.dynamics import integrate
 
 
 def default_operator(n, dirichlet_side="left", beta_value=1.0, delta=1,
@@ -46,6 +48,17 @@ def anisotropic_operator(n, interface=Segment(0.5), d12=0.37):
                           DiffusionTensor.constant(mesh, 2.3, d12, 2.1, d0=1.0),
                           BetaCoefficient.constant(measure, 1.0),
                           KernelSpec(s=0.5, dim_d=measure.dim_d))
+
+
+def run_recorded(op, U0, f, h, T, ctrl):
+    """(trajectory, every accepted state, energy report) of one integrate
+    run: integrate keeps only the last state, so a list observer collects
+    them all, the initial one first, next to an EnergyAccumulator."""
+    states = []
+    energy = EnergyAccumulator(op, f, h)
+    traj = integrate(op, U0, f, h, T, ctrl,
+                     observers=(energy, lambda t, dt, U: states.append(U)))
+    return traj, states, energy.report()
 
 
 @pytest.fixture(scope="session")

@@ -192,10 +192,11 @@ def semigroup_defect_fit(op: DiscreteOperator, U0: np.ndarray,
     return {"dts": dts_arr, "defects": defects, "c_fit": c_fit, "order": order}
 
 
-def absorbing_ball_check(trajectories: list[Trajectory], op: DiscreteOperator,
+def absorbing_ball_check(runs: list[tuple[Trajectory, list]], op: DiscreteOperator,
                          constants: ConstantsReport, lambda_star: float,
                          verdict: str | None = None) -> dict:
-    """Ensemble fit of E1(t) <= E1(0) exp(-eta t) + C.
+    """Ensemble fit of E1(t) <= E1(0) exp(-eta t) + C over `runs`, each a
+    trajectory and the list of its every accepted state.
 
     Returns the fitted decay rate (the slowest member), the fitted offset,
     the terminal E1 values, and whether they agree: either within 10 percent
@@ -205,16 +206,16 @@ def absorbing_ball_check(trajectories: list[Trajectory], op: DiscreteOperator,
     """
     if verdict is not None and verdict != "GlobalBounded":
         raise ValueError(f"absorbing-ball fit refuses verdict {verdict!r}")
-    if any(tr.outcome != "completed" for tr in trajectories):
+    if any(tr.outcome != "completed" for tr, _ in runs):
         raise ValueError("absorbing-ball fit needs completed trajectories")
-    if len(trajectories) < 3:
+    if len(runs) < 3:
         raise ValueError("need at least 3 initial magnitudes")
-    e1s = [np.array([op.pair_norm2(u) for u in tr.states]) for tr in trajectories]
+    e1s = [np.array([op.pair_norm2(u) for u in states]) for _, states in runs]
     terminals = np.array([e[-1] for e in e1s])
     initials = np.array([e[0] for e in e1s])
     c_fit = float(np.median(terminals))
     rates, envelope_ok = [], True
-    for tr, e1 in zip(trajectories, e1s):
+    for (tr, _), e1 in zip(runs, e1s):
         if e1[0] <= 10.0 * max(c_fit, 1e-300):
             continue
         # tail window: past the transient, above the floor noise

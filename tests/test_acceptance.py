@@ -7,6 +7,7 @@ report; every tolerance is fixed here, nothing is calibrated at run time.
 import numpy as np
 import pytest
 
+from conftest import run_recorded
 from paper_checks import (absorbing_ball_check, fixed_step_evolve, markov_check,
                           picard_mild, semigroup_apply, semigroup_property_check)
 from transmission.assembly import KernelSpec, nonlocal_kernel_matrix
@@ -17,7 +18,6 @@ from transmission.constants import (
     poincare_mean_sigma,
 )
 from transmission.diagnostics import (
-    compute_energy_report,
     energy_inequality_residual,
     fit_exponential_decay,
     squeezing_check,
@@ -98,8 +98,8 @@ def test_criterion_05_energy_inequality(op32, rng):
     e0 = None
     for dt in (1e-3, 5e-4):
         ctrl = StepControl(dt0=dt, dt_min=dt * 1e-9, dt_max=dt, growth_cap=1e9)
-        traj = integrate(op32, U0, f, h, 0.25, ctrl)
-        res = energy_inequality_residual(compute_energy_report(traj, op32, f, h))
+        _, _, rep = run_recorded(op32, U0, f, h, 0.25, ctrl)
+        res = energy_inequality_residual(rep)
         maxima.append(max(res["max_residual"], 0.0))
         e0 = res["e0"]
     tol = 1e-6 * (1 + abs(e0))
@@ -116,12 +116,12 @@ def test_criterion_06_dichotomy_end_to_end(op16, spec16, constants16, rng):
                        np.zeros(op16.n_free))
     U0 = np.abs(rng.standard_normal(op16.n_free))
     U0 *= 10.0 / np.abs(U0).max()
-    traj = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 3.0,
-                     StepControl(dt0=1e-3, dt_max=0.02))
-    first_unit = traj.sup_norms[traj.times <= 1.0].max()
+    traj, _, energy = run_recorded(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 3.0,
+                                   StepControl(dt0=1e-3, dt_max=0.02))
+    first_unit = energy.sup_norm[energy.times <= 1.0].max()
     bounded_ok = (verdict.verdict == "GlobalBounded"
                   and traj.outcome == "completed"
-                  and traj.sup_norms.max() <= 10.0 * first_unit)
+                  and energy.sup_norm.max() <= 10.0 * first_unit)
 
     # blow-up branch: datum scale chosen to exceed the certified threshold
     phi1 = spec16.eigenvectors[:, 0]
@@ -140,7 +140,7 @@ def test_criterion_06_dichotomy_end_to_end(op16, spec16, constants16, rng):
                and ts[0] == ts[1]
                and abs(ts[0] - pinned) <= 0.2 * pinned)
     report(6, "dichotomy end-to-end", bounded_ok and blow_ok,
-           f"bounded sup={traj.sup_norms.max():.2f} vs cap {10 * first_unit:.2f}; "
+           f"bounded sup={energy.sup_norm.max():.2f} vs cap {10 * first_unit:.2f}; "
            f"t*={ts[0]:.4f} (pin {pinned}±20%)")
 
 
@@ -148,18 +148,18 @@ def test_criterion_07_decay_rate_link(op16, spec16, constants16, rng):
     lam1 = spec16.eigenvalues[0]
     U0 = rng.standard_normal(op16.n_free)
     ctrl = StepControl(dt0=5e-3, dt_min=1e-9, dt_max=5e-3, growth_cap=1e9)
-    traj = integrate(op16, U0, ZERO, ZERO, 6.0, ctrl)
-    e1 = np.array([op16.pair_norm2(u) for u in traj.states])
+    traj, states, _ = run_recorded(op16, U0, ZERO, ZERO, 6.0, ctrl)
+    e1 = np.array([op16.pair_norm2(u) for u in states])
     fit = fit_exponential_decay(traj.times, e1, hi_frac=1e-2, lo_frac=1e-10)
     linear_ok = abs(fit["rate"] - 2 * lam1) <= 0.2 * 2 * lam1
 
-    trajs = []
+    runs = []
     for mag in (1.0, 10.0, 50.0):
         V = rng.standard_normal(op16.n_free)
         V *= mag / np.abs(V).max()
-        trajs.append(integrate(op16, V, CUBIC_SINK, LINEAR_SOURCE, 6.0,
-                               StepControl(dt0=1e-3, dt_max=0.02)))
-    ball = absorbing_ball_check(trajs, op16, constants16, lambda_star=0.0)
+        runs.append(run_recorded(op16, V, CUBIC_SINK, LINEAR_SOURCE, 6.0,
+                                 StepControl(dt0=1e-3, dt_max=0.02))[:2])
+    ball = absorbing_ball_check(runs, op16, constants16, lambda_star=0.0)
     nonlinear_ok = ball["eta_fit"] >= 0.8 * ball["eta_threshold"]
     report(7, "decay-rate link", linear_ok and nonlinear_ok,
            f"linear rate {fit['rate']:.3f} vs 2*lam1 {2 * lam1:.3f}; "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import run_recorded
 from paper_checks import fixed_step_evolve, picard_mild, semigroup_apply, semigroup_property_check
 from transmission.dynamics import (
     _GROW_AFTER,
@@ -171,10 +172,10 @@ def test_bounded_cubic_sink_with_interface_source(op16):
     rng = np.random.default_rng(8)
     U0 = np.abs(rng.standard_normal(op16.n_free))
     U0 *= 10.0 / np.abs(U0).max()
-    traj = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 1.0,
-                     StepControl(dt0=1e-3, dt_max=0.02))
+    traj, _, report = run_recorded(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 1.0,
+                                   StepControl(dt0=1e-3, dt_max=0.02))
     assert traj.outcome == "completed"
-    assert traj.sup_norms.max() <= 10.0 * 1.0001
+    assert report.sup_norm.max() <= 10.0 * 1.0001
 
 
 def test_blow_up_detected(op16, spec16):
@@ -184,7 +185,7 @@ def test_blow_up_detected(op16, spec16):
                      StepControl(dt0=1e-3, dt_max=0.05))
     assert traj.outcome == "blowup"
     assert traj.outcome_time < 10.0
-    assert traj.sup_norms[-1] > 1e8
+    assert np.abs(traj.states[-1]).max() > 1e8
     # regression pin of the detected time
     assert traj.outcome_time == pytest.approx(0.0104, rel=0.2)
 
@@ -236,10 +237,10 @@ def test_positivity_preserved_for_sign_safe_nonlinearities(op16):
     # bulk sink with f(u) u >= 0 and interface damping h(u) u <= 0
     rng = np.random.default_rng(10)
     U0 = np.abs(rng.standard_normal(op16.n_free))
-    traj = integrate(op16, U0, CUBIC_SINK, LINEAR_SINK, 0.5,
-                     StepControl(dt0=1e-3, dt_max=0.01))
+    traj, states, _ = run_recorded(op16, U0, CUBIC_SINK, LINEAR_SINK, 0.5,
+                                   StepControl(dt0=1e-3, dt_max=0.01))
     assert traj.outcome == "completed"
-    mins = min(float(u.min()) for u in traj.states)
+    mins = min(float(u.min()) for u in states)
     assert mins >= -1e-10
 
 
@@ -451,15 +452,15 @@ def _run_case(case, phi1, n):
 def test_integrate_matches_reference_loop(case, op16, spec16):
     U0, f, h, T, ctrl, expected = _run_case(case, spec16.eigenvectors[:, 0],
                                             op16.n_free)
-    traj = integrate(op16, U0, f, h, T, ctrl)
+    traj, seen, _ = run_recorded(op16, U0, f, h, T, ctrl)
     times, dts, states, outcome, outcome_time = _reference_integrate(
         op16, U0, f, h, T, ctrl)
     assert traj.outcome == outcome == expected
     assert traj.outcome_time == outcome_time
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.dts, dts)
-    assert len(traj.states) == len(states)
-    assert all(np.array_equal(a, b) for a, b in zip(traj.states, states))
+    assert len(seen) == len(states)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, states))
 
 
 @pytest.mark.parametrize("case", ["completed", "blowup", "stalled"])
@@ -522,12 +523,12 @@ def test_lu_ordering_changes_rounding_only(build, case, monkeypatch):
     op = make()
     U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
                                      op.n_free)
-    ordered = integrate(op, U0, f, h, T, ctrl)
+    ordered, ordered_states, _ = run_recorded(op, U0, f, h, T, ctrl)
 
     splu = spla.splu
     monkeypatch.setattr(dynamics.spla, "splu",
                         lambda mat, **kw: splu(mat, permc_spec="COLAMD"))
-    colamd = integrate(make(), U0, f, h, T, ctrl)
+    colamd, colamd_states, _ = run_recorded(make(), U0, f, h, T, ctrl)
 
     assert ordered.outcome == colamd.outcome
     assert ordered.outcome_time == colamd.outcome_time
@@ -537,7 +538,7 @@ def test_lu_ordering_changes_rounding_only(build, case, monkeypatch):
         # the blow-up itself amplifies rounding, to ~3e-6 relative at the
         # last state: only the step sequence and the outcome must agree
         return
-    for a, b in zip(ordered.states, colamd.states):
+    for a, b in zip(ordered_states, colamd_states):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
@@ -725,11 +726,11 @@ def test_grid_solver_changes_rounding_only(build, case, monkeypatch):
     op = make()
     U0, f, h, T, ctrl, _ = _run_case(case, spectrum(op, k=1).eigenvectors[:, 0],
                                      op.n_free)
-    grid = integrate(op, U0, f, h, T, ctrl)
+    grid, grid_states, _ = run_recorded(op, U0, f, h, T, ctrl)
     assert dynamics._factor_cache(op).grid is not None
 
     monkeypatch.setattr(operators, "_grid_pencil", lambda *args: None)
-    factored = integrate(make(), U0, f, h, T, ctrl)
+    factored, factored_states, _ = run_recorded(make(), U0, f, h, T, ctrl)
 
     assert grid.outcome == factored.outcome
     assert grid.outcome_time == factored.outcome_time
@@ -739,7 +740,7 @@ def test_grid_solver_changes_rounding_only(build, case, monkeypatch):
         # the blow-up itself amplifies rounding: only the step sequence and
         # the outcome must agree
         return
-    for a, b in zip(grid.states, factored.states):
+    for a, b in zip(grid_states, factored_states):
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
 
 
@@ -855,17 +856,22 @@ def test_step_stats_count_the_series_solves(case, monkeypatch):
 def test_observer_sees_every_accepted_state(op16, rng):
     U0 = rng.standard_normal(op16.n_free)
     ctrl = StepControl(dt0=1e-3, dt_max=0.02)
-    seen = []
-    streamed = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.5, ctrl,
-                         observe=lambda t, dt, U: seen.append((t, dt, U)))
-    stored = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.5, ctrl)
-    assert np.array_equal([t for t, _, _ in seen], stored.times)
-    assert np.array_equal([dt for _, dt, _ in seen], stored.dts)
-    assert all(np.array_equal(U, V) for (_, _, U), V in zip(seen, stored.states))
-    # the streamed trajectory keeps the last state only
-    assert len(streamed.states) == 1
-    assert np.array_equal(streamed.states[-1], stored.states[-1])
-    assert np.array_equal(streamed.times, stored.times)
+    seen, order = [], []
+    observed = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.5, ctrl,
+                         observers=(lambda t, dt, U: order.append(("a", t)),
+                                    lambda t, dt, U: seen.append((t, dt, U)),
+                                    lambda t, dt, U: order.append(("b", t))))
+    bare = integrate(op16, U0, CUBIC_SINK, LINEAR_SOURCE, 0.5, ctrl)
+    assert np.array_equal([t for t, _, _ in seen], bare.times)
+    assert np.array_equal([dt for _, dt, _ in seen], bare.dts)
+    assert np.array_equal(seen[0][2], U0)
+    # each accepted state goes to every observer, in the order given
+    assert order == [(name, t) for t in bare.times for name in "ab"]
+    # either trajectory keeps the last state only
+    assert len(bare.states) == len(observed.states) == 1
+    assert np.array_equal(bare.states[-1], seen[-1][2])
+    assert np.array_equal(observed.states[-1], seen[-1][2])
+    assert np.array_equal(observed.times, bare.times)
 
 
 def test_lu_cache_evicts_the_least_recently_used_factor(monkeypatch):
