@@ -114,13 +114,17 @@ def _eval_expression(text: str, names: dict):
     if len(text) > 1000:
         raise bad("longer than 1000 characters")
     try:
-        return ev(ast.parse(text, mode="eval").body)
+        value = ev(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise bad(f"syntax error: {exc.msg}") from exc
     except RecursionError as exc:   # from the parse or the evaluation
         raise bad("nested too deeply") from exc
     except ArithmeticError as exc:
         raise bad(str(exc)) from exc
+    # a float power of a negative number is complex: (-8.0)**0.5
+    if np.iscomplexobj(value):
+        raise bad("the value is not real")
+    return value
 
 
 def _read_vertex_values(path: str, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +408,10 @@ _RUNNERS = {
 
 def run(cfg: SimConfig) -> int:
     out = Path(cfg.run.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in the way, or no permission
+        raise ConfigError([f"run.out = {cfg.run.out!r}: {exc.strerror or exc}"]) from exc
     _log_line(out, f"mode={cfg.run.mode} seed={cfg.run.seed}")
     return _RUNNERS[cfg.run.mode](cfg, out)
 

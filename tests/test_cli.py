@@ -570,8 +570,12 @@ def test_initial_index_beyond_free_dofs_is_config_error(tmp_path, capsys):
     "kind = expression\nexpression = " + "-" * 5000 + "x",
     "kind = expression\nexpression = " + "-" * 20000 + "x",
     "kind = expression\nexpression = " + "-" * 999 + "x",
+    # a float power of a negative number is complex, as a scalar or an array
+    "kind = expression\nexpression = (-8.0)**0.5",
+    "kind = expression\nexpression = x*0+(-8.0)**0.5",
 ], ids=["index-beyond-free-dofs", "expression-syntax", "expression-nan", "expression-inf",
-        "expression-too-deep", "expression-far-too-deep", "expression-too-deep-to-evaluate"])
+        "expression-too-deep", "expression-far-too-deep", "expression-too-deep-to-evaluate",
+        "expression-complex", "expression-complex-array"])
 def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, initial):
     one_cell = "[sweep]\np_values = 0\nq_values = 2\ncf_values = -1.0\nch_values = -1.0\n"
     cfg = write(tmp_path, BASE.replace("n = 8", "n = 4")
@@ -580,6 +584,18 @@ def test_initial_state_error_leaves_no_result_files(tmp_path, capsys, mode, init
     assert main([mode, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: initial.")
     assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_output_directory_blocked_by_a_file_is_config_error(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / target
+    assert main(["spectrum", "--config", write(tmp_path, BASE),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: run.out = {str(out)!r}: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "file"]
 
 
 def test_initial_state_expression_values_exact():
