@@ -90,7 +90,7 @@ class Trajectory:
 
     times: np.ndarray
     dts: np.ndarray                 # step size used to reach each time
-    states: list = field(repr=False, default_factory=list)
+    states: list = field(repr=False)
     outcome: str = "completed"      # completed | blowup | stalled
     outcome_time: float = 0.0
     stats: StepStats | None = None
