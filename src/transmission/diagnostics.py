@@ -6,8 +6,9 @@ squeezing fits, Hoelder-in-time modulus and sup-vs-L2 domination ratios.
 
 The per-state quantities are streaming observers of `integrate`
 (`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `SnapshotWriter`): a
-run passes them as its observers and keeps no states.  `moser_ratio` reads
-the EnergyReport.
+run passes them as its observers and keeps no states, and
+`compute_energy_report` builds the report of states a caller kept.
+`moser_ratio` reads the EnergyReport.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ class EnergyAccumulator:
     def report(self) -> EnergyReport:
         return EnergyReport(**{name: np.array(values)
                                for name, values in self._columns.items()})
+
+
+def compute_energy_report(records, op: DiscreteOperator, f: Nonlinearity,
+                          h: Nonlinearity) -> EnergyReport:
+    """The EnergyReport of the accepted states `records`, each (t, dt, U) as
+    a run handed it to its observers, the initial state first: what an
+    EnergyAccumulator passed to that run reports."""
+    acc = EnergyAccumulator(op, f, h)
+    for t, dt, U in records:
+        acc(t, dt, U)
+    return acc.report()
 
 
 def moser_ratio(report: EnergyReport, window: tuple[float, float] | None = None) -> float:

@@ -7,14 +7,14 @@ from transmission.assembly import (
     KernelSpec,
     build_operator,
 )
+from transmission.diagnostics import compute_energy_report
+from transmission.dynamics import integrate
 from transmission.geometry import (
     KochPrefractal,
     Segment,
     build_interface_measure,
     build_square_mesh,
 )
-from transmission.diagnostics import EnergyAccumulator
-from transmission.dynamics import integrate
 
 
 def default_operator(n, dirichlet_side="left", beta_value=1.0, delta=1,
@@ -53,12 +53,12 @@ def anisotropic_operator(n, interface=Segment(0.5), d12=0.37):
 def run_recorded(op, U0, f, h, T, ctrl):
     """(trajectory, every accepted state, energy report) of one integrate
     run: integrate keeps only the last state, so a list observer collects
-    them all, the initial one first, next to an EnergyAccumulator."""
-    states = []
-    energy = EnergyAccumulator(op, f, h)
+    them all, the initial one first, and the report is built from them."""
+    records = []
     traj = integrate(op, U0, f, h, T, ctrl,
-                     observers=(energy, lambda t, dt, U: states.append(U)))
-    return traj, states, energy.report()
+                     observers=(lambda t, dt, U: records.append((t, dt, U)),))
+    return (traj, [U for _, _, U in records],
+            compute_energy_report(records, op, f, h))
 
 
 @pytest.fixture(scope="session")

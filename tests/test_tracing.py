@@ -57,11 +57,8 @@ def test_tracer_installs_on_every_hook_point():
     # layer_metrics names itself
     derived = {"constants.poincare_l2", "constants.poincare_l1",
                "dynamics.factorize"}
-    # spans of deleted functions, whose metrics read 0: integrate streams
-    # every run to its observers, so no energy report is computed afterwards
-    deleted = {"diagnostics.compute_energy_report"}
     needed = {metric.rpartition(".")[0] for metric in tracing.MOVES
-              if metric.rpartition(".")[2] in ("s", "calls")} - derived - deleted
+              if metric.rpartition(".")[2] in ("s", "calls")} - derived
     needed |= {"constants.poincare_mean_sigma", "dynamics.imex_step",
                "dynamics.splu", "geometry.export_mesh_csv",
                "geometry.export_measure_csv"}
