@@ -55,7 +55,13 @@ from .geometry import (
     export_measure_csv,
     export_mesh_csv,
 )
-from .operators import NumericError, export_spectrum_csv, spectrum
+from .operators import (
+    NumericError,
+    export_spectrum_csv,
+    export_ultracontractivity_csv,
+    spectrum,
+    ultracontractivity_fit,
+)
 from .poly import Nonlinearity
 from .regimes import classify, save_verdict
 from .textio import text, write_fields, write_table
@@ -64,6 +70,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_BLOWUP = 0, 2, 3, 4
 
 
 def build_problem(cfg: SimConfig):
+    """(op, f, h) of the config; op.mesh and op.measure are its geometry."""
     g, ph = cfg.geometry, cfg.physics
     if g.interface == "segment":
         spec = Segment(g.y0)
@@ -75,8 +82,7 @@ def build_problem(cfg: SimConfig):
     beta = BetaCoefficient(np.full(len(measure.weights), ph.beta), beta0=ph.beta0)
     kernel = KernelSpec(s=ph.s, dim_d=measure.dim_d)
     op = build_operator(mesh, measure, D, beta, kernel, delta=ph.delta)
-    f, h = cfg.bulk_nonlinearity.build(), cfg.interface_nonlinearity.build()
-    return mesh, measure, op, f, h
+    return op, cfg.bulk_nonlinearity.build(), cfg.interface_nonlinearity.build()
 
 
 _EXPR_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
@@ -200,13 +206,11 @@ def _log_line(out: Path, message: str) -> None:
 
 
 def run_spectrum(cfg: SimConfig, out: Path) -> int:
-    _, _, op, _, _ = build_problem(cfg)
+    op, _, _ = build_problem(cfg)
     spec = spectrum(op, k=min(cfg.run.spectrum_count, op.n_free))
     export_spectrum_csv(spec, out / "spectrum.csv")
     print(f"wrote {out / 'spectrum.csv'} with {spec.count} eigenvalues")
     if cfg.run.ultra_fit:
-        from .operators import export_ultracontractivity_csv, ultracontractivity_fit
-
         full = spec if spec.count == op.n_free else spectrum(op)
         fit = ultracontractivity_fit(full, np.geomspace(3e-4, 3e-2, 12))
         export_ultracontractivity_csv(fit, out / "ultracontractivity.csv")
@@ -221,7 +225,7 @@ def _constants_report(cfg: SimConfig, op):
 
 
 def run_constants(cfg: SimConfig, out: Path) -> int:
-    _, _, op, _, _ = build_problem(cfg)
+    op, _, _ = build_problem(cfg)
     report = _constants_report(cfg, op)
     save_constants(report, out / "constants.txt")
     print(f"wrote {out / 'constants.txt'}")
@@ -229,7 +233,7 @@ def run_constants(cfg: SimConfig, out: Path) -> int:
 
 
 def run_classify(cfg: SimConfig, out: Path) -> int:
-    _, _, op, f, h = build_problem(cfg)
+    op, f, h = build_problem(cfg)
     # the report runs first: an eigenvector initial state reads its spectrum
     report = _constants_report(cfg, op)
     U0 = initial_state(cfg, op)
@@ -242,10 +246,10 @@ def run_classify(cfg: SimConfig, out: Path) -> int:
 
 
 def run_simulate(cfg: SimConfig, out: Path) -> int:
-    mesh, measure, op, f, h = build_problem(cfg)
+    op, f, h = build_problem(cfg)
     U0 = initial_state(cfg, op)
-    export_mesh_csv(mesh, out / "mesh")
-    export_measure_csv(mesh, measure, out / "mesh" / "interface_measure.csv")
+    export_mesh_csv(op.mesh, out / "mesh")
+    export_measure_csv(op.mesh, op.measure, out / "mesh" / "interface_measure.csv")
     # the diagnostics take the states as the run makes them: none is kept
     energy = EnergyAccumulator(op, f, h)
     holder = HolderModulus(cfg.time.horizon)
@@ -331,7 +335,7 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
     tasks = []
     if len(done) < len(markers):
         # only f and h vary by cell: every cell shares one operator and report
-        _, _, op, _, _ = build_problem(cfg)
+        op, _, _ = build_problem(cfg)
         problem = (cfg, op, _constants_report(cfg, op))
         tasks = [(problem, cell) for cell in markers if cell not in done]
     # each marker is written as its cell finishes, so a killed sweep keeps
@@ -375,7 +379,7 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
 
 
 def run_pairs(cfg: SimConfig, out: Path) -> int:
-    _, _, op, f, h = build_problem(cfg)
+    op, f, h = build_problem(cfg)
     U0a = initial_state(cfg, op)
     rng = np.random.default_rng(cfg.run.seed)
     pert = rng.standard_normal(op.n_free)
@@ -434,23 +438,13 @@ def main(argv: list[str] | None = None) -> int:
             env[f"TRANSMISSION_RUN__{key.upper()}"] = str(getattr(args, key))
 
     try:
-        cfg = parse_config(args.config, env)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        return run(cfg)
+        return run(parse_config(args.config, env))
     except (GeometryError, AssemblyError) as exc:
         # the mesh or coefficients reject the configured problem
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
-        # a config value the parser cannot judge, such as initial.expression
+        # from the file, or a value the parser cannot judge (initial.expression)
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG

@@ -295,8 +295,14 @@ def parse_config_text(text: str, env: dict | None = None) -> SimConfig:
 
 
 def parse_config(path, env: dict | None = None) -> SimConfig:
-    with open(path) as fh:
-        text = fh.read()
+    """parse_config_text of the file; a missing, unreadable or non-UTF-8 file
+    is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:   # a directory among them
+        raise ConfigError([f"config file {str(path)!r}: "
+                           f"{getattr(exc, 'strerror', None) or exc}"]) from exc
     return parse_config_text(text, env)
 
 

@@ -158,17 +158,9 @@ class Nonlinearity(PolyFunc):
             self.terms[key] = self.terms.get(key, 0.0) + float(c)
 
     @classmethod
-    def zero(cls) -> "Nonlinearity":
-        return cls()
-
-    @classmethod
     def power(cls, coef: float, exponent: float) -> "Nonlinearity":
         """coef * |t|^exponent * t; exponent 2 with coef 1 is t^3."""
         return cls(terms=((float(coef), float(exponent)),))
-
-    @classmethod
-    def linear(cls, coef: float) -> "Nonlinearity":
-        return cls.power(coef, 0.0)
 
     @property
     def growth(self) -> tuple[float, float]:

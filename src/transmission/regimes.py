@@ -75,20 +75,12 @@ def _balance_lhs(f: Nonlinearity, h: Nonlinearity, rho: float, c_star: float,
     """Moment-m defect of 'balance-certified', bounded by
     balance_c m^balance_lambda (|t|^(m+1) + 1) for |t| >= tau0:
     -f(t)|t|^(m-1)t + rho h(t)|t|^(m-1)t
-        + (c_star^2 / 4 m eps) |t|^(m-1) (h'(t) t + m h(t))^2."""
+        + (c_star^2 / 4 m eps) |t|^(m-1) (h'(t) t + m h(t))^2.
+    At m = 1, the defect of 'dissipative-balance' (lambda_star t^2 + c_fh)."""
     mono = PolyFunc({(float(m - 1), 1): 1.0})   # |t|^{m-1} t
     return (f * mono).scale(-1.0) + (h * mono).scale(rho) \
         + PolyFunc({(float(m - 1), 0): c_star ** 2 / (4.0 * m * eps)}) \
         * (h.derivative().times_tau() + h.scale(float(m))).square()
-
-
-def _dissipative_lhs(f: Nonlinearity, h: Nonlinearity, rho: float,
-                     c_star: float, eps: float) -> PolyFunc:
-    """Defect of 'dissipative-balance', bounded by lambda_star t^2 + c_fh:
-    -f(t) t + rho h(t) t + (c_star^2 / 4 eps) (h'(t) t + h(t))^2."""
-    kappa = c_star ** 2 / (4.0 * eps)
-    return f.times_tau().scale(-1.0) + h.times_tau().scale(rho) \
-        + (h.derivative().times_tau() + h).square().scale(kappa)
 
 
 def _quadratic_gap_lhs(g: PolyFunc, l: PolyFunc, rho: float, c_star: float,
@@ -97,6 +89,16 @@ def _quadratic_gap_lhs(g: PolyFunc, l: PolyFunc, rho: float, c_star: float,
     by C1 t^2 - C2: g(t) - rho l(t) - (c_star^2 / 4 eps) l'(t)^2."""
     kappa = c_star ** 2 / (4.0 * eps)
     return g - l.scale(rho) - l.derivative().square().scale(kappa)
+
+
+def _level(p: PolyFunc, grid: np.ndarray, k: float, sign: float = 1.0) -> float:
+    """Max of sign p(t) / (|t|^k + 1) over the grid, raised to the ratio's
+    limit sign * (leading coefficient) when p has degree k."""
+    deg, lead = p.leading()
+    level = float(np.max(sign * p(grid) / (np.abs(grid) ** k + 1.0)))
+    if abs(deg - k) <= 1e-12:
+        level = max(level, sign * lead)
+    return level
 
 
 @dataclass
@@ -133,19 +135,11 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
         if not (f_deg > 2.0 + 1e-12 and f_lead < 0.0
                 or h_deg > 2.0 + 1e-12 and h_lead > 0.0):
             grid = _scan_grid(1e4)
-            sq = grid * grid + 1.0
-            cf_env = float(np.max(-ft(grid) / sq))
-            ch_env = float(np.max(ht(grid) / sq))
-            # at degree 2 the ratio tends to the leading coefficient
-            if abs(f_deg - 2.0) <= 1e-12:
-                cf_env = max(cf_env, -f_lead)
-            if abs(h_deg - 2.0) <= 1e-12:
-                ch_env = max(ch_env, h_lead)
             return RegimeVerdict(
                 verdict="GlobalBounded", rule="quadratic-growth-envelope",
                 certificate={"q": q, "p": p,
-                             "c_f_envelope": max(cf_env, 0.0),
-                             "c_h_envelope": max(ch_env, 0.0)},
+                             "c_f_envelope": max(_level(ft, grid, 2.0, -1.0), 0.0),
+                             "c_h_envelope": max(_level(ht, grid, 2.0), 0.0)},
             )
 
     # sampled moment balance with exact tail screening per sampled moment
@@ -169,11 +163,7 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
         deg, coeff = lhs.leading()
         if deg > m + 1.0 + 1e-12 and coeff > 0.0:
             return None
-        bound = m + 1.0
-        level = float(np.max(lhs(grid) / (np.abs(grid) ** bound + 1.0)))
-        if abs(deg - bound) <= 1e-12:
-            level = max(level, coeff)
-        needed.append(max(level, 1e-12))
+        needed.append(max(_level(lhs, grid, m + 1.0), 1e-12))
 
     ms = np.array(m_grid, dtype=float)
     needs = np.array(needed)
@@ -194,12 +184,11 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
 # ----------------------------------------------------------- dissipativity
 def check_dissipative(f: Nonlinearity, h: Nonlinearity,
                       constants: ConstantsReport, eps: float, d0: float) -> dict:
-    """Smallest quadratic absorption (lambda_star, c_fh) of
-    -f(t) t + rho h(t) t + (c_star^2 / 4 eps) (h'(t) t + h(t))^2,
-    succeeding when lambda_star < c_bar."""
+    """Smallest quadratic absorption (lambda_star, c_fh) of the first-moment
+    balance defect (_balance_lhs, m = 1); succeeds when lambda_star < c_bar."""
     if not (0.0 < eps < d0):
         raise ValueError(f"eps={eps} outside (0, d0={d0})")
-    lhs = _dissipative_lhs(f, h, constants.rho, constants.c_star, eps)
+    lhs = _balance_lhs(f, h, constants.rho, constants.c_star, eps, 1)
     deg, coeff = lhs.leading()
     if deg > 2.0 + 1e-12 and coeff > 0.0:
         return {"success": False,
@@ -289,8 +278,7 @@ def _first_best(makers: list) -> dict:
 
 def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
                  constants: ConstantsReport, u0_norm2: float, e0: float,
-                 d0: float, lam1: float, eps: float | None = None,
-                 gap_cache: dict | None = None) -> dict:
+                 d0: float, lam1: float, eps: float, gap_cache: dict) -> dict:
     """Blow-up certificates at a fixed alpha.
 
     Route 'quadratic-gap': the combined defect
@@ -303,13 +291,11 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
     returned.
 
     The sign-pair minorants depend on alpha only: calls on the same (f, h)
-    may share them through one gap_cache dict.
+    share them through one gap_cache dict.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
     eps_cap = (alpha / 2.0 - 1.0) * d0
-    if eps is None:
-        eps = 0.5 * eps_cap
     if not (0.0 < eps < eps_cap):
         raise ValueError(f"eps={eps} outside (0, (alpha/2-1) d0 = {eps_cap})")
     rho = constants.rho
@@ -321,8 +307,6 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
 
     quad = _QuadraticGap(_quadratic_gap_lhs(g, l, rho, constants.c_star, eps),
                          ladder)
-    if gap_cache is None:
-        gap_cache = {}
     if alpha not in gap_cache:
         gap_g = _QuadraticGap(g, ladder)
         # the route needs both gaps
@@ -381,9 +365,7 @@ def _polynomial_case(f: Nonlinearity, h: Nonlinearity, alpha: float,
     if abs(q - 2.0 * p) < 1e-12 and q > 0:
         lhs = -c_f * (1.0 - alpha / (q + 2.0))
         rhs = constants.c_star ** 2 * c_h ** 2 * (p + 2.0 - alpha) ** 2 / (4.0 * eps)
-        if lhs > rhs:
-            return "b"
-        return ""
+        return "b" if lhs > rhs else ""
     if 2.0 < alpha < q + 2.0 and q > 2.0 * p:
         return "c"
     return ""
@@ -460,28 +442,23 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
         )
 
     blow = blowup_scan()
-    if blow is not None and blow.get("fired"):
+    if blow is None:
+        return RegimeVerdict(verdict="Indeterminate", rule="none", e0=e0,
+                             certificate={"alphas_scanned": alphas},
+                             notes="no sufficient condition applies")
+    # the scan keeps candidates with a margin: fired, or below the threshold
+    if blow.pop("fired"):
         rule = "quadratic-gap-blowup" if blow["route"] == "quadratic-gap" else "sign-pair-blowup"
-        if blow.get("poly_case"):
+        if blow["poly_case"]:
             rule += f"-case-{blow['poly_case']}"
-        return RegimeVerdict(
-            verdict="BlowUpPredicted", rule=rule,
-            certificate={k: v for k, v in blow.items() if k not in ("fired",)},
-            threshold_value=alpha_threshold(blow), lhs_value=blow["D1"] * u0_norm2,
-            e0=e0,
-        )
-    notes = "no sufficient condition applies"
-    if blow is not None and not blow.get("fired") and "margin" in blow:
+        verdict, notes = "BlowUpPredicted", ""
+    else:
+        verdict, rule = "Indeterminate", "threshold-not-met"
         notes = "blow-up inequality certified but the datum is below threshold"
-        return RegimeVerdict(
-            verdict="Indeterminate", rule="threshold-not-met",
-            certificate={k: v for k, v in blow.items() if k not in ("fired",)},
-            threshold_value=alpha_threshold(blow), lhs_value=blow["D1"] * u0_norm2,
-            e0=e0, notes=notes,
-        )
     return RegimeVerdict(
-        verdict="Indeterminate", rule="none",
-        certificate={"alphas_scanned": alphas}, e0=e0, notes=notes,
+        verdict=verdict, rule=rule, certificate=blow,
+        threshold_value=alpha_threshold(blow), lhs_value=blow["D1"] * u0_norm2,
+        e0=e0, notes=notes,
     )
 
 
@@ -524,7 +501,7 @@ def replay_certificate(verdict: RegimeVerdict, f: Nonlinearity, h: Nonlinearity,
             worst = max(worst, rel(lhs(sel) - bound, bound))
         return worst
     if verdict.rule == "dissipative-balance":
-        lhs = _dissipative_lhs(f, h, rho, constants.c_star, cert["eps"])
+        lhs = _balance_lhs(f, h, rho, constants.c_star, cert["eps"], 1)
         bound = cert["lambda_star"] * taus * taus + cert["c_fh"]
         return rel(lhs(taus) - bound, np.abs(bound) + 1.0)
     if verdict.rule.startswith(("quadratic-gap-blowup", "sign-pair-blowup")) \

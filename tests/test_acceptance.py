@@ -32,7 +32,7 @@ CUBIC_SINK = Nonlinearity.power(1.0, 2.0)
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)
 CUBIC_SOURCE = Nonlinearity.power(-1.0, 2.0)
 LINEAR_SINK = Nonlinearity.power(-1.0, 0.0)
-ZERO = Nonlinearity.zero()
+ZERO = Nonlinearity()
 
 
 def report(num, name, ok, detail=""):
@@ -229,7 +229,7 @@ def test_criterion_11_certificate_replay_and_determinism(op16, spec16, constants
     phi1 = spec16.eigenvectors[:, 0]
     cases = [
         (CUBIC_SINK, LINEAR_SOURCE, np.zeros(op16.n_free), None),
-        (Nonlinearity.linear(-1.0), LINEAR_SOURCE, np.zeros(op16.n_free), None),
+        (Nonlinearity.power(-1.0, 0.0), LINEAR_SOURCE, np.zeros(op16.n_free), None),
         (CUBIC_SOURCE, LINEAR_SINK, 4.0 * phi1, 3.0),
     ]
     worst = 0.0

@@ -518,7 +518,7 @@ def test_simulate_from_a_tiny_state_with_a_forcing_term_completes(
 
 def test_initial_state_expression_and_eigenvector(tmp_path):
     cfg = parse_config_text(BASE)
-    _, _, op, _, _ = build_problem(cfg)
+    op, _, _ = build_problem(cfg)
     cfg.initial.kind = "expression"
     cfg.initial.expression = "x + 0*y"
     U = initial_state(cfg, op)
@@ -600,7 +600,7 @@ def test_output_directory_blocked_by_a_file_is_config_error(tmp_path, capsys, ta
 
 def test_initial_state_expression_values_exact():
     cfg = parse_config_text(BASE)
-    _, _, op, _, _ = build_problem(cfg)
+    op, _, _ = build_problem(cfg)
     x, y = op.mesh.vertices[:, 0], op.mesh.vertices[:, 1]
     cfg.initial.kind = "expression"
     cases = {
@@ -616,7 +616,7 @@ def test_initial_state_expression_values_exact():
 
 def test_initial_state_from_file(tmp_path):
     cfg = parse_config_text(BASE)
-    _, _, op, _, _ = build_problem(cfg)
+    op, _, _ = build_problem(cfg)
     path = tmp_path / "field.csv"
     full = np.arange(len(op.mesh.vertices), dtype=float)
     with open(path, "w") as fh:
@@ -638,7 +638,7 @@ def _file_initial_config(tmp_path, rows):
 
 def test_initial_state_from_one_row_file(tmp_path):
     cfg = parse_config(_file_initial_config(tmp_path, ["40,2.5"]))
-    _, _, op, _, _ = build_problem(cfg)
+    op, _, _ = build_problem(cfg)
     full = np.zeros(len(op.mesh.vertices))
     full[40] = 2.5
     assert initial_state(cfg, op).tobytes() == full[op.free_dofs].tobytes()

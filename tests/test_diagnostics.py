@@ -23,7 +23,7 @@ from transmission.poly import Nonlinearity
 CUBIC_SINK = Nonlinearity.power(1.0, 2.0)
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)
 LINEAR_SINK = Nonlinearity.power(-1.0, 0.0)
-ZERO = Nonlinearity.zero()
+ZERO = Nonlinearity()
 
 
 def fixed_ctrl(dt):

@@ -18,7 +18,7 @@ CUBIC_SINK = Nonlinearity.power(1.0, 2.0)     # u^3
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)  # u
 CUBIC_SOURCE = Nonlinearity.power(-1.0, 2.0)  # -u^3
 LINEAR_SINK = Nonlinearity.power(-1.0, 0.0)   # -u
-ZERO = Nonlinearity.zero()
+ZERO = Nonlinearity()
 
 
 # ---------------------------------------------------------------- nonlinearity
@@ -33,7 +33,7 @@ def test_nonlinearity_values_and_leading():
 @pytest.mark.parametrize("nl", [
     CUBIC_SINK,
     Nonlinearity(terms=((1.5, 2.5), (-2.0, 1.0)), constant=0.3),
-    Nonlinearity.linear(-4.0),
+    Nonlinearity.power(-4.0, 0.0),
 ])
 def test_derivative_matches_finite_differences(nl, rng):
     taus = rng.uniform(-10, 10, size=100)
@@ -141,7 +141,7 @@ def test_equilibrium_is_fixed_point(op16):
 
     vals, vecs = lowest_pairs(op16.a_free, op16.bulk_mass_diag, 1)
     U_star = vecs[:, 0]
-    f_balance = Nonlinearity.linear(-float(vals[0]))
+    f_balance = Nonlinearity.power(-float(vals[0]), 0.0)
     out = imex_step(op16, U_star, 1e-2, f_balance, ZERO)
     assert np.abs(out - U_star).max() <= 1e-10 * np.abs(U_star).max()
 

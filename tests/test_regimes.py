@@ -25,7 +25,7 @@ CUBIC_SINK = Nonlinearity.power(1.0, 2.0)
 LINEAR_SOURCE = Nonlinearity.power(1.0, 0.0)
 CUBIC_SOURCE = Nonlinearity.power(-1.0, 2.0)
 LINEAR_SINK = Nonlinearity.power(-1.0, 0.0)
-ZERO = Nonlinearity.zero()
+ZERO = Nonlinearity()
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,7 @@ def test_evaluation_shapes_and_fresh_results():
 
 
 def test_nonlinearity_growth_is_top_odd_term():
-    assert Nonlinearity.zero().growth == (0.0, 0.0)
+    assert Nonlinearity().growth == (0.0, 0.0)
     assert Nonlinearity(constant=2.0).growth == (0.0, 0.0)
     assert Nonlinearity(terms=((1, 2), (-1, 2), (3, 0))).growth == (0.0, 3.0)
 
@@ -274,7 +274,7 @@ def test_boundary_exponent_does_not_fire_sink_rule(constants):
 
 
 def test_quadratic_envelope_rule(constants):
-    v = check_global(Nonlinearity.linear(-1.0), LINEAR_SOURCE, constants, d0=1.0)
+    v = check_global(Nonlinearity.power(-1.0, 0.0), LINEAR_SOURCE, constants, d0=1.0)
     assert v is not None
     assert v.rule == "quadratic-growth-envelope"
     assert v.certificate["c_f_envelope"] >= 0.0
@@ -338,7 +338,8 @@ def test_dissipative_eps_range(constants):
 # ----------------------------------------------------------------- blow-up
 def test_blowup_fires_above_threshold(constants, lam1):
     res = check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants,
-                       u0_norm2=100.0, e0=-500.0, d0=1.0, lam1=lam1)
+                       u0_norm2=100.0, e0=-500.0, d0=1.0, lam1=lam1,
+                       eps=0.25, gap_cache={})
     assert res["fired"]
     assert res["D1"] > 0.0
     assert res["poly_case"] in ("a", "c")
@@ -346,7 +347,8 @@ def test_blowup_fires_above_threshold(constants, lam1):
 
 def test_blowup_zero_datum_never_fires(constants, lam1):
     res = check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants,
-                       u0_norm2=0.0, e0=0.0, d0=1.0, lam1=lam1)
+                       u0_norm2=0.0, e0=0.0, d0=1.0, lam1=lam1,
+                       eps=0.25, gap_cache={})
     assert not res["fired"]
 
 
@@ -358,13 +360,13 @@ def test_blowup_case_b_inequality(constants, lam1):
     f = Nonlinearity.power(-50.0, 2.0)
     h = Nonlinearity.power(-0.1, 1.0)
     res = check_blowup(f, h, 2.5, constants, u0_norm2=100.0, e0=-1000.0,
-                       d0=1.0, lam1=lam1)
+                       d0=1.0, lam1=lam1, eps=0.125, gap_cache={})
     assert res["poly_case"] == "b"
     assert res["fired"]
 
     weak = check_blowup(Nonlinearity.power(-1e-3, 2.0), Nonlinearity.power(-10.0, 1.0),
                         2.5, constants, u0_norm2=100.0, e0=-1000.0,
-                        d0=1.0, lam1=lam1)
+                        d0=1.0, lam1=lam1, eps=0.125, gap_cache={})
     assert weak.get("poly_case", "") == ""
     assert not weak["fired"]
 
@@ -554,7 +556,7 @@ def _problem(text):
     from transmission.operators import spectrum
 
     cfg = parse_config_text(text)
-    _, _, op, f, h = build_problem(cfg)
+    op, f, h = build_problem(cfg)
     lam1 = float(spectrum(op, k=1).eigenvalues[0])
     return f, h, op, _constants_report(cfg, op), lam1
 
@@ -578,7 +580,7 @@ def test_grid_c2_bit_identical_to_the_rungs_x_grid_array(monkeypatch):
             eps_cap = (alpha / 2.0 - 1.0) * op.d0
             for share in (0.25, 0.5, 0.75):
                 check_blowup(f, h, alpha, constants, 1.0, 0.0, d0=op.d0,
-                             lam1=lam1, eps=share * eps_cap)
+                             lam1=lam1, eps=share * eps_cap, gap_cache={})
 
     # the four cells of the sweep-koch benchmark workload
     _, _, op, constants, lam1 = _problem(
@@ -630,10 +632,10 @@ def test_quadratic_gap_scans_the_ladder_in_a_few_grid_rows():
 def test_blowup_alpha_validation(constants, lam1):
     with pytest.raises(ValueError):
         check_blowup(CUBIC_SOURCE, LINEAR_SINK, 2.0, constants, 1.0, 0.0,
-                     d0=1.0, lam1=lam1)
+                     d0=1.0, lam1=lam1, eps=0.25, gap_cache={})
     with pytest.raises(ValueError):
         check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants, 1.0, 0.0,
-                     d0=1.0, lam1=lam1, eps=10.0)
+                     d0=1.0, lam1=lam1, eps=10.0, gap_cache={})
 
 
 # ------------------------------------------------------------------ classify
@@ -662,7 +664,7 @@ def test_classify_sums_repeated_exponents(op16):
     report = compute_constants_report(op16)
     x, y = op16.mesh.vertices[op16.free_dofs].T
     U0 = 10.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    h = Nonlinearity.linear(-1.0)
+    h = Nonlinearity.power(-1.0, 0.0)
     split = classify(Nonlinearity(terms=((2.0, 2.0), (-1.0, 2.0))), h, op16, report, U0)
     whole = classify(Nonlinearity.power(1.0, 2.0), h, op16, report, U0)
     assert (split.verdict, split.rule) == (whole.verdict, whole.rule)
@@ -707,7 +709,7 @@ def test_alpha_candidates_respect_growth():
 @pytest.mark.parametrize("f,h,datum_scale,alpha", [
     (CUBIC_SOURCE, LINEAR_SINK, 8.0, 3.0),
     (CUBIC_SINK, LINEAR_SOURCE, 0.0, None),
-    (Nonlinearity.linear(-1.0), LINEAR_SOURCE, 0.0, None),
+    (Nonlinearity.power(-1.0, 0.0), LINEAR_SOURCE, 0.0, None),
 ])
 def test_certificate_replay(op16, spec16, constants, f, h, datum_scale, alpha):
     U0 = datum_scale * spec16.eigenvectors[:, 0]

@@ -85,7 +85,7 @@ def test_tracer_counts_one_factorization_per_step_size():
     markov_dts = {0.000625, 0.005}
     with _installed(tracing, tracer):
         traj = dynamics.integrate(op, U0, poly.Nonlinearity.power(1.0, 2.0),
-                                  poly.Nonlinearity.zero(), 0.05, ctrl)
+                                  poly.Nonlinearity(), 0.05, ctrl)
         markov_check(op, trials=2, t_grid=np.cumsum([0.000625, 0.000625, 0.005]))
 
     metrics = tracing.layer_metrics(tracer.spans)
