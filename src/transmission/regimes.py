@@ -21,7 +21,8 @@ import numpy as np
 from .assembly import DiscreteOperator
 from .brent import minimize_scalar
 from .constants import ConstantsReport
-from .operators import fit_line
+from .diagnostics import energy
+from .operators import fit_line, spectrum
 from .poly import Nonlinearity, PolyFunc
 from .textio import write_fields
 
@@ -69,32 +70,47 @@ def _refined_sup(fun, vals: np.ndarray | None = None) -> float:
 
 # ------------------------------------------------- certified inequalities
 # Each rule's defect polynomial is built here only, so that a replay tests
-# the inequality that was certified.
+# the inequality that was certified.  A defect is None, and its rule does not
+# fire, when its weight kappa = c_star^2 / (4 m eps) is not a finite float.
+def _kappa(c_star: float, eps: float, m: int = 1) -> float | None:
+    try:
+        kappa = c_star ** 2 / (4.0 * m * eps)
+    except OverflowError:   # a float ** raises where * gives inf
+        return None
+    return kappa if math.isfinite(kappa) else None
+
+
 def _balance_lhs(f: Nonlinearity, h: Nonlinearity, rho: float, c_star: float,
-                 eps: float, m: int) -> PolyFunc:
+                 eps: float, m: int) -> PolyFunc | None:
     """Moment-m defect of 'balance-certified', bounded by
     balance_c m^balance_lambda (|t|^(m+1) + 1) for |t| >= tau0:
     -f(t)|t|^(m-1)t + rho h(t)|t|^(m-1)t
         + (c_star^2 / 4 m eps) |t|^(m-1) (h'(t) t + m h(t))^2.
     At m = 1, the defect of 'dissipative-balance' (lambda_star t^2 + c_fh)."""
+    if (kappa := _kappa(c_star, eps, m)) is None:
+        return None
     mono = PolyFunc({(float(m - 1), 1): 1.0})   # |t|^{m-1} t
     return (f * mono).scale(-1.0) + (h * mono).scale(rho) \
-        + PolyFunc({(float(m - 1), 0): c_star ** 2 / (4.0 * m * eps)}) \
+        + PolyFunc({(float(m - 1), 0): kappa}) \
         * (h.derivative().times_tau() + h.scale(float(m))).square()
 
 
 def _quadratic_gap_lhs(g: PolyFunc, l: PolyFunc, rho: float, c_star: float,
-                       eps: float) -> PolyFunc:
+                       eps: float) -> PolyFunc | None:
     """Combined defect of the 'quadratic-gap' blow-up route, bounded below
     by C1 t^2 - C2: g(t) - rho l(t) - (c_star^2 / 4 eps) l'(t)^2."""
-    kappa = c_star ** 2 / (4.0 * eps)
+    if (kappa := _kappa(c_star, eps)) is None:
+        return None
     return g - l.scale(rho) - l.derivative().square().scale(kappa)
 
 
-def _level(p: PolyFunc, grid: np.ndarray, k: float, sign: float = 1.0) -> float:
+def _level(p: PolyFunc | None, grid: np.ndarray, k: float, sign: float = 1.0) -> float:
     """Max of sign p(t) / (|t|^k + 1) over the grid, raised to the ratio's
-    limit sign * (leading coefficient) when p has degree k."""
-    deg, lead = p.leading()
+    limit sign * (leading coefficient) when p has degree k; inf when sign p
+    grows faster, or when it is None (a weight that overflows)."""
+    deg, lead = p.leading() if p is not None else (math.inf, sign)
+    if deg > k + 1e-12 and sign * lead > 0.0:
+        return math.inf
     level = float(np.max(sign * p(grid) / (np.abs(grid) ** k + 1.0)))
     if abs(deg - k) <= 1e-12:
         level = max(level, sign * lead)
@@ -126,28 +142,21 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
             certificate={"q": q, "p": p, "c_f": c_f, "c_h": c_h},
         )
 
-    # f(t) t >= -C (t^2 + 1) and h(t) t <= C (t^2 + 1): the energy grows at
-    # most exponentially.  A tail of f(t) t or h(t) t of degree above 2 with
-    # the wrong sign (a superlinear source) breaks the bound for every C
+    # f(t) t >= -C (t^2 + 1) and h(t) t <= C (t^2 + 1): the energy grows at most
+    # exponentially.  A superlinear source (an infinite level) has no such C
     if q <= 1.0 and p <= 1.0:
-        ft, ht = f.times_tau(), h.times_tau()
-        (f_deg, f_lead), (h_deg, h_lead) = ft.leading(), ht.leading()
-        if not (f_deg > 2.0 + 1e-12 and f_lead < 0.0
-                or h_deg > 2.0 + 1e-12 and h_lead > 0.0):
-            grid = _scan_grid(1e4)
+        grid = _scan_grid(1e4)
+        cf_env = _level(f.times_tau(), grid, 2.0, -1.0)
+        ch_env = _level(h.times_tau(), grid, 2.0)
+        if max(cf_env, ch_env) < math.inf:
             return RegimeVerdict(
                 verdict="GlobalBounded", rule="quadratic-growth-envelope",
-                certificate={"q": q, "p": p,
-                             "c_f_envelope": max(_level(ft, grid, 2.0, -1.0), 0.0),
-                             "c_h_envelope": max(_level(ht, grid, 2.0), 0.0)},
+                certificate={"q": q, "p": p, "c_f_envelope": max(cf_env, 0.0),
+                             "c_h_envelope": max(ch_env, 0.0)},
             )
 
     # sampled moment balance with exact tail screening per sampled moment
-    if eps is None:
-        eps = d0 / 2.0
-    rho = constants.rho
-    c_star = constants.c_star
-
+    eps = d0 / 2.0 if eps is None else eps
     if c_h != 0.0 and p > 0.0 and abs(q - 2.0 * p) < 1e-12:
         # the squared-derivative moment term grows linearly in the moment
         # index at the same tau-degree as the sink: no certificate can cover
@@ -159,11 +168,11 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
     grid = grid[np.abs(grid) >= tau0]
     needed = []
     for m in m_grid:
-        lhs = _balance_lhs(f, h, rho, c_star, eps, m)
-        deg, coeff = lhs.leading()
-        if deg > m + 1.0 + 1e-12 and coeff > 0.0:
+        level = _level(_balance_lhs(f, h, constants.rho, constants.c_star, eps, m),
+                       grid, m + 1.0)
+        if level == math.inf:
             return None
-        needed.append(max(_level(lhs, grid, m + 1.0), 1e-12))
+        needed.append(max(level, 1e-12))
 
     ms = np.array(m_grid, dtype=float)
     needs = np.array(needed)
@@ -175,7 +184,7 @@ def check_global(f: Nonlinearity, h: Nonlinearity, constants: ConstantsReport,
     return RegimeVerdict(
         verdict="GlobalBounded", rule="balance-certified",
         certificate={"balance_c": c_fit, "balance_lambda": lam_fit,
-                     "eps": eps, "c_star": c_star, "tau0": tau0,
+                     "eps": eps, "c_star": constants.c_star, "tau0": tau0,
                      "m_grid": list(m_grid),
                      "needed": [float(v) for v in needed]},
     )
@@ -189,6 +198,8 @@ def check_dissipative(f: Nonlinearity, h: Nonlinearity,
     if not (0.0 < eps < d0):
         raise ValueError(f"eps={eps} outside (0, d0={d0})")
     lhs = _balance_lhs(f, h, constants.rho, constants.c_star, eps, 1)
+    if lhs is None:
+        return {"success": False, "reason": "c_star^2 / 4 eps overflows"}
     deg, coeff = lhs.leading()
     if deg > 2.0 + 1e-12 and coeff > 0.0:
         return {"success": False,
@@ -208,7 +219,7 @@ def check_dissipative(f: Nonlinearity, h: Nonlinearity,
 # ----------------------------------------------------------------- blow-up
 class _QuadraticGap:
     """Minorants C1 t^2 - C2 of lhs on the scanned range, one per feasible
-    ladder rung C1.
+    ladder rung C1; none when lhs is None (a weight that overflows).
 
     lhs is evaluated once on _scan_grid(), and the rungs' grid-level C2 are
     taken rung by rung in one reused row: a (rungs x grid) array would take
@@ -217,8 +228,8 @@ class _QuadraticGap:
     grid values too, so the grid-level C2 never exceeds the refined one.
     """
 
-    def __init__(self, lhs: PolyFunc, ladder: np.ndarray):
-        deg, coeff = lhs.leading()
+    def __init__(self, lhs: PolyFunc | None, ladder: np.ndarray):
+        deg, coeff = lhs.leading() if lhs is not None else (0.0, 0.0)
         if coeff <= 0.0 or deg < 2.0 - 1e-12:
             ladder = ladder[:0]
         elif abs(deg - 2.0) <= 1e-12:
@@ -364,7 +375,10 @@ def _polynomial_case(f: Nonlinearity, h: Nonlinearity, alpha: float,
         return "a"
     if abs(q - 2.0 * p) < 1e-12 and q > 0:
         lhs = -c_f * (1.0 - alpha / (q + 2.0))
-        rhs = constants.c_star ** 2 * c_h ** 2 * (p + 2.0 - alpha) ** 2 / (4.0 * eps)
+        try:
+            rhs = constants.c_star ** 2 * c_h ** 2 * (p + 2.0 - alpha) ** 2 / (4.0 * eps)
+        except OverflowError:   # a right-hand side past every float
+            return ""
         return "b" if lhs > rhs else ""
     if 2.0 < alpha < q + 2.0 and q > 2.0 * p:
         return "c"
@@ -394,9 +408,6 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
     conflict diagnostic on the global verdict.  lambda_1 is the operator's
     own, from its cached spectrum.
     """
-    from .diagnostics import energy
-    from .operators import spectrum
-
     lam1 = float(spectrum(op, k=1).eigenvalues[0])
     U0 = np.asarray(U0, dtype=float)
     u0_norm2 = op.pair_norm2(U0)
@@ -457,13 +468,9 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
         notes = "blow-up inequality certified but the datum is below threshold"
     return RegimeVerdict(
         verdict=verdict, rule=rule, certificate=blow,
-        threshold_value=alpha_threshold(blow), lhs_value=blow["D1"] * u0_norm2,
+        threshold_value=blow["alpha"] * e0 + blow["D2"], lhs_value=blow["D1"] * u0_norm2,
         e0=e0, notes=notes,
     )
-
-
-def alpha_threshold(blow: dict) -> float:
-    return blow["alpha"] * blow["e0"] + blow["D2"]
 
 
 # -------------------------------------------------------------------- replay

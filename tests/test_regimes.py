@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -636,6 +637,29 @@ def test_blowup_alpha_validation(constants, lam1):
     with pytest.raises(ValueError):
         check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants, 1.0, 0.0,
                      d0=1.0, lam1=lam1, eps=10.0, gap_cache={})
+
+
+@pytest.mark.parametrize("safety_factor", [1e300, 1e150])
+def test_rules_whose_weight_overflows_do_not_fire(constants, lam1, safety_factor):
+    # c_star^2 / 4 eps is past every float: c_star ** 2 raises at 1e300, and at
+    # 1e150 the division gives inf, which the defect polynomial would prune
+    # away; rules weighing by it do not fire, and the others are unchanged
+    report = dataclasses.replace(constants, safety_factor=safety_factor)
+    eps = 1e-10
+    assert regimes._balance_lhs(CUBIC_SINK, LINEAR_SOURCE, 1.0, report.c_star, eps, 1) is None
+    diss = check_dissipative(LINEAR_SINK, Nonlinearity.power(-0.5, 0.0), report,
+                             eps=eps, d0=1.0)
+    assert not diss["success"]
+    assert check_global(Nonlinearity.power(0.25, 2.0), LINEAR_SINK, report, d0=1.0,
+                        eps=eps) is None
+    res = check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, report, u0_norm2=100.0,
+                       e0=-500.0, d0=1.0, lam1=lam1, eps=eps, gap_cache={})
+    assert res["route"] == "sign-pair"
+    # q = 2p with both signs of case b: its coefficient test overflows too
+    res = check_blowup(Nonlinearity.power(-50.0, 2.0), Nonlinearity.power(-0.1, 1.0),
+                       3.5, report, u0_norm2=100.0, e0=-1000.0, d0=1.0, lam1=lam1,
+                       eps=eps, gap_cache={})
+    assert res["poly_case"] == ""
 
 
 # ------------------------------------------------------------------ classify
