@@ -28,6 +28,9 @@ from .poly import Nonlinearity
 # growth of integrate's target step (see StepControl)
 _GROW_FACTOR = 1.2
 _GROW_AFTER = 5
+# attempted steps after which integrate ends a run as 'stalled' (a growth_cap
+# near 1 can hold dt far below what reaches T); the tests try at most 2,000.
+_MAX_ATTEMPTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,8 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     leaves a non-finite value or a sup-norm above ctrl.growth_cap (s + dt d0),
     with d0 = ||M^-1 r(0)||_inf the drift of the zero state.
     Crossing ctrl.blow_up_threshold ends the run with outcome 'blowup' at
-    the last accepted time; running out of step size ends it with
-    'stalled'.  A completed run ends at T exactly.  Every step but a final
+    the last accepted time; running out of step size or of attempts ends it
+    with 'stalled'.  A completed run ends at T exactly.  Every step but a final
     one that lands on T is a rung dt_max * 2**-k (see StepControl), so runs
     on one operator share their factorizations, and the smallest rungs need
     none.
@@ -269,6 +272,9 @@ def integrate(op: DiscreteOperator, U0: np.ndarray, f: Nonlinearity,
     dt_lo, dt_hi = np.inf, 0.0
     m_max = math.frexp(ctrl.dt_max)[0]
     while t < T * (1.0 - 1e-12):
+        if attempted == _MAX_ATTEMPTS:
+            outcome, outcome_time = "stalled", t
+            break
         # the largest rung dt_max * 2**-k not above the target dt (<= dt_max):
         # dt_max's mantissa at dt's binary exponent or the one below.  This is
         # exact, so a halved rung is bit for bit the next rung down and its

@@ -211,6 +211,20 @@ def test_stalled_outcome_when_step_floor_hit(op16, spec16):
     assert traj.outcome_time <= 0.011
 
 
+def test_run_that_cannot_reach_the_horizon_stalls_at_the_attempt_bound(op16, monkeypatch):
+    from transmission import dynamics
+
+    # a growth cap a hair above 1 holds dt near 3e-8 against the source -3u:
+    # far above dt_min, far below what reaches T
+    monkeypatch.setattr(dynamics, "_MAX_ATTEMPTS", 400)
+    U0 = np.full(op16.n_free, 1.0)
+    traj = integrate(op16, U0, Nonlinearity.power(-3.0, 0.0), ZERO, 3.0,
+                     StepControl(growth_cap=1.0000001))
+    assert traj.outcome == "stalled"
+    assert traj.stats.attempted == 400
+    assert traj.outcome_time == traj.times[-1] < 1e-3
+
+
 def test_run_from_rest_with_a_forcing_term_completes(op16):
     # f = |u|^2 u - 1 moves the zero state at once; a step from zero has no
     # growth factor, so the run does not stall at t = 0
