@@ -156,6 +156,8 @@ class SimConfig:
             v.append(f"geometry.dirichlet_side = {g.dirichlet_side!r}: expected one of {SIDES}")
         if g.total_mass <= 0.0:
             v.append(f"geometry.total_mass = {g.total_mass}: must be positive")
+        elif g.total_mass != 1.0 and (g.interface == "segment" or g.koch_level == 0):
+            v.append(f"geometry.total_mass = {g.total_mass}: applies to Koch levels >= 1 only")
         if ph.d0 <= 0.0:
             v.append(f"physics.d0 = {ph.d0}: admissible range d0 > 0")
         if not (0.0 < ph.s < 1.0):
@@ -295,14 +297,14 @@ def parse_config_text(text: str, env: dict | None = None) -> SimConfig:
 
 
 def parse_config(path, env: dict | None = None) -> SimConfig:
-    """parse_config_text of the file; a missing, unreadable or non-UTF-8 file
-    is a ConfigError."""
+    """parse_config_text of the file; a file unreadable as UTF-8 text (missing,
+    a directory, other bytes) is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:   # a directory among them
-        raise ConfigError([f"config file {str(path)!r}: "
-                           f"{getattr(exc, 'strerror', None) or exc}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"config file {str(path)!r}: {reason}"]) from exc
     return parse_config_text(text, env)
 
 

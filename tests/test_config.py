@@ -116,6 +116,18 @@ def test_invalid_geometry_rejected(entry):
     assert [v.split(" = ")[0] for v in err.value.violations] == [f"geometry.{key}"]
 
 
+@pytest.mark.parametrize("interface", ["interface = segment",
+                                       "interface = koch\nkoch_level = 0"])
+def test_total_mass_off_a_koch_curve_rejected(interface):
+    # a segment (or a level-0 Koch curve) carries its arc length, whatever
+    # total_mass says; a Koch curve of level >= 1 takes the setting
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[geometry]\n{interface}\ntotal_mass = 5\n")
+    assert [v.split(" = ")[0] for v in err.value.violations] == ["geometry.total_mass"]
+    cfg = parse_config_text("[geometry]\ninterface = koch\nkoch_level = 1\ntotal_mass = 5\n")
+    assert cfg.geometry.total_mass == 5.0
+
+
 def test_bad_sweep_exponent_is_one_violation():
     # one negative exponent in a 2 x 3 x 2 x 2 grid is one mistake, not 12
     with pytest.raises(ConfigError) as err:
