@@ -439,13 +439,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return run(parse_config(args.config, env))
-    except (GeometryError, AssemblyError) as exc:
-        # the mesh or coefficients reject the configured problem
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        # from the file, or a value the parser cannot judge (initial.expression)
-        for v in exc.violations:
+    except (ConfigError, GeometryError, AssemblyError) as exc:
+        # the file, a value the parser cannot judge (initial.expression), or a
+        # mesh or coefficients that reject the configured problem
+        for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

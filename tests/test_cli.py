@@ -749,3 +749,65 @@ def test_no_mode_imports_scipy_optimize_or_a_process_pool(tmp_path):
 
 def test_no_mode_imports_scipy_optimize_or_csgraph_on_a_koch_interface(tmp_path):
     _import_guard(tmp_path, IMPORT_GUARD_KOCH)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:   # a UTF-16 file starts with the bytes ff fe
+        path.write_bytes(BASE.encode("utf-16"))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config file {str(path)!r}: ")
+    assert not out.exists()
+
+
+def test_total_mass_on_a_segment_is_config_error(tmp_path, capsys, monkeypatch):
+    # a segment's measure is its arc length: the setting would be ignored
+    monkeypatch.setenv("TRANSMISSION_GEOMETRY__TOTAL_MASS", "5")
+    out = tmp_path / "out"
+    assert main(["constants", "--config", write(tmp_path, BASE),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: geometry.total_mass = 5.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_weight_does_not_end_classify_in_a_traceback(tmp_path, capsys,
+                                                                 monkeypatch):
+    # c_star ** 2 overflows: the rules that weigh by it do not fire, and the
+    # conflict scan after bulk-sink-dominates finds no quadratic gap
+    monkeypatch.setenv("TRANSMISSION_RUN__SAFETY_FACTOR", "1e300")
+    code = main(["classify", "--config", write(tmp_path, BASE),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "VERDICT,GlobalBounded,bulk-sink-dominates" in capsys.readouterr().out.splitlines()
+
+
+# a growth cap a hair above 1 holds dt far above dt_min but far below what
+# reaches the horizon; the run ends as stalled once it has tried the steps
+# that integrate allows (lowered here to keep the test fast)
+NEVER_ENDING = {
+    "simulate": BASE.replace("terms = 1.0:2.0", "terms = -3.0:0.0"),
+    "pairs": "[geometry]\nn = 2\n[physics]\nbeta = 1e6\n[bulk_nonlinearity]\n"
+             "terms = 1:1e-9;-1:7\n[interface_nonlinearity]\nterms = 1.0:0.0\n",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(NEVER_ENDING))
+def test_run_that_cannot_reach_its_horizon_stalls(tmp_path, capsys, monkeypatch, mode):
+    from transmission import dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_ATTEMPTS", 300)
+    monkeypatch.setenv("TRANSMISSION_TIME__GROWTH_CAP", "1.0000001")
+    code = main([mode, "--config", write(tmp_path, NEVER_ENDING[mode]),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    if mode == "simulate":
+        assert any(line.startswith("OUTCOME,StalledStep,")
+                   for line in captured.out.splitlines())
+    else:   # a stalled pair run is a numeric failure, not a fit
+        assert "non-completed" in captured.err
+        assert not (tmp_path / "out" / "pairs.txt").exists()
