@@ -29,7 +29,7 @@ from .poly import Nonlinearity
 _GROW_FACTOR = 1.2
 _GROW_AFTER = 5
 # attempted steps after which integrate ends a run as 'stalled' (a growth_cap
-# near 1 can hold dt far below what reaches T); the tests try at most 2,000.
+# near 1 can hold dt far below T's reach); example and test runs try <= 2,000
 _MAX_ATTEMPTS = 100_000
 
 

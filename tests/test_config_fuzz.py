@@ -17,9 +17,9 @@ import warnings
 import pytest
 
 from transmission import cli, dynamics
+from transmission.config import MODES
 from transmission.geometry import DIRICHLET_SIDES
 
-MODES = ("simulate", "spectrum", "constants", "classify", "sweep", "pairs")
 # a run that has not ended by then fails its test instead of hanging it
 RUN_SECONDS = 5
 # a run stalls after this many attempted steps (integrate's bound, lowered
@@ -27,8 +27,7 @@ RUN_SECONDS = 5
 MAX_ATTEMPTS = 3000
 
 EDGE = ("1e-300", "1e300", "0.0", "-1.0", "1e-12")
-# (typical values, values at or past an edge) of each key; the first
-# typical value is the one of configs/bounded.ini where that has the key
+# (typical values, values at or past an edge) of each key
 KEYS = {
     "geometry": {
         "n": (("8", "6", "9", "4"), ("2", "3", "1")),
