@@ -273,12 +273,14 @@ def _first_best(makers: list) -> dict:
     make(False) builds a candidate from grid-level C2 values, and the margin
     only falls as a C2 rises, so its margin bounds the refined one from
     above.  Candidates are refined in decreasing order of that bound until
-    the next bound is below the best refined margin.
+    the next one can at most tie the best refined margin: a bound below it,
+    or equal to it at a later candidate, which a tie does not pick.
     """
     bounds = [make(False)["margin"] for make in makers]
     best, best_k = None, -1
     for k in sorted(range(len(makers)), key=lambda k: (-bounds[k], k)):
-        if best is not None and bounds[k] < best["margin"]:
+        if best is not None and (bounds[k] < best["margin"]
+                                 or bounds[k] == best["margin"] and k > best_k):
             break
         cand = makers[k](True)
         if best is None or cand["margin"] > best["margin"] \
@@ -289,8 +291,8 @@ def _first_best(makers: list) -> dict:
 
 def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
                  constants: ConstantsReport, u0_norm2: float, e0: float,
-                 d0: float, lam1: float, eps: float, gap_cache: dict) -> dict:
-    """Blow-up certificates at a fixed alpha.
+                 d0: float, lam1: float, eps_values: tuple[float, ...]) -> dict:
+    """Blow-up certificates at a fixed alpha, over every eps of eps_values.
 
     Route 'quadratic-gap': the combined defect
         g(t) - rho l(t) - (c_star^2 / 4 eps) l'(t)^2
@@ -298,39 +300,34 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
     g >= C_f t^2 - C_f' and l <= -C_h t^2 + C_h' separately.  Either way the
     verdict fires when D1 ||U0||^2 > alpha E(0) + D2 for the route's
     constants; the embedding constant of the operator domain is estimated
-    by 1/lambda_1.  The candidate of largest margin over the C1 ladder is
-    returned.
+    by 1/lambda_1.  The first candidate of largest margin over the C1
+    ladder and eps_values is returned.
 
-    The sign-pair minorants depend on alpha only: calls on the same (f, h)
-    share them through one gap_cache dict.
+    The sign-pair route does not depend on eps: its candidates are offered
+    once, after those of the first eps, whose value they report.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
     eps_cap = (alpha / 2.0 - 1.0) * d0
-    if not (0.0 < eps < eps_cap):
-        raise ValueError(f"eps={eps} outside (0, (alpha/2-1) d0 = {eps_cap})")
+    if not eps_values or not all(0.0 < eps < eps_cap for eps in eps_values):
+        raise ValueError(f"eps_values={eps_values} not all in "
+                         f"(0, (alpha/2-1) d0 = {eps_cap})")
     rho = constants.rho
     c_tilde = 1.0 / lam1
     g, l = alpha_defects(f, h, alpha)
     ladder = np.geomspace(1e-4, 1e4, 33)
     area = constants.domain_area
     mu = constants.total_mass
+    gap_g = _QuadraticGap(g, ladder)
+    # the route needs both gaps
+    gap_l = _QuadraticGap(l.scale(-1.0), ladder) if gap_g else None
 
-    quad = _QuadraticGap(_quadratic_gap_lhs(g, l, rho, constants.c_star, eps),
-                         ladder)
-    if alpha not in gap_cache:
-        gap_g = _QuadraticGap(g, ladder)
-        # the route needs both gaps
-        gap_l = _QuadraticGap(l.scale(-1.0), ladder) if gap_g else None
-        gap_cache[alpha] = (gap_g, gap_l)
-    gap_g, gap_l = gap_cache[alpha]
-
-    def quadratic_gap(i: int, refined: bool) -> dict:
+    def quadratic_gap(eps: float, quad: _QuadraticGap, i: int, refined: bool) -> dict:
         c1, c2 = float(quad.c1[i]), quad.c2(i, refined)
         d1 = 2.0 * ((1.0 / d0) * ((alpha / 2.0 - 1.0) * d0 - eps) * c_tilde + c1)
         d2 = c2 * area
         return {
-            "route": "quadratic-gap", "C1": c1, "C2": c2,
+            "route": "quadratic-gap", "C1": c1, "C2": c2, "eps": eps,
             "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
         }
 
@@ -341,25 +338,29 @@ def check_blowup(f: Nonlinearity, h: Nonlinearity, alpha: float,
         d2 = cfp * area + chp * mu
         return {
             "route": "sign-pair", "C_f": cf, "C_f_prime": cfp,
-            "C_h": ch, "C_h_prime": chp,
+            "C_h": ch, "C_h_prime": chp, "eps": eps_values[0],
             "D1": d1, "D2": d2, "margin": d1 * u0_norm2 - alpha * e0 - d2,
         }
 
-    makers = [partial(quadratic_gap, i) for i in range(len(quad))]
-    if gap_g and gap_l:
-        makers += [partial(sign_pair, i, j)
-                   for i in range(0, len(gap_g), max(1, len(gap_g) // 8))
-                   for j in range(0, len(gap_l), max(1, len(gap_l) // 8))]
+    makers = []
+    for k, eps in enumerate(eps_values):
+        quad = _QuadraticGap(_quadratic_gap_lhs(g, l, rho, constants.c_star, eps),
+                             ladder)
+        makers += [partial(quadratic_gap, eps, quad, i) for i in range(len(quad))]
+        if k == 0 and gap_g and gap_l:
+            makers += [partial(sign_pair, i, j)
+                       for i in range(0, len(gap_g), max(1, len(gap_g) // 8))
+                       for j in range(0, len(gap_l), max(1, len(gap_l) // 8))]
 
     if not makers:
         return {"fired": False, "reason": "no quadratic gap at this alpha",
-                "alpha": alpha, "eps": eps}
+                "alpha": alpha, "eps": eps_values[0]}
     best = _first_best(makers)
     best.update({
         "fired": bool(best["margin"] > 0.0),
-        "alpha": alpha, "eps": eps, "c_star": constants.c_star,
+        "alpha": alpha, "c_star": constants.c_star,
         "c_tilde": c_tilde, "u0_norm2": u0_norm2, "e0": e0,
-        "poly_case": _polynomial_case(f, h, alpha, eps, constants),
+        "poly_case": _polynomial_case(f, h, alpha, best["eps"], constants),
     })
     return best
 
@@ -374,12 +375,11 @@ def _polynomial_case(f: Nonlinearity, h: Nonlinearity, alpha: float,
     if p + 2.0 < alpha < q + 2.0 and q > 2.0 * p:
         return "a"
     if abs(q - 2.0 * p) < 1e-12 and q > 0:
-        lhs = -c_f * (1.0 - alpha / (q + 2.0))
-        try:
-            rhs = constants.c_star ** 2 * c_h ** 2 * (p + 2.0 - alpha) ** 2 / (4.0 * eps)
-        except OverflowError:   # a right-hand side past every float
+        if (kappa := _kappa(constants.c_star, eps)) is None:
             return ""
-        return "b" if lhs > rhs else ""
+        lhs = -c_f * (1.0 - alpha / (q + 2.0))
+        # c_h * c_h, not c_h ** 2: a float ** raises where * gives inf
+        return "b" if lhs > kappa * (c_h * c_h) * (p + 2.0 - alpha) ** 2 else ""
     if 2.0 < alpha < q + 2.0 and q > 2.0 * p:
         return "c"
     return ""
@@ -414,21 +414,19 @@ def classify(f: Nonlinearity, h: Nonlinearity, op: DiscreteOperator,
     e0 = energy(op, U0, f, h)
 
     alphas = [alpha] if alpha is not None else default_alpha_candidates(f, h)
-    gap_cache: dict = {}
 
     def blowup_scan():
         best = None
         for a in alphas:
             eps_cap = (a / 2.0 - 1.0) * op.d0
-            eps_list = [eps] if eps is not None else [0.25 * eps_cap, 0.5 * eps_cap, 0.75 * eps_cap]
-            for e in eps_list:
-                if not (0.0 < e < eps_cap):
-                    continue
-                res = check_blowup(f, h, a, constants, u0_norm2, e0,
-                                   d0=op.d0, lam1=lam1, eps=e,
-                                   gap_cache=gap_cache)
-                if "margin" in res and (best is None or res["margin"] > best["margin"]):
-                    best = res
+            tried = [eps] if eps is not None else [0.25 * eps_cap, 0.5 * eps_cap, 0.75 * eps_cap]
+            eps_values = tuple(e for e in tried if 0.0 < e < eps_cap)
+            if not eps_values:
+                continue
+            res = check_blowup(f, h, a, constants, u0_norm2, e0, d0=op.d0,
+                               lam1=lam1, eps_values=eps_values)
+            if "margin" in res and (best is None or res["margin"] > best["margin"]):
+                best = res
         return best
 
     glob = check_global(f, h, constants, op.d0, eps=eps)

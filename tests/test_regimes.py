@@ -340,7 +340,7 @@ def test_dissipative_eps_range(constants):
 def test_blowup_fires_above_threshold(constants, lam1):
     res = check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants,
                        u0_norm2=100.0, e0=-500.0, d0=1.0, lam1=lam1,
-                       eps=0.25, gap_cache={})
+                       eps_values=(0.25,))
     assert res["fired"]
     assert res["D1"] > 0.0
     assert res["poly_case"] in ("a", "c")
@@ -349,7 +349,7 @@ def test_blowup_fires_above_threshold(constants, lam1):
 def test_blowup_zero_datum_never_fires(constants, lam1):
     res = check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants,
                        u0_norm2=0.0, e0=0.0, d0=1.0, lam1=lam1,
-                       eps=0.25, gap_cache={})
+                       eps_values=(0.25,))
     assert not res["fired"]
 
 
@@ -361,15 +361,20 @@ def test_blowup_case_b_inequality(constants, lam1):
     f = Nonlinearity.power(-50.0, 2.0)
     h = Nonlinearity.power(-0.1, 1.0)
     res = check_blowup(f, h, 2.5, constants, u0_norm2=100.0, e0=-1000.0,
-                       d0=1.0, lam1=lam1, eps=0.125, gap_cache={})
+                       d0=1.0, lam1=lam1, eps_values=(0.125,))
     assert res["poly_case"] == "b"
     assert res["fired"]
 
     weak = check_blowup(Nonlinearity.power(-1e-3, 2.0), Nonlinearity.power(-10.0, 1.0),
                         2.5, constants, u0_norm2=100.0, e0=-1000.0,
-                        d0=1.0, lam1=lam1, eps=0.125, gap_cache={})
+                        d0=1.0, lam1=lam1, eps_values=(0.125,))
     assert weak.get("poly_case", "") == ""
     assert not weak["fired"]
+
+    # c_h = -1e300: c_h ** 2 would raise where c_h * c_h gives inf, and the
+    # coefficient inequality fails rather than erroring
+    assert regimes._polynomial_case(CUBIC_SOURCE, Nonlinearity.power(-1e300, 1.0),
+                                    2.5, 0.125, constants) == ""
 
 
 # Reference: the eager search, which refines the sup of every ladder rung of
@@ -488,16 +493,23 @@ def test_lazy_blowup_search_matches_eager(constants, lam1):
     # cap (poly_case b) and alphas with no gap at all
     routes = set()
     for f, h, u0_norm2, e0 in _seeded_pairs(17, 4):
-        gap_cache = {}
         for alpha in default_alpha_candidates(f, h):
-            for share in (0.25, 0.5, 0.75):
-                eps = share * (alpha / 2.0 - 1.0)
+            eps_values = tuple(share * (alpha / 2.0 - 1.0) for share in (0.25, 0.5, 0.75))
+            refs = []
+            for eps in eps_values:
                 ref = _eager_check_blowup(f, h, alpha, constants, u0_norm2, e0,
                                           1.0, lam1, eps)
                 got = check_blowup(f, h, alpha, constants, u0_norm2, e0, d0=1.0,
-                                   lam1=lam1, eps=eps, gap_cache=gap_cache)
+                                   lam1=lam1, eps_values=(eps,))
                 assert got == ref
                 routes.add((ref.get("route"), ref.get("poly_case")))
+                refs.append(ref)
+            # all three eps in one search: the first of largest margin among
+            # the references, or the no-gap result of the first eps
+            with_margin = [ref for ref in refs if "margin" in ref]
+            want = max(with_margin, key=lambda ref: ref["margin"]) if with_margin else refs[0]
+            assert check_blowup(f, h, alpha, constants, u0_norm2, e0, d0=1.0,
+                                lam1=lam1, eps_values=eps_values) == want
     assert {("quadratic-gap", "b"), ("sign-pair", ""), (None, None)} <= routes
 
 
@@ -516,9 +528,12 @@ def test_lazy_selection_is_first_largest_margin(rng):
             return {"margin": exact[k] if is_refined else bound[k], "k": k}
 
         best = regimes._first_best([partial(make, k) for k in range(n)])
-        assert best["k"] == max(range(n), key=lambda k: exact[k])
-        # a candidate is refined only while its bound can reach the best
-        assert all(bound[k] >= exact.max() for k in refined)
+        first = max(range(n), key=lambda k: exact[k])
+        assert best["k"] == first
+        # a candidate is refined only while its bound can reach the best,
+        # and one that can at most tie it is refined only ahead of the best
+        assert all(bound[k] > exact[first] or bound[k] == exact[first] and k <= first
+                   for k in refined)
 
 
 def test_blowup_classify_refines_few_rungs(op16, spec16, constants,
@@ -535,6 +550,10 @@ def test_blowup_classify_refines_few_rungs(op16, spec16, constants,
                  8.0 * spec16.eigenvectors[:, 0])
     assert v.rule == "quadratic-gap-blowup-case-a"
     assert 0 < len(calls) <= 4835 // 10
+    # one search over every eps of an alpha refines one rung (five
+    # minimize_scalar calls) at each of the four alphas; a search per eps
+    # refined one rung per eps, 60 calls
+    assert len(calls) <= 20
 
 
 def _former_grid_c2(lhs, ladder):
@@ -575,13 +594,13 @@ def test_grid_c2_bit_identical_to_the_rungs_x_grid_array(monkeypatch):
     monkeypatch.setattr(regimes, "_QuadraticGap", Recorded)
 
     def scan(f, h, op, constants, lam1, alphas):
-        # every alpha and eps that classify tries, without a shared gap
-        # cache: each call builds its g and -l gaps again
+        # every alpha and eps that classify tries, one eps per call: each
+        # call builds its g and -l gaps again
         for alpha in alphas:
             eps_cap = (alpha / 2.0 - 1.0) * op.d0
             for share in (0.25, 0.5, 0.75):
                 check_blowup(f, h, alpha, constants, 1.0, 0.0, d0=op.d0,
-                             lam1=lam1, eps=share * eps_cap, gap_cache={})
+                             lam1=lam1, eps_values=(share * eps_cap,))
 
     # the four cells of the sweep-koch benchmark workload
     _, _, op, constants, lam1 = _problem(
@@ -633,10 +652,10 @@ def test_quadratic_gap_scans_the_ladder_in_a_few_grid_rows():
 def test_blowup_alpha_validation(constants, lam1):
     with pytest.raises(ValueError):
         check_blowup(CUBIC_SOURCE, LINEAR_SINK, 2.0, constants, 1.0, 0.0,
-                     d0=1.0, lam1=lam1, eps=0.25, gap_cache={})
+                     d0=1.0, lam1=lam1, eps_values=(0.25,))
     with pytest.raises(ValueError):
         check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, constants, 1.0, 0.0,
-                     d0=1.0, lam1=lam1, eps=10.0, gap_cache={})
+                     d0=1.0, lam1=lam1, eps_values=(10.0,))
 
 
 @pytest.mark.parametrize("safety_factor", [1e300, 1e150])
@@ -653,13 +672,41 @@ def test_rules_whose_weight_overflows_do_not_fire(constants, lam1, safety_factor
     assert check_global(Nonlinearity.power(0.25, 2.0), LINEAR_SINK, report, d0=1.0,
                         eps=eps) is None
     res = check_blowup(CUBIC_SOURCE, LINEAR_SINK, 3.0, report, u0_norm2=100.0,
-                       e0=-500.0, d0=1.0, lam1=lam1, eps=eps, gap_cache={})
+                       e0=-500.0, d0=1.0, lam1=lam1, eps_values=(eps,))
     assert res["route"] == "sign-pair"
     # q = 2p with both signs of case b: its coefficient test overflows too
     res = check_blowup(Nonlinearity.power(-50.0, 2.0), Nonlinearity.power(-0.1, 1.0),
                        3.5, report, u0_norm2=100.0, e0=-1000.0, d0=1.0, lam1=lam1,
-                       eps=eps, gap_cache={})
+                       eps_values=(eps,))
     assert res["poly_case"] == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_blowup_search_stops_at_tied_margins(monkeypatch):
+    # e0 is about -8.8e298, so every margin rounds to about -alpha e0 and
+    # every bound ties the best refined margin: a search that stops only
+    # below the best refined every candidate, 2655 minimize_scalar calls
+    from conftest import default_operator
+
+    from transmission.operators import spectrum
+
+    op = default_operator(8)
+    report = compute_constants_report(op)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(regimes, "minimize_scalar", counting)
+    v = classify(Nonlinearity.power(-1e300, 2.0), Nonlinearity.power(1.0, 1.0), op,
+                 report, spectrum(op, k=1).eigenvectors[:, 0])
+    assert len(calls) <= 50
+    fields = verdict_fields(v)
+    assert (fields["verdict"], fields["rule"]) == ("BlowUpPredicted", "quadratic-gap-blowup")
+    assert (fields["cert.route"], fields["cert.alpha"], fields["cert.eps"]) == \
+        ("'quadratic-gap'", "3.6", "0.2")
+    assert v.certificate["margin"] == pytest.approx(3.1708713959236277e+299, rel=1e-9)
 
 
 # ------------------------------------------------------------------ classify
