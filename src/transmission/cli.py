@@ -20,7 +20,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,7 @@ from .regimes import classify, save_verdict
 from .textio import text, write_fields, write_table
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_BLOWUP = 0, 2, 3, 4
+_OUTCOME_EXIT = {"completed": EXIT_OK, "blowup": EXIT_BLOWUP, "stalled": EXIT_NUMERIC}
 
 
 def build_problem(cfg: SimConfig):
@@ -178,8 +179,7 @@ def initial_state(cfg: SimConfig, op) -> np.ndarray:
         free = full[op.free_dofs]
     else:
         raise ConfigError([f"initial.kind = {ini.kind!r} not supported"])
-    with np.errstate(over="ignore"):
-        state = ini.scale * free
+    state = ini.scale * free   # an overflow is reported below (run ignores its warning)
     bad = int(np.count_nonzero(~np.isfinite(state)))
     if bad:
         name = (f"expression = {ini.expression!r}" if ini.kind == "expression"
@@ -190,19 +190,11 @@ def initial_state(cfg: SimConfig, op) -> np.ndarray:
 
 
 def _step_control(cfg: SimConfig) -> StepControl:
-    t = cfg.time
-    return StepControl(dt0=t.dt0, dt_min=t.dt_min, dt_max=t.dt_max,
-                       growth_cap=t.growth_cap,
-                       blow_up_threshold=t.blow_up_threshold)
+    return StepControl(**{f.name: getattr(cfg.time, f.name) for f in fields(StepControl)})
 
 
 def _auto(value: str) -> float | None:
     return None if value == "auto" else float(value)
-
-
-def _log_line(out: Path, message: str) -> None:
-    with open(out / "run.log", "a") as fh:
-        fh.write(f"{time.strftime('%Y-%m-%d %H:%M:%S')} {message}\n")
 
 
 def run_spectrum(cfg: SimConfig, out: Path) -> int:
@@ -263,8 +255,7 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     export_trajectory_csv(traj, report, out / "trajectory.csv")
     _write_fit_summaries(traj, report, holder, out / "diagnostics.txt")
     print(outcome_line(traj))
-    # a stalled run is a numeric failure, as it is in pairs
-    return {"blowup": EXIT_BLOWUP, "stalled": EXIT_NUMERIC}.get(traj.outcome, EXIT_OK)
+    return _OUTCOME_EXIT[traj.outcome]
 
 
 def _write_fit_summaries(traj, report, holder, path) -> None:
@@ -288,29 +279,31 @@ def _cell_hash(cfg_text: str, cell: tuple) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _sweep_cell(task: tuple) -> tuple[str, str]:
-    """(diagram row, simulated outcome or "") of one cell of a sweep: task
-    is ((cfg, op, constants report), (p, q, c_f, c_h))."""
-    (cfg, op, report), cell = task
+def _sweep_cell(task: tuple) -> tuple[str, str | None]:
+    """(diagram row, simulated outcome or None) of one cell of a sweep: task
+    is ((cfg, op, constants report, initial state), (p, q, c_f, c_h))."""
+    (cfg, op, report, U0), cell = task
     p, q, c_f, c_h = cell
     f, h = Nonlinearity.power(c_f, q), Nonlinearity.power(c_h, p)
-    U0 = initial_state(cfg, op)
     verdict = classify(f, h, op, report, U0,
                        alpha=_auto(cfg.run.alpha), eps=_auto(cfg.run.eps))
     row = ",".join(map(repr, cell)) + f",{verdict.verdict},{verdict.rule}"
-    outcome = ""
-    if cfg.sweep.simulate:
-        outcome = integrate(op, U0, f, h, cfg.time.horizon,
-                            _step_control(cfg)).outcome
+    outcome = (integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg)).outcome
+               if cfg.sweep.simulate else None)
     return row, outcome
 
 
-def _write_marker(marker: Path, row: str, outcome: str) -> None:
+def _marker_text(row: str, outcome: str | None) -> str:
+    """A cell's marker: its diagram row, then its outcome if it simulated."""
+    return row + "\n" + ("" if outcome is None else f"#outcome={outcome}\n")
+
+
+def _write_marker(marker: Path, row: str, outcome: str | None) -> None:
     """Write a cell's marker whole or not at all.  The first marker creates
     the cells directory, so a sweep whose first cell fails leaves none."""
     marker.parent.mkdir(exist_ok=True)
     tmp = marker.with_suffix(".tmp")
-    tmp.write_text(row + "\n" + (f"#outcome={outcome}\n" if outcome else ""))
+    tmp.write_text(_marker_text(row, outcome))
     os.replace(tmp, marker)
 
 
@@ -323,20 +316,17 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
     done = {}
     for cell, marker in markers.items():
         text = marker.read_text() if marker.exists() else ""
-        lines = text.splitlines() or [""]
-        row = lines[0].split(",")
-        outcome = lines[1].partition("#outcome=")[2] if len(lines) > 1 else ""
-        # a marker is whole when it ends its last line and holds its own
-        # cell's row, with an outcome exactly when the sweep simulates; any
-        # other (emptied, cut short, another cell's) is recomputed
-        if (text.endswith("\n") and len(row) == 6 and row[:4] == list(map(repr, cell))
-                and bool(outcome) == cfg.sweep.simulate):
-            done[cell] = lines[0], outcome
+        row, _, rest = text.partition("\n")
+        outcome = rest.partition("\n")[0].removeprefix("#outcome=") if cfg.sweep.simulate else None
+        # whole when it is what _write_marker writes for its own cell; any other
+        # (emptied, cut short, another cell's, a line lost or added) is recomputed
+        if row.startswith(",".join(map(repr, cell)) + ",") and text == _marker_text(row, outcome):
+            done[cell] = row, outcome
     tasks = []
     if len(done) < len(markers):
-        # only f and h vary by cell: every cell shares one operator and report
+        # every cell shares one operator, report and state, built as run_classify builds them
         op, _, _ = build_problem(cfg)
-        problem = (cfg, op, _constants_report(cfg, op))
+        problem = (cfg, op, _constants_report(cfg, op), initial_state(cfg, op))
         tasks = [(problem, cell) for cell in markers if cell not in done]
     # each marker is written as its cell finishes, so a killed sweep keeps
     # every finished cell
@@ -344,20 +334,18 @@ def run_sweep(cfg: SimConfig, out: Path) -> int:
         # imported here: a serial run never loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=cfg.run.jobs) as pool:
-            futures = {pool.submit(_sweep_cell, task): task[1] for task in tasks}
-            try:
-                for fut in as_completed(futures):
-                    cell = futures[fut]
-                    done[cell] = fut.result()
-                    _write_marker(markers[cell], *done[cell])
-            finally:
-                for fut in futures:
-                    fut.cancel()
+        pool = ProcessPoolExecutor(max_workers=cfg.run.jobs)
+        futures = {pool.submit(_sweep_cell, task): task[1] for task in tasks}
+        finished = ((futures[fut], fut.result()) for fut in as_completed(futures))
     else:
-        for task in tasks:
-            done[task[1]] = _sweep_cell(task)
-            _write_marker(markers[task[1]], *done[task[1]])
+        pool, finished = None, ((task[1], _sweep_cell(task)) for task in tasks)
+    try:
+        for cell, result in finished:
+            done[cell] = result
+            _write_marker(markers[cell], *result)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     rows, mismatches = [], []
     for cell in cells:
@@ -389,10 +377,8 @@ def run_pairs(cfg: SimConfig, out: Path) -> int:
         rep = squeezing_check(op, U0a, U0b, f, h, cfg.pairs.horizon,
                               _step_control(cfg))
     except IncompleteRun as exc:
-        if exc.trajectory.outcome != "blowup":
-            raise  # a stalled run stays a numeric failure
         print(outcome_line(exc.trajectory))
-        return EXIT_BLOWUP
+        return _OUTCOME_EXIT[exc.trajectory.outcome]
     write_fields(out / "pairs.txt", {key: rep[key] for key in (
         "omega", "m_factor", "k_factor", "terminal_distance", "r2")})
     write_table(out / "pair_distance.csv", "t,dist2", rep["times"], rep["dist2"])
@@ -416,8 +402,12 @@ def run(cfg: SimConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:   # a file in the way, or no permission
         raise ConfigError([f"run.out = {cfg.run.out!r}: {exc.strerror or exc}"]) from exc
-    _log_line(out, f"mode={cfg.run.mode} seed={cfg.run.seed}")
-    return _RUNNERS[cfg.run.mode](cfg, out)
+    with open(out / "run.log", "a") as fh:
+        fh.write(f"{time.strftime('%Y-%m-%d %H:%M:%S')} mode={cfg.run.mode} seed={cfg.run.seed}\n")
+    # no numpy warning: every non-finite value is handled where it arises (a rejected
+    # step, a stalled run, a rule that does not fire, ConstantsReport.validate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _RUNNERS[cfg.run.mode](cfg, out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -204,10 +204,6 @@ def build_square_mesh(n: int, interface: InterfaceSpec,
             raise ResolutionError(
                 "distinct Koch vertices snap to the same mesh vertex; increase n"
             )
-        interior = gnodes[1:-1]
-        if (interior[:, 0] <= 0).any() or (interior[:, 0] >= n).any() \
-                or (gnodes[:, 1] <= 0).any() or (gnodes[:, 1] >= n).any():
-            raise GeometryError("Koch interface touches the outer boundary")
         if _self_intersects(gnodes / n):
             raise ResolutionError("snapped interface polyline self-intersects; increase n")
         iface_nodes = vid[gnodes[:, 1], gnodes[:, 0]]

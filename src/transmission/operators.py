@@ -362,7 +362,11 @@ def two_to_inf_norm(spec: SpectralData, t: float) -> float:
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """(slope, intercept, r2) of the least-squares line through (x, y)."""
-    slope, intercept = np.polyfit(x, y, 1)
+    # x in units of a power of two near max|x|: exact, and polyfit's column
+    # scaling cannot underflow on a tiny range (a pairs horizon of 1e-300)
+    unit = math.ldexp(1.0, math.frexp(np.max(np.abs(x)))[1])
+    slope, intercept = np.polyfit(x / unit, y, 1)
+    slope /= unit
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

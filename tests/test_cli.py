@@ -271,7 +271,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["deleted", "emptied", "truncated", "cut-in-the-rule",
-                                    "another-cells-row", "outcome-lost"])
+                                    "another-cells-row", "outcome-lost", "extra-line"])
 def test_sweep_resumes_from_partial_cells(tmp_path, damage):
     # the lost outcome line is a damage only where the sweep simulates
     simulate = "simulate = true\n" if damage == "outcome-lost" else ""
@@ -289,7 +289,8 @@ def test_sweep_resumes_from_partial_cells(tmp_path, damage):
         cells[0].write_text({"emptied": "", "truncated": marker[:9],
                              "cut-in-the-rule": marker[:-4],
                              "another-cells-row": cells[1].read_text(),
-                             "outcome-lost": marker.splitlines()[0] + "\n"}[damage])
+                             "outcome-lost": marker.splitlines()[0] + "\n",
+                             "extra-line": marker + marker}[damage])
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for c in cells[1:]:
         assert c.stat().st_mtime_ns == stamps[c]
@@ -313,6 +314,24 @@ def test_parallel_sweep_computes_the_constants_once_in_the_parent(tmp_path, monk
     # a finished sweep builds nothing again
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--jobs", "2"]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_builds_the_initial_state_once(tmp_path, monkeypatch, jobs):
+    from transmission import cli
+
+    calls = []
+    real = cli.initial_state
+    monkeypatch.setattr(cli, "initial_state",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = write(tmp_path, SWEEP + "simulate = true\n")
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == EXIT_OK
+    assert len(calls) == 1
+    assert len(list((tmp_path / "out" / "cells").glob("*.csv"))) == 6
+    # a finished sweep builds nothing again
+    assert main(["sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == EXIT_OK
     assert len(calls) == 1
 
 
@@ -469,12 +488,35 @@ def test_pairs_blowup_exit_code(tmp_path, capsys):
 
 
 def test_pairs_stall_is_numeric_failure(tmp_path, capsys):
-    # the blow-up run stalls once its step must fall below dt_min
+    # the blow-up run stalls once its step must fall below dt_min; it prints
+    # its OUTCOME line and exits 3, as simulate does
     cfg = write(tmp_path, BLOWUP.replace("[time]", "[time]\ndt_min = 1e-4"))
     out = tmp_path / "out"
     assert main(["pairs", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
-    assert "refuses non-completed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("OUTCOME,StalledStep,")
+    assert captured.err == ""
     assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+
+
+def test_pairs_over_a_tiny_horizon_fits_without_warnings(tmp_path, capfd, monkeypatch):
+    import warnings
+    from pathlib import Path
+
+    # a time grid of width 1e-300: the fit is meaningless (r2 says so), but
+    # neither numpy nor LAPACK has anything to report
+    cfg = Path(__file__).parent.parent / "configs" / "bounded.ini"
+    monkeypatch.setenv("TRANSMISSION_PAIRS__HORIZON", "1e-300")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pairs", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert caught == []
+    captured = capfd.readouterr()
+    assert captured.out.startswith(f"wrote {out / 'pairs.txt'} (omega=")
+    assert captured.err == ""
+    assert (out / "pairs.txt").exists() and (out / "pair_distance.csv").exists()
 
 
 def test_simulate_stall_is_numeric_failure(tmp_path, capsys):
@@ -540,7 +582,7 @@ def test_initial_state_expression_cannot_run_code(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
-    # raised in the sweep workers, the error reaches the parent whole
+    # raised once, before any cell runs, the error is reported whole
     sweep = write(tmp_path, SWEEP.replace("sin(pi*x)*sin(pi*y)", escape), "sweep.ini")
     assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sw"),
                  "--jobs", "2"]) == EXIT_CONFIG
@@ -808,6 +850,8 @@ def test_run_that_cannot_reach_its_horizon_stalls(tmp_path, capsys, monkeypatch,
     if mode == "simulate":
         assert any(line.startswith("OUTCOME,StalledStep,")
                    for line in captured.out.splitlines())
-    else:   # a stalled pair run is a numeric failure, not a fit
-        assert "non-completed" in captured.err
-        assert not (tmp_path / "out" / "pairs.txt").exists()
+    else:   # a stalled pair run says so, as simulate does, and writes no fit
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("OUTCOME,StalledStep,")
+        assert captured.err == ""
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run.log"]

@@ -1,8 +1,8 @@
 """A seeded fuzz of the config: files drawn with stdlib `random` around
 configs/bounded.ini, over every section and every mode, at n <= 9, run
 in-process through `cli.main`.  Each run must exit 0, 2, 3 or 4 with no
-uncaught exception, leave no result file on a config error (exit 2), and
-print well-formed `VERDICT,...` and `OUTCOME,...` lines.
+uncaught exception and no warning, leave no result file on a config error
+(exit 2), and print well-formed `VERDICT,...` and `OUTCOME,...` lines.
 
 The values are mostly ordinary, now and then at or past the edge of what
 the config admits: floats from 1e-300 to 1e300, zero and negative values,
@@ -166,10 +166,10 @@ def test_fuzzed_config_ends_cleanly(seed, tmp_path, capsys, monkeypatch):
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
     try:
-        # numpy's floating-point warnings (an overflow on the way to a
-        # blow-up) go to stderr in a CLI run; they are not exceptions there
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # a CLI run prints a warning to stderr instead of raising it, so it is
+        # recorded here; a valid or invalid config alike must raise none
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main([mode, "--config", str(cfg), "--out", str(out)])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -177,6 +177,7 @@ def test_fuzzed_config_ends_cleanly(seed, tmp_path, capsys, monkeypatch):
     stdout = capsys.readouterr().out.splitlines()
 
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_BLOWUP), text
+    assert [str(w.message) for w in caught] == [], text
     if code == cli.EXIT_CONFIG:
         # run.log is written once the output directory is made; nothing else
         assert not out.exists() or [p.name for p in out.iterdir()] == ["run.log"], text

@@ -16,6 +16,7 @@ from transmission.operators import (
     export_spectrum_csv,
     export_ultracontractivity_csv,
     factor_symmetric,
+    fit_line,
     lanczos_start,
     lowest_pairs,
     quadratic_form,
@@ -345,6 +346,23 @@ def test_ultracontractivity_exponential_tail_flagged(spec16):
     norms = [two_to_inf_norm(spec16, t) for t in late]
     rates = -np.diff(np.log(norms)) / np.diff(late)
     assert np.allclose(rates, spec16.eigenvalues[0], rtol=0.05)
+
+
+@pytest.mark.parametrize("k", [-1000, -3, 0, 7, 900])
+def test_fit_line_scales_exactly_with_a_power_of_two(rng, k):
+    x = np.sort(rng.uniform(-2.0, 5.0, 40))
+    y = 0.7 * x - 1.3 + 0.1 * rng.standard_normal(40)
+    slope, intercept, r2 = fit_line(x, y)
+    scaled = fit_line(np.ldexp(x, k), y)
+    assert scaled == (np.ldexp(slope, -k), intercept, r2)
+
+
+def test_fit_line_over_a_tiny_range(rng):
+    # polyfit alone would scale its columns to nan here
+    x = np.linspace(0.0, 1e-300, 200)
+    slope, intercept, r2 = fit_line(x, 2.0 + 3e300 * x)
+    assert (slope, intercept) == pytest.approx((3e300, 2.0), rel=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ultracontractivity_needs_three_points(spec16):
