@@ -97,7 +97,17 @@ class BetaCoefficient:
 
 def p1_gradients(mesh: MeshedDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triangle areas and the x and y gradients of the three barycentric
-    basis functions of every triangle, each gradient array (n_tri, 3)."""
+    basis functions of every triangle, each gradient array (n_tri, 3).
+    Computed once per mesh: every call returns the same read-only arrays."""
+    if "p1" not in mesh._cache:
+        arrays = _p1_geometry(mesh)
+        for arr in arrays:
+            arr.flags.writeable = False
+        mesh._cache["p1"] = arrays
+    return mesh._cache["p1"]
+
+
+def _p1_geometry(mesh: MeshedDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     verts, tris = mesh.vertices, mesh.triangles
     areas = triangle_areas(verts, tris)
     if (areas <= 0.0).any():
@@ -108,6 +118,15 @@ def p1_gradients(mesh: MeshedDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray
     gx /= (2.0 * areas)[:, None]
     gy /= (2.0 * areas)[:, None]
     return areas, gx, gy
+
+
+def _diagonal_csr(v: np.ndarray) -> sp.csr_matrix:
+    """diag(v) as `sp.diags(v, format="csr")` stores it, its nonzeros only,
+    built without the DIA and COO steps."""
+    nz = np.flatnonzero(v).astype(np.int32)
+    indptr = np.zeros(len(v) + 1, dtype=np.int32)
+    np.cumsum(v != 0.0, out=indptr[1:])
+    return sp.csr_matrix((v[nz], nz, indptr), shape=(len(v), len(v)))
 
 
 def assemble_bulk(mesh: MeshedDomain, D: DiffusionTensor) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -134,8 +153,19 @@ def assemble_bulk(mesh: MeshedDomain, D: DiffusionTensor) -> tuple[sp.csr_matrix
 
     lumped = np.zeros(n_dof)
     np.add.at(lumped, tris.ravel(), np.repeat(areas / 3.0, 3))
-    M = sp.diags(lumped, format="csr")
-    return M, K
+    return _diagonal_csr(lumped), K
+
+
+def _unit_bulk(mesh: MeshedDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """`assemble_bulk` with the unit tensor, assembled once per mesh and
+    shared by every operator built on it and by the Poincare L2 constant;
+    their stored values are read-only."""
+    if "unit_bulk" not in mesh._cache:
+        pair = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+        for mat in pair:
+            mat.data.flags.writeable = False
+        mesh._cache["unit_bulk"] = pair
+    return mesh._cache["unit_bulk"]
 
 
 def assemble_interface_mass(mesh: MeshedDomain, measure: InterfaceMeasure,
@@ -154,7 +184,7 @@ def assemble_interface_mass(mesh: MeshedDomain, measure: InterfaceMeasure,
     w_full[mesh.interface_nodes] = measure.weights
     bw_full = np.zeros(n_dof)
     bw_full[mesh.interface_nodes] = beta.values * measure.weights
-    return sp.diags(w_full, format="csr"), sp.diags(bw_full, format="csr")
+    return _diagonal_csr(w_full), _diagonal_csr(bw_full)
 
 
 def nonlocal_kernel_matrix(measure: InterfaceMeasure, kernel: KernelSpec) -> np.ndarray:
@@ -203,8 +233,9 @@ class DiscreteOperator:
     (pair-norm mass, bulk + interface), and ``iface_dofs`` (nonzero interface
     mass) with their ``iface_weights`` are plain attributes.  ``delta``
     switches the interface time-derivative term (1 dynamic, 0 static
-    transmission condition).  ``_cache`` holds solver results only: the
-    spectrum, the grid pencil and the integrator's solvers.
+    transmission condition).  ``_cache`` holds what is derived from the
+    operator once: the spectrum, the grid pencil, the integrator's solvers
+    and the constants' random smooth fields.
     """
 
     mesh: MeshedDomain
@@ -268,7 +299,9 @@ def build_operator(mesh: MeshedDomain, measure: InterfaceMeasure,
     """Assemble everything and constrain the mesh's Dirichlet vertices.  The
     interface may meet the Dirichlet boundary only at its two anchor
     vertices, which then get constrained like any other boundary vertex."""
-    m_bulk, k_stiff = assemble_bulk(mesh, D)
+    unit = len(D.d11) == len(mesh.triangles) and all(
+        (c == v).all() for c, v in ((D.d11, 1.0), (D.d12, 0.0), (D.d22, 1.0)))
+    m_bulk, k_stiff = _unit_bulk(mesh) if unit else assemble_bulk(mesh, D)
     m_iface, b_beta = assemble_interface_mass(mesh, measure, beta)
     theta = assemble_nonlocal(mesh, measure, kernel)
     dv = mesh.dirichlet_vertices()

@@ -438,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

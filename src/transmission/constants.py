@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import DiffusionTensor, DiscreteOperator, assemble_bulk, p1_gradients
+from .assembly import DiscreteOperator, _unit_bulk, p1_gradients
 from .operators import (
     NumericError,
     _grid_pencil,
@@ -23,7 +23,6 @@ from .operators import (
     factor_symmetric,
     lanczos_start,
     lowest_pairs,
-    quadratic_form,
     spectrum,
 )
 from .textio import text, write_fields
@@ -37,7 +36,17 @@ _ZETA_MAX = 64.0
 
 def _smooth_fields(op: DiscreteOperator, count: int, seed: int) -> np.ndarray:
     """(count, n_vertices) random low-frequency fields: the sum over k, l in
-    1..3 of c_kl sin(pi k x) cos(pi l y) / (k l), c_kl standard normal."""
+    1..3 of c_kl sin(pi k x) cos(pi l y) / (k l), c_kl standard normal.
+    Drawn once per operator, count and seed, and returned read-only."""
+    key = ("smooth_fields", count, seed)
+    if key not in op._cache:
+        fields = _draw_smooth_fields(op, count, seed)
+        fields.flags.writeable = False
+        op._cache[key] = fields
+    return op._cache[key]
+
+
+def _draw_smooth_fields(op: DiscreteOperator, count: int, seed: int) -> np.ndarray:
     x, y = op.mesh.vertices.T
     wave = np.arange(1, 4)
     sin_x = np.sin(np.pi * wave[:, None] * x)
@@ -81,7 +90,7 @@ def poincare_mean_sigma(op: DiscreteOperator, mode: str = "L2_eig",
         # a^T u = 0  is a solve of K_s (on the grid, P the 4 corners, or by a
         # sparse factor) corrected by z = K_s^-1 a, and 1/(lambda_min - sigma)
         # is the top eigenvalue of M^1/2 S M^1/2
-        _, k_unit = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+        _, k_unit = _unit_bulk(mesh)
         m_bulk = op.m_bulk.diagonal()
         sqrt_m = np.sqrt(m_bulk)
         dt = 1e6 / (k_unit.diagonal() / m_bulk).max()
@@ -181,7 +190,10 @@ def interpolation_zeta(op: DiscreteOperator, eps_values: tuple[float, ...],
     samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
 
     x2 = np.array([op.pair_norm2(u) for u in samples])
-    aa = np.array([quadratic_form(op, u) for u in samples])
+    # one product for every sample; each value is u @ (A u), as quadratic_form
+    # takes it, with A u a contiguous row as there
+    a_samples = np.ascontiguousarray((op.a_free @ np.array(samples).T).T)
+    aa = np.array([u @ au for u, au in zip(samples, a_samples)])
     x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])
     return [(eps, _least_zeta(x2, aa, x1sq, eps, _ZETA_MAX)) for eps in eps_values]
 

@@ -61,7 +61,8 @@ class MeshedDomain:
     prefractal they are the prefractal vertices snapped to the grid.  The
     grid itself does not depend on the interface: the field is continuous
     across it, with one degree of freedom per vertex, so no triangle is
-    assigned to a side.
+    assigned to a side.  ``_cache`` holds what `assembly` derives from the
+    mesh alone, once: the P1 geometry and the unit-tensor bulk matrices.
     """
 
     vertices: np.ndarray          # (N, 2) float
@@ -70,6 +71,7 @@ class MeshedDomain:
     boundary_tags: np.ndarray     # (B,) '<U10', 'dirichlet' or 'neumann'
     interface_nodes: np.ndarray   # (K,) int, ordered along the interface
     interface: InterfaceSpec = field(default_factory=Segment)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def domain_area(self) -> float:

@@ -150,10 +150,19 @@ class _GridPencil:
         if len(p) > 4.0 * math.sqrt(len(m)):
             return None
         out.p, out.c_m = p, np.diag(d_m[p])
-        out.c_a = sp.csr_matrix((d_a, a.indices, a.indptr), shape=a.shape)[p][:, p].toarray()
+        # the entries of d_a in P x P, by their positions in p (duplicates summed)
+        pos = np.full(len(m), -1)
+        pos[p] = np.arange(len(p))
+        pr, pc = pos[rows], pos[a.indices]
+        on_p = (pr >= 0) & (pc >= 0)
+        out.c_a = np.zeros((len(p), len(p)))
+        np.add.at(out.c_a, (pr[on_p], pc[on_p]), d_a[on_p])
         uniq, out.row_of = np.unique(p // len(self.mx), return_inverse=True)
         out.phi_y_rows, out.x_p = self.phi_y[uniq], self.phi_x[p % len(self.mx)]
         out.index = np.arange(len(p))
+        # for every solver built on this pencil: its probe, and the row sums of |a|
+        out.probe = lanczos_start(len(m))
+        out.abs_row_sums = abs(a) @ np.ones(len(m))
         return out
 
     def gram(self, lam: np.ndarray) -> np.ndarray:
@@ -190,7 +199,9 @@ def _grid_pencil(verts: np.ndarray, free_dofs: np.ndarray, k_full, a,
     if not np.array_equal(verts, np.column_stack([np.tile(xs, side),
                                                   np.repeat(ys, side)])):
         return None
-    free = np.isin(np.arange(len(verts)), free_dofs).reshape(side, side)
+    free = np.zeros(len(verts), dtype=bool)
+    free[free_dofs] = True
+    free = free.reshape(side, side)
     iy, ix = np.flatnonzero(free.any(axis=1)), np.flatnonzero(free.any(axis=0))
     if len(iy) * len(ix) != len(free_dofs):
         return None
@@ -236,10 +247,10 @@ class _GridSolver:
                                        cap, check_finite=False)
         self.inv_lam = 1.0 / lam
         self.nnz = self.inv_lam.size + self.w.size
-        b = lanczos_start(len(grid.m))
+        b = grid.probe
         x = self.solve(b)
         residual = np.abs(grid.a @ x * dt + grid.m * x - b).max()
-        norm = (grid.m + dt * (abs(grid.a) @ np.ones(len(b)))).max()   # ||M + dt A||_inf
+        norm = (grid.m + dt * grid.abs_row_sums).max()   # ||M + dt A||_inf
         scale = norm * np.abs(x).max() + np.abs(b).max()
         if not residual <= _GRID_PROBE_TOL * scale:
             raise NumericError(f"grid solver probe residual {residual / scale:.3e} "
@@ -279,10 +290,14 @@ def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
     """
     n = a_csr.shape[0]
     inv_sqrt = 1.0 / np.sqrt(m_diag)
-    d = sp.diags(inv_sqrt)
-    if k >= n - 1:
+
+    def reduced():
+        d = sp.diags(inv_sqrt)
         B = (d @ a_csr @ d).tocsc()
-        vals, vecs = scipy.linalg.eigh((0.5 * (B + B.T)).toarray(), subset_by_index=[0, k - 1])
+        return 0.5 * (B + B.T)
+
+    if k >= n - 1:
+        vals, vecs = scipy.linalg.eigh(reduced().toarray(), subset_by_index=[0, k - 1])
     else:
         # A is positive semidefinite: a shift just below zero, small against
         # the scale of B (its largest diagonal entry), keeps B - sigma I
@@ -298,8 +313,7 @@ def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
         else:
             # factored in minimum-degree order, it fills far less than in the
             # COLAMD order of eigsh's own factor
-            B = (d @ a_csr @ d).tocsc()
-            solve = factor_symmetric(0.5 * (B + B.T) - sigma * sp.identity(n, format="csc")).solve
+            solve = factor_symmetric(reduced() - sigma * sp.identity(n, format="csc")).solve
         shift_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         try:
             # shift-invert mode reads B only through OPinv
@@ -309,7 +323,7 @@ def lowest_pairs(a_csr, m_diag: np.ndarray, k: int,
             raise NumericError(f"shift-invert Lanczos failed: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    V = d @ vecs
+    V = vecs * inv_sqrt[:, None]
     # column sign normalization for reproducibility across LAPACK variants
     pivot = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[pivot, np.arange(V.shape[1])])

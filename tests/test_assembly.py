@@ -280,3 +280,29 @@ def test_free_dof_layout_matches_full_matrix_formulas(delta):
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(op.a_free, part), getattr(a_free, part))
     assert np.array_equal(op.restrict(op.a_full).toarray(), a_free.toarray())
+
+
+@pytest.mark.parametrize("v", [np.array([0.0, 2.0, 0.0, 3.0, -0.0, 5.0, 0.0]),
+                               np.zeros(4), np.array([1.5])])
+def test_diagonal_csr_stores_what_sp_diags_stores(v):
+    import scipy.sparse as sp
+
+    from transmission.assembly import _diagonal_csr
+
+    got, ref = _diagonal_csr(v), sp.diags(v, format="csr")
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_degenerate_triangle_rejected_on_every_call():
+    from transmission.assembly import p1_gradients
+
+    mesh = build_square_mesh(4, Segment(0.5))
+    tri = mesh.triangles[0]
+    mesh.vertices[tri[2]] = mesh.vertices[tri[0]]   # a zero-area triangle
+    for _ in range(2):
+        with pytest.raises(AssemblyError, match="degenerate"):
+            p1_gradients(mesh)

@@ -558,6 +558,38 @@ def test_simulate_from_a_tiny_state_with_a_forcing_term_completes(
     assert capsys.readouterr().out.splitlines() == ["OUTCOME,Completed,3.0"]
 
 
+def test_constants_report_sets_up_geometry_and_fields_once(monkeypatch):
+    from transmission import assembly, constants
+    from transmission.constants import compute_constants_report
+
+    calls = {"p1": 0, "fields": 0}
+    geometry, draw = assembly._p1_geometry, constants._draw_smooth_fields
+
+    def counted_geometry(mesh):
+        calls["p1"] += 1
+        return geometry(mesh)
+
+    def counted_draw(op, count, seed):
+        calls["fields"] += 1
+        return draw(op, count, seed)
+
+    monkeypatch.setattr(assembly, "_p1_geometry", counted_geometry)
+    monkeypatch.setattr(constants, "_draw_smooth_fields", counted_draw)
+    op, _, _ = build_problem(parse_config_text(BASE))
+    compute_constants_report(op, seed=3)
+    assert calls == {"p1": 1, "fields": 1}
+    # the unit-tensor operator's bulk matrices are the ones Poincare L2 reads
+    assert op.k_stiff is assembly._unit_bulk(op.mesh)[1]
+    areas, _, _ = assembly.p1_gradients(op.mesh)
+    fields = constants._smooth_fields(op, 20, 3)
+    for shared in (areas, fields, op.k_stiff.data):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    compute_constants_report(op, seed=4)
+    assert calls == {"p1": 1, "fields": 2}
+    assert not np.array_equal(constants._smooth_fields(op, 20, 4), fields)
+
+
 def test_initial_state_expression_and_eigenvector(tmp_path):
     cfg = parse_config_text(BASE)
     op, _, _ = build_problem(cfg)

@@ -449,3 +449,41 @@ def test_reports_byte_identical(tmp_path):
         paths.append(tmp_path / f"constants{run}.txt")
         save_constants(report, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_poincare_l2_reads_the_unit_tensor_whatever_the_operator():
+    # L2 is the constant of the unit tensor: a non-unit stiffness leaking in
+    # would scale it (by 1/sqrt(2) for 2 I)
+    mesh = build_square_mesh(12, Segment(0.5), dirichlet_side="left")
+    measure = build_interface_measure(mesh)
+    tensors = [DiffusionTensor.constant(mesh, 2.0, 0.0, 2.0, d0=1.0),
+               DiffusionTensor.constant(mesh, 1.5, 0.3, 1.5, d0=1.0),
+               DiffusionTensor.isotropic(mesh)]
+    values = [poincare_mean_sigma(
+        build_operator(mesh, measure, D, BetaCoefficient.constant(measure, 1.0),
+                       KernelSpec(s=0.5, dim_d=measure.dim_d)), "L2_eig")
+        for D in tensors]
+    assert values[0] == values[1] == values[2]
+
+
+@pytest.mark.parametrize("case", ["op16", "op32", "koch"])
+def test_zeta_form_values_are_the_quadratic_form(case, request, monkeypatch):
+    import transmission.constants as constants
+    from conftest import koch_operator
+
+    from transmission.operators import quadratic_form, spectrum
+
+    op = koch_operator() if case == "koch" else request.getfixturevalue(case)
+    seen = []
+    least = constants._least_zeta
+
+    def recorded(x2, aa, x1sq, eps, zeta_max):
+        seen.append(aa)
+        return least(x2, aa, x1sq, eps, zeta_max)
+
+    monkeypatch.setattr(constants, "_least_zeta", recorded)
+    interpolation_zeta(op, (0.5,), seed=2)
+    samples = list(_smooth_fields(op, 20, 2)[:, op.free_dofs])
+    samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
+    assert len(seen) == 1 and len(seen[0]) == len(samples) == 30
+    assert all(aa == quadratic_form(op, u) for aa, u in zip(seen[0], samples))

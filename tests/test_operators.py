@@ -447,3 +447,40 @@ def test_markov_check_factors_once_per_step_size(monkeypatch):
     assert len(built) == 1
     assert rep["min_entry"] >= -1e-10
     assert rep["sup_ratio"] <= 1.0 + 1e-10
+
+
+def _c_a_as_submatrix(base, a, m, scale, p):
+    # the reference: d_a of `_GridPencil.fit` as a CSR matrix, cut to P x P
+    import scipy.sparse as sp
+
+    rows = np.repeat(np.arange(len(m)), np.diff(a.indptr))
+    (jr, ir), (jc, ic) = np.divmod(rows, len(base.mx)), np.divmod(a.indices, len(base.mx))
+    d11, d22 = scale * base.d11, scale * base.d22
+    d_a = a.data - ((jr == jc) * (d11 * (base.my[jr] * base.kx[ir, ic]))
+                    + (ir == ic) * (d22 * (base.ky[jr, jc] * base.mx[ir])))
+    return sp.csr_matrix((d_a, a.indices, a.indptr), shape=a.shape)[p][:, p].toarray()
+
+
+@pytest.mark.parametrize("case", ["op16", "op32", "koch"])
+@pytest.mark.parametrize("damped", [False, True])
+def test_grid_pencil_fit_keeps_its_capacitance_probe_and_row_sums(case, damped, request):
+    from conftest import koch_operator
+
+    from transmission.operators import _pencil
+
+    op = koch_operator() if case == "koch" else request.getfixturevalue(case)
+    base = _pencil(op)
+    assert base is not None
+    if damped:   # the fit of c_bar's damped form, as best_embedding_constant makes it
+        scale = 1.0 - (op.d0 / 2.0) / op.d0
+        a = op.restrict(scale * op.k_stiff + op.b_beta + op.theta)
+        m = op.pair_mass_diag
+        grid = base.fit(a, m, scale)
+    else:
+        scale, a, m, grid = 1.0, op.a_free, op.mass_diag, base
+    assert grid is not None
+    ref = _c_a_as_submatrix(base, a, m, scale, grid.p)
+    assert np.array_equal(grid.c_a, ref)
+    assert np.array_equal(np.signbit(grid.c_a), np.signbit(ref))
+    assert np.array_equal(grid.probe, lanczos_start(len(m)))
+    assert np.array_equal(grid.abs_row_sums, abs(a) @ np.ones(len(m)))
