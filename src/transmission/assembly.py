@@ -8,6 +8,7 @@ nonlocal interface kernel matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,73 +27,53 @@ class ValidationError(AssemblyError):
 
 @dataclass
 class DiffusionTensor:
-    """Per-triangle symmetric 2x2 diffusivity with an ellipticity floor d0."""
+    """Constant symmetric 2x2 diffusivity with an ellipticity floor d0."""
 
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
+    d11: float
+    d12: float
+    d22: float
     d0: float
 
     def __post_init__(self):
-        self.d11 = np.asarray(self.d11, dtype=float)
-        self.d12 = np.asarray(self.d12, dtype=float)
-        self.d22 = np.asarray(self.d22, dtype=float)
         if self.d0 <= 0.0:
             raise ValidationError("ellipticity floor d0 must be positive")
-        lam_min = self.smallest_eigenvalues()
-        if (lam_min < self.d0 - 1e-12).any():
+        # float products, not **: config validation runs this on any finite
+        # value, and a float power that overflows raises where * gives inf
+        diff = self.d11 - self.d22
+        rad = math.sqrt(0.25 * (diff * diff) + self.d12 * self.d12)
+        if 0.5 * (self.d11 + self.d22) - rad < self.d0 - 1e-12:
             raise ValidationError(
                 "diffusion tensor eigenvalue below the ellipticity floor d0"
             )
 
-    def smallest_eigenvalues(self) -> np.ndarray:
-        half_tr = 0.5 * (self.d11 + self.d22)
-        rad = np.sqrt(0.25 * (self.d11 - self.d22) ** 2 + self.d12 ** 2)
-        return half_tr - rad
 
-    @classmethod
-    def isotropic(cls, mesh: MeshedDomain) -> "DiffusionTensor":
-        return cls.constant(mesh, 1.0, 0.0, 1.0, d0=1.0)
-
-    @classmethod
-    def constant(cls, mesh: MeshedDomain, d11: float, d12: float, d22: float,
-                 d0: float) -> "DiffusionTensor":
-        m = len(mesh.triangles)
-        return cls(np.full(m, d11), np.full(m, d12), np.full(m, d22), d0=d0)
+_UNIT_TENSOR = (1.0, 0.0, 1.0)
 
 
 @dataclass
 class KernelSpec:
-    """Interface interaction kernel: the power law |x - y|^-(d + 2s)."""
+    """Interface interaction kernel: the power law |x - y|^-(d + 2s), d the
+    dimension of the measure it is assembled on."""
 
     s: float
-    dim_d: float
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValidationError(f"kernel exponent s={self.s} outside (0, 1)")
 
-    def evaluate(self, r: np.ndarray) -> np.ndarray:
-        return r ** (-(self.dim_d + 2.0 * self.s))
-
 
 @dataclass
 class BetaCoefficient:
-    """Nodal reaction coefficient on the interface with floor beta0 >= 0."""
+    """Constant reaction coefficient on the interface with floor beta0 >= 0."""
 
-    values: np.ndarray
+    value: float
     beta0: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
         if self.beta0 < 0.0:
             raise ValidationError("beta0 must be >= 0")
-        if (self.values < self.beta0 - 1e-14).any():
+        if self.value < self.beta0 - 1e-14:
             raise ValidationError("interface coefficient below its floor beta0")
-
-    @classmethod
-    def constant(cls, measure: InterfaceMeasure, value: float) -> "BetaCoefficient":
-        return cls(np.full(len(measure.weights), value), beta0=value)
 
 
 def p1_gradients(mesh: MeshedDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,11 +114,8 @@ def assemble_bulk(mesh: MeshedDomain, D: DiffusionTensor) -> tuple[sp.csr_matrix
     """Lumped bulk mass and stiffness matrices for piecewise-linear elements."""
     verts, tris = mesh.vertices, mesh.triangles
     areas, gx, gy = p1_gradients(mesh)
-    if len(D.d11) != len(tris):
-        raise AssemblyError("diffusion tensor length does not match triangle count")
-
-    dgx = D.d11[:, None] * gx + D.d12[:, None] * gy
-    dgy = D.d12[:, None] * gx + D.d22[:, None] * gy
+    dgx = D.d11 * gx + D.d12 * gy
+    dgy = D.d12 * gx + D.d22 * gy
     n_dof = len(verts)
     rows, cols, vals = [], [], []
     for a in range(3):
@@ -161,7 +139,7 @@ def _unit_bulk(mesh: MeshedDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     shared by every operator built on it and by the Poincare L2 constant;
     their stored values are read-only."""
     if "unit_bulk" not in mesh._cache:
-        pair = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+        pair = assemble_bulk(mesh, DiffusionTensor(*_UNIT_TENSOR, d0=1.0))
         for mat in pair:
             mat.data.flags.writeable = False
         mesh._cache["unit_bulk"] = pair
@@ -171,11 +149,9 @@ def _unit_bulk(mesh: MeshedDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 def assemble_interface_mass(mesh: MeshedDomain, measure: InterfaceMeasure,
                             beta: BetaCoefficient) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Diagonal interface mass and coefficient-weighted interface mass."""
-    if len(beta.values) != len(measure.weights):
-        raise ValidationError("beta nodal array does not match interface node count")
     if (measure.weights <= 0.0).any():
         raise ValidationError("interface weights must be positive")
-    if len(mesh.dirichlet_vertices()) == 0 and not (beta.values > 0.0).any():
+    if len(mesh.dirichlet_vertices()) == 0 and not beta.value > 0.0:
         raise ValidationError(
             "beta identically zero with empty Dirichlet boundary: form not coercive"
         )
@@ -183,7 +159,7 @@ def assemble_interface_mass(mesh: MeshedDomain, measure: InterfaceMeasure,
     w_full = np.zeros(n_dof)
     w_full[mesh.interface_nodes] = measure.weights
     bw_full = np.zeros(n_dof)
-    bw_full[mesh.interface_nodes] = beta.values * measure.weights
+    bw_full[mesh.interface_nodes] = beta.value * measure.weights
     return _diagonal_csr(w_full), _diagonal_csr(bw_full)
 
 
@@ -192,7 +168,7 @@ def nonlocal_kernel_matrix(measure: InterfaceMeasure, kernel: KernelSpec) -> np.
 
     Satisfies u^T N u = sum over ordered pairs (i != j) of
     K(x_i, x_j) (u_i - u_j)^2 w_i w_j; symmetric, positive semidefinite,
-    annihilates constants.
+    annihilates constants.  K is the kernel's power law with d = measure.dim_d.
     """
     pos = measure.node_positions
     if len(pos) < 2:
@@ -203,7 +179,7 @@ def nonlocal_kernel_matrix(measure: InterfaceMeasure, kernel: KernelSpec) -> np.
     if (r[off] == 0.0).any():
         raise AssemblyError("coincident interface nodes make the kernel singular")
     kvals = np.zeros_like(r)
-    kvals[off] = kernel.evaluate(r[off])
+    kvals[off] = r[off] ** (-(measure.dim_d + 2.0 * kernel.s))
     # the Laplacian below sums over unordered pairs; the factor 2 counts
     # both orders of each pair, as the docstring's form does
     edge = 2.0 * kvals * np.outer(measure.weights, measure.weights)
@@ -299,8 +275,7 @@ def build_operator(mesh: MeshedDomain, measure: InterfaceMeasure,
     """Assemble everything and constrain the mesh's Dirichlet vertices.  The
     interface may meet the Dirichlet boundary only at its two anchor
     vertices, which then get constrained like any other boundary vertex."""
-    unit = len(D.d11) == len(mesh.triangles) and all(
-        (c == v).all() for c, v in ((D.d11, 1.0), (D.d12, 0.0), (D.d22, 1.0)))
+    unit = (D.d11, D.d12, D.d22) == _UNIT_TENSOR
     m_bulk, k_stiff = _unit_bulk(mesh) if unit else assemble_bulk(mesh, D)
     m_iface, b_beta = assemble_interface_mass(mesh, measure, beta)
     theta = assemble_nonlocal(mesh, measure, kernel)

@@ -79,10 +79,9 @@ def build_problem(cfg: SimConfig):
         spec = KochPrefractal(level=g.koch_level, y0=g.y0)
     mesh = build_square_mesh(g.n, spec, dirichlet_side=g.dirichlet_side)
     measure = build_interface_measure(mesh, total_mass=g.total_mass)
-    D = DiffusionTensor.constant(mesh, ph.d11, ph.d12, ph.d22, d0=ph.d0)
-    beta = BetaCoefficient(np.full(len(measure.weights), ph.beta), beta0=ph.beta0)
-    kernel = KernelSpec(s=ph.s, dim_d=measure.dim_d)
-    op = build_operator(mesh, measure, D, beta, kernel, delta=ph.delta)
+    op = build_operator(mesh, measure, DiffusionTensor(ph.d11, ph.d12, ph.d22, ph.d0),
+                        BetaCoefficient(ph.beta, ph.beta0), KernelSpec(ph.s),
+                        delta=ph.delta)
     return op, cfg.bulk_nonlinearity.build(), cfg.interface_nonlinearity.build()
 
 

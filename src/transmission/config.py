@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 
+from .assembly import DiffusionTensor, ValidationError
 from .dynamics import StepControl
 from .geometry import DIRICHLET_SIDES as SIDES
 from .poly import Nonlinearity
@@ -158,8 +159,11 @@ class SimConfig:
             v.append(f"geometry.total_mass = {g.total_mass}: must be positive")
         elif g.total_mass != 1.0 and (g.interface == "segment" or g.koch_level == 0):
             v.append(f"geometry.total_mass = {g.total_mass}: applies to Koch levels >= 1 only")
-        if ph.d0 <= 0.0:
-            v.append(f"physics.d0 = {ph.d0}: admissible range d0 > 0")
+        try:
+            DiffusionTensor(ph.d11, ph.d12, ph.d22, ph.d0)
+        except ValidationError as exc:
+            v.append(f"physics.(d11, d12, d22, d0) = "
+                     f"({ph.d11}, {ph.d12}, {ph.d22}, {ph.d0}): {exc}")
         if not (0.0 < ph.s < 1.0):
             v.append(f"physics.s = {ph.s}: admissible range s in (0, 1)")
         if ph.beta0 < 0.0:

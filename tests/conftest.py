@@ -21,9 +21,9 @@ def default_operator(n, dirichlet_side="left", beta_value=1.0, delta=1,
                      y0=0.5, s=0.5):
     mesh = build_square_mesh(n, Segment(y0), dirichlet_side=dirichlet_side)
     measure = build_interface_measure(mesh)
-    D = DiffusionTensor.isotropic(mesh)
-    beta = BetaCoefficient.constant(measure, beta_value)
-    kernel = KernelSpec(s=s, dim_d=measure.dim_d)
+    D = DiffusionTensor(1.0, 0.0, 1.0, 1.0)
+    beta = BetaCoefficient(beta_value, beta_value)
+    kernel = KernelSpec(s=s)
     return build_operator(mesh, measure, D, beta, kernel, delta=delta)
 
 
@@ -33,9 +33,9 @@ def koch_operator():
     measure = build_interface_measure(mesh)
     return build_operator(
         mesh, measure,
-        DiffusionTensor.isotropic(mesh),
-        BetaCoefficient.constant(measure, 1.0),
-        KernelSpec(s=0.5, dim_d=measure.dim_d),
+        DiffusionTensor(1.0, 0.0, 1.0, 1.0),
+        BetaCoefficient(1.0, 1.0),
+        KernelSpec(s=0.5),
     )
 
 
@@ -45,9 +45,9 @@ def anisotropic_operator(n, interface=Segment(0.5), d12=0.37):
     mesh = build_square_mesh(n, interface)
     measure = build_interface_measure(mesh)
     return build_operator(mesh, measure,
-                          DiffusionTensor.constant(mesh, 2.3, d12, 2.1, d0=1.0),
-                          BetaCoefficient.constant(measure, 1.0),
-                          KernelSpec(s=0.5, dim_d=measure.dim_d))
+                          DiffusionTensor(2.3, d12, 2.1, 1.0),
+                          BetaCoefficient(1.0, 1.0),
+                          KernelSpec(s=0.5))
 
 
 def run_recorded(op, U0, f, h, T, ctrl):

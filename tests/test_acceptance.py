@@ -63,7 +63,7 @@ def test_criterion_02_two_node_hand_oracle():
         node_positions=np.array([[0.0, 0.0], [0.5, 0.0]]),
         weights=np.array([0.5, 0.5]), dim_d=1.0, segment_mass=np.array([1.0]),
     )
-    N = nonlocal_kernel_matrix(m, KernelSpec(s=0.5, dim_d=1.0))
+    N = nonlocal_kernel_matrix(m, KernelSpec(s=0.5))
     u = np.array([1.0, 0.0])
     val = float(u @ (N @ u))
     ok = abs(val - 2.0) <= 1e-12

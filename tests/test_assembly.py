@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from transmission.assembly import (
     AssemblyError,
@@ -12,9 +13,12 @@ from transmission.assembly import (
     assemble_nonlocal,
     build_operator,
     nonlocal_kernel_matrix,
+    p1_gradients,
 )
 from transmission.geometry import (
+    KOCH_DIMENSION,
     InterfaceMeasure,
+    KochPrefractal,
     Segment,
     build_interface_measure,
     build_square_mesh,
@@ -42,19 +46,19 @@ def two_node_measure(distance=0.5, w=0.5):
 
 
 def test_stiffness_kills_constants(mesh16):
-    _, K = assemble_bulk(mesh16, DiffusionTensor.isotropic(mesh16))
+    _, K = assemble_bulk(mesh16, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     ones = np.ones(K.shape[0])
     assert np.abs(K @ ones).max() <= 1e-12
 
 
 def test_stiffness_linear_field_energy(mesh16):
-    _, K = assemble_bulk(mesh16, DiffusionTensor.isotropic(mesh16))
+    _, K = assemble_bulk(mesh16, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     u = mesh16.vertices[:, 0]
     assert u @ (K @ u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bulk_mass_totals(mesh16):
-    M, _ = assemble_bulk(mesh16, DiffusionTensor.isotropic(mesh16))
+    M, _ = assemble_bulk(mesh16, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     ones = np.ones(M.shape[0])
     assert ones @ (M @ ones) == pytest.approx(1.0, abs=1e-12)
     # lumped row sums are the nodal area shares
@@ -63,16 +67,86 @@ def test_bulk_mass_totals(mesh16):
     assert areas.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_anisotropic_tensor_validation(mesh16):
-    m = len(mesh16.triangles)
+def _per_triangle_bulk(mesh, d11, d12, d22):
+    """Lumped mass and stiffness of the tensor stored as one value per
+    triangle: the reference that the constant-coefficient assembly must
+    match bit for bit."""
+    tris = mesh.triangles
+    m = len(tris)
+    d11, d12, d22 = np.full(m, d11), np.full(m, d12), np.full(m, d22)
+    areas, gx, gy = p1_gradients(mesh)
+    dgx = d11[:, None] * gx + d12[:, None] * gy
+    dgy = d12[:, None] * gx + d22[:, None] * gy
+    n_dof = len(mesh.vertices)
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            rows.append(tris[:, a])
+            cols.append(tris[:, b])
+            vals.append(areas * (dgx[:, a] * gx[:, b] + dgy[:, a] * gy[:, b]))
+    K = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_dof, n_dof),
+    ).tocsr()
+    K = 0.5 * (K + K.T)
+    lumped = np.zeros(n_dof)
+    np.add.at(lumped, tris.ravel(), np.repeat(areas / 3.0, 3))
+    return sp.diags(lumped, format="csr"), K
+
+
+@pytest.mark.parametrize("tensor", [(1.0, 0.0, 1.0), (2.0, 0.0, 2.0), (2.3, 0.37, 2.1)],
+                         ids=["unit", "2I", "anisotropic"])
+@pytest.mark.parametrize("interface", [Segment(0.5), KochPrefractal(1, 0.4)],
+                         ids=["op16", "koch"])
+def test_constant_tensor_matches_per_triangle_assembly(tensor, interface):
+    mesh = build_square_mesh(16 if isinstance(interface, Segment) else 27, interface)
+    expected = _per_triangle_bulk(mesh, *tensor)
+    got = assemble_bulk(mesh, DiffusionTensor(*tensor, 1.0))
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+
+
+def test_interface_mass_is_beta_times_weights(mesh16, measure16):
+    _, B = assemble_interface_mass(mesh16, measure16, BetaCoefficient(1.5, 1.0))
+    b = B.diagonal()
+    assert np.array_equal(b[mesh16.interface_nodes], 1.5 * measure16.weights)
+    b[mesh16.interface_nodes] = 0.0
+    assert not b.any()
+
+
+def test_kernel_dimension_is_the_measures():
+    mesh = build_square_mesh(27, KochPrefractal(1, 0.4))
+    measure = build_interface_measure(mesh)
+    assert measure.dim_d == KOCH_DIMENSION
+    pos, w, s = measure.node_positions, measure.weights, 0.25
+    r = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    off = ~np.eye(len(pos), dtype=bool)
+
+    def power_law_block(d):
+        edge = np.zeros_like(r)
+        edge[off] = 2.0 * r[off] ** (-(d + 2.0 * s)) * np.outer(w, w)[off]
+        return np.diag(edge.sum(axis=1)) - edge
+
+    local = nonlocal_kernel_matrix(measure, KernelSpec(s=s))
+    np.testing.assert_allclose(local, power_law_block(np.log(4.0) / np.log(3.0)),
+                               rtol=1e-13, atol=0.0)
+    # the segment's d = 1 gives another block
+    assert np.abs(local - power_law_block(1.0)).max() > 1e-3
+
+
+def test_anisotropic_tensor_validation():
     with pytest.raises(ValidationError):
-        DiffusionTensor(np.full(m, 1.0), np.full(m, 2.0), np.full(m, 1.0), d0=0.5)
-    D = DiffusionTensor.constant(mesh16, 2.0, 0.5, 1.5, d0=1.0)
-    assert D.smallest_eigenvalues().min() >= 1.0
+        DiffusionTensor(1.0, 2.0, 1.0, 0.5)
+    # the smallest eigenvalue of (2.0, 0.5, 1.5) is 1.191
+    DiffusionTensor(2.0, 0.5, 1.5, 1.0)
+    with pytest.raises(ValidationError):
+        DiffusionTensor(2.0, 0.5, 1.5, 1.2)
 
 
 def test_interface_mass_matrices(mesh16, measure16):
-    beta = BetaCoefficient.constant(measure16, 1.0)
+    beta = BetaCoefficient(1.0, 1.0)
     M_if, B = assemble_interface_mass(mesh16, measure16, beta)
     assert M_if.diagonal().sum() == pytest.approx(1.0, abs=1e-12)
     assert B.diagonal().sum() == pytest.approx(measure16.total_mass, abs=1e-12)
@@ -81,7 +155,7 @@ def test_interface_mass_matrices(mesh16, measure16):
 
 
 def test_zero_beta_with_dirichlet_ok(mesh16, measure16):
-    beta = BetaCoefficient(np.zeros(len(measure16.weights)), beta0=0.0)
+    beta = BetaCoefficient(0.0, beta0=0.0)
     _, B = assemble_interface_mass(mesh16, measure16, beta)
     assert B.nnz == 0 or np.abs(B.data).max() == 0.0
 
@@ -89,20 +163,19 @@ def test_zero_beta_with_dirichlet_ok(mesh16, measure16):
 def test_zero_beta_without_dirichlet_rejected(measure16):
     mesh = build_square_mesh(16, Segment(0.5), dirichlet_side="none")
     measure = build_interface_measure(mesh)
-    beta = BetaCoefficient(np.zeros(len(measure.weights)), beta0=0.0)
+    beta = BetaCoefficient(0.0, beta0=0.0)
     with pytest.raises(ValidationError):
         assemble_interface_mass(mesh, measure, beta)
 
 
-def test_beta_below_floor_rejected(measure16):
-    vals = np.full(len(measure16.weights), 0.5)
+def test_beta_below_floor_rejected():
     with pytest.raises(ValidationError):
-        BetaCoefficient(vals, beta0=1.0)
+        BetaCoefficient(0.5, beta0=1.0)
 
 
 def test_nonlocal_two_node_hand_value():
     m = two_node_measure()
-    kernel = KernelSpec(s=0.5, dim_d=1.0)
+    kernel = KernelSpec(s=0.5)
     N = nonlocal_kernel_matrix(m, kernel)
     u = np.array([1.0, 0.0])
     # ordered double sum: 2 pairs, each K * w^2 * 1 = 4 * 0.25 = 1
@@ -112,7 +185,7 @@ def test_nonlocal_two_node_hand_value():
 def test_nonlocal_linear_field_exact_value(mesh16, measure16):
     # for d = 1, s = 1/2 the kernel times the squared increment of u = x is
     # identically 1, so the ordered pair sum is (sum w)^2 - sum w^2 exactly
-    kernel = KernelSpec(s=0.5, dim_d=1.0)
+    kernel = KernelSpec(s=0.5)
     N = nonlocal_kernel_matrix(measure16, kernel)
     u = measure16.node_positions[:, 0]
     expected = measure16.total_mass**2 - np.sum(measure16.weights**2)
@@ -120,7 +193,7 @@ def test_nonlocal_linear_field_exact_value(mesh16, measure16):
 
 
 def test_nonlocal_constants_and_psd(mesh16, measure16):
-    kernel = KernelSpec(s=0.5, dim_d=measure16.dim_d)
+    kernel = KernelSpec(s=0.5)
     theta = assemble_nonlocal(mesh16, measure16, kernel)
     ones = np.ones(theta.shape[0])
     assert np.abs(theta @ ones).max() <= 1e-12
@@ -133,12 +206,12 @@ def test_nonlocal_coincident_nodes_rejected():
     pos = np.array([[0.0, 0.0], [0.0, 0.0]])
     m = InterfaceMeasure(pos, np.array([0.5, 0.5]), 1.0, np.array([1.0]))
     with pytest.raises(AssemblyError):
-        nonlocal_kernel_matrix(m, KernelSpec(s=0.5, dim_d=1.0))
+        nonlocal_kernel_matrix(m, KernelSpec(s=0.5))
 
 
 def test_kernel_s_range():
     with pytest.raises(ValidationError):
-        KernelSpec(s=1.5, dim_d=1.0)
+        KernelSpec(s=1.5)
 
 
 def test_all_matrices_exactly_symmetric(op16):
@@ -156,9 +229,9 @@ def test_dirichlet_everywhere_keeps_interior_interface():
     measure = build_interface_measure(mesh)
     op = build_operator(
         mesh, measure,
-        DiffusionTensor.isotropic(mesh),
-        BetaCoefficient.constant(measure, 1.0),
-        KernelSpec(s=0.5, dim_d=1.0),
+        DiffusionTensor(1.0, 0.0, 1.0, 1.0),
+        BetaCoefficient(1.0, 1.0),
+        KernelSpec(s=0.5),
     )
     assert len(op.dirichlet_dofs) == 4 * 16
     retained = np.intersect1d(op.free_dofs, mesh.interface_nodes)
@@ -184,10 +257,10 @@ def test_ellipticity_floor_anisotropic(rng):
     # plus the coefficient-floored interface mass
     mesh = build_square_mesh(8, Segment(0.5))
     measure = build_interface_measure(mesh)
-    D = DiffusionTensor.constant(mesh, 2.0, 0.3, 1.0, d0=0.8)
-    beta = BetaCoefficient.constant(measure, 1.5)
-    op = build_operator(mesh, measure, D, beta, KernelSpec(s=0.5, dim_d=1.0))
-    _, k_unit = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+    D = DiffusionTensor(2.0, 0.3, 1.0, 0.8)
+    beta = BetaCoefficient(1.5, 1.5)
+    op = build_operator(mesh, measure, D, beta, KernelSpec(s=0.5))
+    _, k_unit = assemble_bulk(mesh, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     f = op.free_dofs
     K_I = k_unit[f][:, f]
     M_if = op.iface_mass_diag
@@ -214,9 +287,9 @@ def test_form_refinement_consistency_logged():
         measure = build_interface_measure(mesh)
         op = build_operator(
             mesh, measure,
-            DiffusionTensor.isotropic(mesh),
-            BetaCoefficient.constant(measure, 1.0),
-            KernelSpec(s=0.5, dim_d=1.0),
+            DiffusionTensor(1.0, 0.0, 1.0, 1.0),
+            BetaCoefficient(1.0, 1.0),
+            KernelSpec(s=0.5),
         )
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         u = np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -232,9 +305,9 @@ def _operator_on(mesh, beta_value=1.0, delta=1):
     measure = build_interface_measure(mesh)
     return build_operator(
         mesh, measure,
-        DiffusionTensor.isotropic(mesh),
-        BetaCoefficient(np.full(len(measure.weights), beta_value), beta0=0.0),
-        KernelSpec(s=0.5, dim_d=1.0),
+        DiffusionTensor(1.0, 0.0, 1.0, 1.0),
+        BetaCoefficient(beta_value, beta0=0.0),
+        KernelSpec(s=0.5),
         delta=delta,
     )
 

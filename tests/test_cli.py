@@ -119,6 +119,19 @@ def test_invalid_value_exit_code(tmp_path, capsys, mode, old, new, flags):
     assert not out.exists()
 
 
+def test_inelliptic_tensor_is_config_error_before_output(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+
+    # d12 = 0.9 puts the smallest eigenvalue of (1, 0.9, 1) at 0.1 < d0 = 1
+    monkeypatch.setenv("TRANSMISSION_PHYSICS__D12", "0.9")
+    cfg = Path(__file__).parent.parent / "configs" / "bounded.ini"
+    out = tmp_path / "out"
+    assert main(["constants", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: physics.")
+    assert not out.exists()
+
+
 def test_flags_override_environment_over_file(tmp_path, monkeypatch):
     from transmission.config import SimConfig
 

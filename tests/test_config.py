@@ -87,6 +87,7 @@ def test_invalid_nonlinearity_rejected(section, entry):
     ("run", "safety_factor = 0"),
     ("pairs", "horizon = 0"),
     ("physics", "d0 = 0"),
+    ("physics", "d12 = 0.9"),
     ("physics", "beta0 = -1"),
     ("physics", "beta = 0.5"),
     ("initial", "kind = noise"),

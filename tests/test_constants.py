@@ -156,10 +156,10 @@ def test_embedding_constant_positive_near_zero_eps(op16):
 def test_embedding_constant_monotone_in_beta():
     mesh = build_square_mesh(16, Segment(0.5))
     measure = build_interface_measure(mesh)
-    kernel = KernelSpec(s=0.5, dim_d=1.0)
-    D = DiffusionTensor.isotropic(mesh)
+    kernel = KernelSpec(s=0.5)
+    D = DiffusionTensor(1.0, 0.0, 1.0, 1.0)
     ops = [
-        build_operator(mesh, measure, D, BetaCoefficient.constant(measure, b), kernel)
+        build_operator(mesh, measure, D, BetaCoefficient(b, b), kernel)
         for b in (1.0, 2.0)
     ]
     c1 = best_embedding_constant(ops[0], 0.5)
@@ -340,7 +340,7 @@ def _dense_poincare_l2(op):
     w = np.zeros(n_dof)
     w[mesh.interface_nodes] = op.measure.weights
     a = w / op.measure.total_mass
-    _, k_unit = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+    _, k_unit = assemble_bulk(mesh, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     m_bulk = op.m_bulk.diagonal()
     P = np.eye(n_dof) - np.outer(np.ones(n_dof), a)
     C_N = P.T @ (m_bulk[:, None] * P)
@@ -456,12 +456,12 @@ def test_poincare_l2_reads_the_unit_tensor_whatever_the_operator():
     # would scale it (by 1/sqrt(2) for 2 I)
     mesh = build_square_mesh(12, Segment(0.5), dirichlet_side="left")
     measure = build_interface_measure(mesh)
-    tensors = [DiffusionTensor.constant(mesh, 2.0, 0.0, 2.0, d0=1.0),
-               DiffusionTensor.constant(mesh, 1.5, 0.3, 1.5, d0=1.0),
-               DiffusionTensor.isotropic(mesh)]
+    tensors = [DiffusionTensor(2.0, 0.0, 2.0, 1.0),
+               DiffusionTensor(1.5, 0.3, 1.5, 1.0),
+               DiffusionTensor(1.0, 0.0, 1.0, 1.0)]
     values = [poincare_mean_sigma(
-        build_operator(mesh, measure, D, BetaCoefficient.constant(measure, 1.0),
-                       KernelSpec(s=0.5, dim_d=measure.dim_d)), "L2_eig")
+        build_operator(mesh, measure, D, BetaCoefficient(1.0, 1.0),
+                       KernelSpec(s=0.5)), "L2_eig")
         for D in tensors]
     assert values[0] == values[1] == values[2]
 

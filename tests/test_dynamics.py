@@ -101,7 +101,7 @@ def _no_reaction_operator(delta):
 
     mesh = build_square_mesh(8, Segment(0.5), dirichlet_side="none")
     measure = build_interface_measure(mesh)
-    m_bulk, k_stiff = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+    m_bulk, k_stiff = assemble_bulk(mesh, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     n_dof = len(mesh.vertices)
     w = np.zeros(n_dof)
     w[mesh.interface_nodes] = measure.weights
@@ -109,7 +109,7 @@ def _no_reaction_operator(delta):
         mesh=mesh, measure=measure, m_bulk=m_bulk,
         m_iface=sp.diags(w, format="csr"), k_stiff=k_stiff,
         b_beta=sp.csr_matrix((n_dof, n_dof)),
-        theta=assemble_nonlocal(mesh, measure, KernelSpec(s=0.5, dim_d=1.0)),
+        theta=assemble_nonlocal(mesh, measure, KernelSpec(s=0.5)),
         d0=1.0, delta=delta,
     )
 

@@ -61,7 +61,7 @@ def _zero_form_operator():
     # coefficient; the validation is deliberately bypassed by direct assembly
     mesh = build_square_mesh(8, Segment(0.5), dirichlet_side="none")
     measure = build_interface_measure(mesh)
-    m_bulk, k_stiff = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+    m_bulk, k_stiff = assemble_bulk(mesh, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     import scipy.sparse as sp
 
     n_dof = len(mesh.vertices)
@@ -69,7 +69,7 @@ def _zero_form_operator():
     w[mesh.interface_nodes] = measure.weights
     m_iface = sp.diags(w, format="csr")
     b_beta = sp.csr_matrix((n_dof, n_dof))
-    theta = assemble_nonlocal(mesh, measure, KernelSpec(s=0.5, dim_d=1.0))
+    theta = assemble_nonlocal(mesh, measure, KernelSpec(s=0.5))
     return DiscreteOperator(
         mesh=mesh, measure=measure, m_bulk=m_bulk, m_iface=m_iface,
         k_stiff=k_stiff, b_beta=b_beta, theta=theta, d0=1.0,
@@ -255,7 +255,7 @@ def test_pure_laplacian_eigenvalue_closed_form():
     # with the interface terms absent the lowest mode of the left-Dirichlet /
     # otherwise-Neumann Laplacian is sin(pi x / 2) with eigenvalue (pi/2)^2
     mesh = build_square_mesh(16, Segment(0.5))
-    m_bulk, k = assemble_bulk(mesh, DiffusionTensor.isotropic(mesh))
+    m_bulk, k = assemble_bulk(mesh, DiffusionTensor(1.0, 0.0, 1.0, 1.0))
     mask = np.ones(len(mesh.vertices), dtype=bool)
     mask[mesh.dirichlet_vertices()] = False
     free = np.flatnonzero(mask)
@@ -403,9 +403,9 @@ def test_koch_interface_pipeline():
     measure = build_interface_measure(mesh)
     op = build_operator(
         mesh, measure,
-        DiffusionTensor.isotropic(mesh),
-        BetaCoefficient.constant(measure, 1.0),
-        KernelSpec(s=0.5, dim_d=measure.dim_d),
+        DiffusionTensor(1.0, 0.0, 1.0, 1.0),
+        BetaCoefficient(1.0, 1.0),
+        KernelSpec(s=0.5),
     )
     spec = spectrum(op, k=2)
     assert spec.eigenvalues[0] > 0
