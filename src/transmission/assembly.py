@@ -210,8 +210,10 @@ class DiscreteOperator:
     mass) with their ``iface_weights`` are plain attributes.  ``delta``
     switches the interface time-derivative term (1 dynamic, 0 static
     transmission condition).  ``_cache`` holds what is derived from the
-    operator once: the spectrum, the grid pencil, the integrator's solvers
-    and the constants' random smooth fields.
+    operator once: the spectrum, the grid pencil, the integrator's solvers,
+    the constants' random smooth fields and the energy form by stencil
+    diagonals of `operators.quadratic_form` (None when its dense block
+    would exceed 4 sqrt(n_free) DOFs).
     """
 
     mesh: MeshedDomain

@@ -378,10 +378,17 @@ def run_pairs(cfg: SimConfig, out: Path) -> int:
     except IncompleteRun as exc:
         print(outcome_line(exc.trajectory))
         return _OUTCOME_EXIT[exc.trajectory.outcome]
-    write_fields(out / "pairs.txt", {key: rep[key] for key in (
-        "omega", "m_factor", "k_factor", "terminal_distance", "r2")})
+    fit = {key: rep[key] for key in (
+        "omega", "m_factor", "k_factor", "terminal_distance", "r2")}
+    note = ""
+    if rep["r2"] < 0.0:
+        # a fit worse than a constant establishes no envelope; both runs
+        # completed all the same, so the exit code stays 0
+        fit["fit_established"] = 0
+        note = "; fit not established"
+    write_fields(out / "pairs.txt", fit)
     write_table(out / "pair_distance.csv", "t,dist2", rep["times"], rep["dist2"])
-    print(f"wrote {out / 'pairs.txt'} (omega={text(rep['omega'])})")
+    print(f"wrote {out / 'pairs.txt'} (omega={text(rep['omega'])}{note})")
     return EXIT_OK
 
 

@@ -190,8 +190,9 @@ def interpolation_zeta(op: DiscreteOperator, eps_values: tuple[float, ...],
     samples += list(spectrum(op, k=min(10, op.n_free)).eigenvectors.T)
 
     x2 = np.array([op.pair_norm2(u) for u in samples])
-    # one product for every sample; each value is u @ (A u), as quadratic_form
-    # takes it, with A u a contiguous row as there
+    # one product for every sample; each value is u @ (A u) with A u a
+    # contiguous row: quadratic_form's value bit for bit below the size from
+    # which it sums by stencil diagonals (4,096 free DOFs), to rounding above
     a_samples = np.ascontiguousarray((op.a_free @ np.array(samples).T).T)
     aa = np.array([u @ au for u, au in zip(samples, a_samples)])
     x1sq = np.array([op.l1_pair_norm(u) ** 2 for u in samples])

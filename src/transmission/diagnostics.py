@@ -36,10 +36,12 @@ def energy(op: DiscreteOperator, U: np.ndarray, f: Nonlinearity,
 
 def _energy(op: DiscreteOperator, U: np.ndarray, F: PolyFunc,
             H: PolyFunc) -> float:
-    """E(U) of `energy` from the primitives F and H."""
+    """E(U) of `energy` from the primitives F and H, each sum one dot product
+    per term."""
+    U = np.asarray(U, dtype=float)
     form = 0.5 * quadratic_form(op, U)
-    bulk = float(np.dot(op.bulk_mass_diag, F(U)))
-    iface = float(np.dot(op.iface_weights, H(U[op.iface_dofs])))
+    bulk = F._dot(op.bulk_mass_diag, U)
+    iface = H._dot(op.iface_weights, U[op.iface_dofs])
     return form + bulk - iface
 
 

@@ -37,12 +37,97 @@ class SpectralData:
         return len(self.eigenvalues)
 
 
+# Free DOFs from which quadratic_form sums u^T A u by stencil diagonals
+# (`_DiagonalForm`) rather than by the CSR product.  At n=96 (9,312 DOFs, 1
+# BLAS thread) a call takes 27 us against 47 us for the product, and 35
+# against 65 us right after a grid solve, which evicts the 0.7 MB matrix from
+# cache as each step of `integrate` does.  The CSR product is kept below this
+# size for its values, not for speed: every smaller operator (each
+# configs/*.ini, the sweep and constants workloads) keeps its energies bit
+# for bit, and interpolation_zeta's one product equals the form exactly
+# (test_zeta_form_values_are_the_quadratic_form).  Size does not count the
+# calls that pay back the form's build (0.35 ms at n=32, 1.5 ms at n=96):
+# `classify` at n >= 64 builds it for one e0.
+_FORM_BY_DIAGONALS = 4096
+
+
 def quadratic_form(op: DiscreteOperator, u: np.ndarray) -> float:
-    """Energy u^T A u of a free-DOF state."""
+    """Energy u^T A u of a free-DOF state.  Below _FORM_BY_DIAGONALS free
+    DOFs it is the CSR product u @ (A u); from there on it is summed by
+    stencil diagonals, built once per operator, and agrees with the product
+    to rounding."""
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n_free,):
         raise ValueError(f"state has shape {u.shape}, expected ({op.n_free},)")
+    if op.n_free >= _FORM_BY_DIAGONALS:
+        if "diagonal_form" not in op._cache:
+            op._cache["diagonal_form"] = _DiagonalForm.of(op.a_free)
+        form = op._cache["diagonal_form"]
+        if form is not None:
+            return form(u)
     return float(u @ (op.a_free @ u))
+
+
+def _dense_block(n: int, dofs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 data: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted unique DOFs p of `dofs` (of n) and the dense p x p block of
+    the entries (rows, cols, data) that lie in it, duplicates summed; None
+    when p holds more than 4 sqrt(n) DOFs."""
+    p = np.unique(dofs)
+    if len(p) > 4.0 * math.sqrt(n):
+        return None
+    pos = np.full(n, -1)
+    pos[p] = np.arange(len(p))
+    pr, pc = pos[rows], pos[cols]
+    on_p = (pr >= 0) & (pc >= 0)
+    block = np.zeros((len(p), len(p)))
+    np.add.at(block, (pr[on_p], pc[on_p]), data[on_p])
+    return p, block
+
+
+class _DiagonalForm:
+    """u^T A u of a sparse n x n matrix A from its stored entries, grouped by
+    diagonal.  The stencil diagonals are the offsets k that hold at least n/8
+    stored entries, on both sides of the main diagonal (0, +-1 and +-n_x on
+    a grid of rows of n_x DOFs): each is one weighted dot product of the
+    shifted products u[i] u[i + k], weighted by A[i, i+k] + A[i+k, i].
+    Every other entry (the nonlocal couplings among interface DOFs) goes into
+    one dense block on the DOFs it touches (`_dense_block`, as the grid
+    pencil's capacitance set does).  The pencil's own split is not reused:
+    it exists only for d12 = 0 on a tensor grid, and its block holds the
+    entries' differences from the grid stencil, not the entries."""
+
+    __slots__ = ("diag", "offsets", "weights", "dofs", "block")
+
+    @classmethod
+    def of(cls, a) -> _DiagonalForm | None:
+        """The form of the CSR matrix a; None when its dense block would
+        hold more than 4 sqrt(n) DOFs."""
+        n = a.shape[0]
+        coo = a.tocoo()
+        k = coo.col - coo.row
+        offsets, counts = np.unique(k, return_counts=True)
+        frequent = set(offsets[counts >= n / 8].tolist())
+        stencil = sorted(d for d in frequent if d > 0 and -d in frequent)
+        off = ~np.isin(k, [0] + stencil + [-d for d in stencil])
+        rows, cols = coo.row[off], coo.col[off]
+        split = _dense_block(n, np.concatenate([rows, cols]), rows, cols, coo.data[off])
+        if split is None:
+            return None
+        out = cls()
+        out.dofs, out.block = split
+        out.diag = a.diagonal()
+        out.offsets = stencil
+        out.weights = [a.diagonal(d) + a.diagonal(-d) for d in stencil]
+        return out
+
+    def __call__(self, u: np.ndarray) -> float:
+        """u^T A u."""
+        total = float(np.dot(self.diag, u * u))
+        for d, w in zip(self.offsets, self.weights):
+            total += float(np.dot(w, u[:-d] * u[d:]))
+        v = u[self.dofs]
+        return total + float(v @ (self.block @ v))
 
 
 def lanczos_start(n: int) -> np.ndarray:
@@ -145,18 +230,14 @@ class _GridPencil:
         d_m = m - m_grid
         ulps = _GRID_ULPS * np.finfo(float).eps
         off = np.abs(d_a) > ulps * diag
-        p = np.unique(np.concatenate([np.flatnonzero(np.abs(d_m) > ulps * m_grid),
-                                      rows[off], a.indices[off]]))
-        if len(p) > 4.0 * math.sqrt(len(m)):
+        # P, and the entries of d_a in P x P
+        split = _dense_block(len(m), np.concatenate([
+            np.flatnonzero(np.abs(d_m) > ulps * m_grid), rows[off], a.indices[off]]),
+            rows, a.indices, d_a)
+        if split is None:
             return None
+        p, out.c_a = split
         out.p, out.c_m = p, np.diag(d_m[p])
-        # the entries of d_a in P x P, by their positions in p (duplicates summed)
-        pos = np.full(len(m), -1)
-        pos[p] = np.arange(len(p))
-        pr, pc = pos[rows], pos[a.indices]
-        on_p = (pr >= 0) & (pc >= 0)
-        out.c_a = np.zeros((len(p), len(p)))
-        np.add.at(out.c_a, (pr[on_p], pc[on_p]), d_a[on_p])
         uniq, out.row_of = np.unique(p // len(self.mx), return_inverse=True)
         out.phi_y_rows, out.x_p = self.phi_y[uniq], self.phi_x[p % len(self.mx)]
         out.index = np.arange(len(p))

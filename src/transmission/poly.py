@@ -119,6 +119,21 @@ class PolyFunc:
             out = np.zeros(tau.shape) if out is None else tau.copy()
         return out if out.shape else float(out)
 
+    def _dot(self, weights: np.ndarray, tau: np.ndarray) -> float:
+        """sum_i weights_i * self(tau_i), one dot product per term, the terms
+        summed from the first in the order of `terms`; each |t|**a is taken
+        once per call by _abs_power."""
+        powers: dict[float, np.ndarray] = {}
+        total = 0.0
+        for (a, b), c in self.terms.items():
+            if a:
+                term = _abs_power(tau, a, powers)
+                term = term * tau if b else term
+            else:
+                term = tau if b else np.ones(tau.shape)
+            total += c * float(np.dot(weights, term))
+        return total
+
     def leading(self) -> tuple[float, float]:
         """(total degree, coefficient); (0, 0) for the zero function."""
         if not self.terms:

@@ -72,6 +72,13 @@ def op32():
 
 
 @pytest.fixture(scope="session")
+def op64():
+    """4,160 free DOFs: above the size from which quadratic_form sums the
+    form by stencil diagonals."""
+    return default_operator(64)
+
+
+@pytest.fixture(scope="session")
 def op16_neumann():
     return default_operator(16, dirichlet_side="none")
 

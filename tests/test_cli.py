@@ -900,3 +900,19 @@ def test_run_that_cannot_reach_its_horizon_stalls(tmp_path, capsys, monkeypatch,
         assert len(lines) == 1 and lines[0].startswith("OUTCOME,StalledStep,")
         assert captured.err == ""
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run.log"]
+
+
+def test_pairs_over_a_tiny_horizon_reports_no_established_fit(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+
+    # the fit over a time grid of width 1e-300 is worse than a constant:
+    # pairs.txt says so in its last line, and both runs completed
+    cfg = Path(__file__).parent.parent / "configs" / "bounded.ini"
+    monkeypatch.setenv("TRANSMISSION_PAIRS__HORIZON", "1e-300")
+    out = tmp_path / "out"
+    assert main(["pairs", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = (out / "pairs.txt").read_text().splitlines()
+    fields = dict(line.split("=", 1) for line in lines)
+    assert float(fields["r2"]) < 0.0
+    assert lines[-1] == "fit_established=0"
+    assert capsys.readouterr().out.rstrip().endswith("; fit not established)")

@@ -404,3 +404,16 @@ def test_streamed_run_memory_does_not_grow_with_the_horizon(rng):
     assert long - short < margin
     # a run with no observer keeps no state either
     assert peak(10.0, False) - peak(1.0, False) < margin
+
+
+# the two exact tests above, on an operator whose form is summed by diagonals
+def test_energy_report_equals_energy_state_by_state_by_diagonals(op64):
+    test_energy_report_equals_energy_state_by_state(op64, np.random.default_rng(12345))
+    assert op64._cache["diagonal_form"] is not None
+
+
+def test_streamed_diagnostics_equal_stored_by_diagonals(op64, tmp_path):
+    from transmission.operators import spectrum
+
+    test_streamed_diagnostics_equal_stored("completed", op64, spectrum(op64, k=1), tmp_path)
+    assert op64._cache["diagonal_form"] is not None

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -484,3 +486,107 @@ def test_grid_pencil_fit_keeps_its_capacitance_probe_and_row_sums(case, damped, 
     assert np.array_equal(np.signbit(grid.c_a), np.signbit(ref))
     assert np.array_equal(grid.probe, lanczos_start(len(m)))
     assert np.array_equal(grid.abs_row_sums, abs(a) @ np.ones(len(m)))
+
+
+# ------------------------------------------------- the form by diagonals
+def _smooth_state(op):
+    x, y = op.mesh.vertices[op.free_dofs].T
+    return np.sin(3.0 * x + 1.0) * np.cos(2.0 * y) + x * y
+
+
+@pytest.mark.parametrize("case", ["op16", "op32", "koch"])
+def test_quadratic_form_below_the_crossover_is_the_csr_product(case, request, rng):
+    from conftest import koch_operator
+
+    from transmission.operators import _FORM_BY_DIAGONALS
+
+    op = koch_operator() if case == "koch" else request.getfixturevalue(case)
+    assert op.n_free < _FORM_BY_DIAGONALS
+    for u in (rng.standard_normal(op.n_free), _smooth_state(op)):
+        assert quadratic_form(op, u) == float(u @ (op.a_free @ u))
+    assert "diagonal_form" not in op._cache
+
+
+def _above_crossover(case):
+    from conftest import anisotropic_operator, default_operator
+
+    from transmission.assembly import BetaCoefficient, build_operator
+    from transmission.geometry import KochPrefractal
+
+    if case == "segment":
+        return default_operator(64)
+    if case == "d12":
+        return anisotropic_operator(64, d12=0.37)
+    if case == "neumann":
+        return default_operator(64, dirichlet_side="none")
+    mesh = build_square_mesh(81, KochPrefractal(level=3, y0=0.4))
+    return build_operator(mesh, build_interface_measure(mesh),
+                          DiffusionTensor(1.0, 0.0, 1.0, 1.0),
+                          BetaCoefficient(1.0, 1.0), KernelSpec(s=0.5))
+
+
+@pytest.mark.parametrize("case", ["segment", "koch", "d12", "neumann"])
+def test_quadratic_form_by_diagonals_agrees_with_the_csr_product(case, rng):
+    from transmission.operators import _FORM_BY_DIAGONALS
+
+    op = _above_crossover(case)
+    assert op.n_free >= _FORM_BY_DIAGONALS
+    abs_a = abs(op.a_free)
+    for u in (rng.standard_normal(op.n_free), _smooth_state(op),
+              rng.uniform(0.0, 1.0, op.n_free)):
+        want = float(u @ (op.a_free @ u))
+        bound = 1e-13 * float(np.abs(u) @ (abs_a @ np.abs(u)))
+        assert abs(quadratic_form(op, u) - want) <= bound
+    # the sums ran by diagonals, with the interface couplings in a dense block
+    form = op._cache["diagonal_form"]
+    assert form is not None and 0 < len(form.dofs) <= 4.0 * np.sqrt(op.n_free)
+
+
+def test_quadratic_form_by_diagonals_is_built_once(op64, rng, monkeypatch):
+    from transmission.operators import _DiagonalForm
+
+    op = copy.copy(op64)
+    op._cache = {}
+    built = []
+    of = _DiagonalForm.of
+    monkeypatch.setattr(_DiagonalForm, "of", lambda a: built.append(a) or of(a))
+    for _ in range(3):
+        quadratic_form(op, rng.standard_normal(op.n_free))
+    assert len(built) == 1 and built[0] is op.a_free
+
+
+class _NoProducts:
+    """A stand-in for a_free that lets its entries be read but fails any
+    product with it."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __getattr__(self, name):
+        if name == "dot":
+            raise AssertionError("a product with a_free")
+        return getattr(self.a, name)
+
+    def __matmul__(self, other):
+        raise AssertionError("a product with a_free")
+
+    __rmatmul__ = __matmul__
+
+
+@pytest.mark.parametrize("case", ["op16", "op64"])
+def test_energy_observer_makes_no_product_above_the_crossover(case, request, rng):
+    from transmission.diagnostics import EnergyAccumulator
+    from transmission.poly import Nonlinearity
+
+    op = copy.copy(request.getfixturevalue(case))
+    op._cache = {}
+    op.a_free = _NoProducts(op.a_free)
+    acc = EnergyAccumulator(op, Nonlinearity.power(1.0, 2.0), Nonlinearity.power(1.0, 0.0))
+    states = [rng.standard_normal(op.n_free) for _ in range(3)]
+    if case == "op16":   # below the crossover the form is the CSR product
+        with pytest.raises(AssertionError, match="a product with a_free"):
+            acc(0.0, 0.0, states[0])
+    else:
+        for k, U in enumerate(states):
+            acc(0.1 * k, 0.1, U)
+        assert len(acc.report().E) == 3
