@@ -39,6 +39,7 @@ from .diagnostics import (
     HolderModulus,
     IncompleteRun,
     SnapshotWriter,
+    _ObserverRelay,
     energy_inequality_residual,
     export_trajectory_csv,
     moser_ratio,
@@ -248,27 +249,39 @@ def run_simulate(cfg: SimConfig, out: Path) -> int:
     snap = cfg.run.snapshot_stride
     if snap:
         observers += (SnapshotWriter(op, snap, out / "snapshots"),)
-    traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
-                     observers=observers)
-    report = energy.report()
+    # they run in a child process where a second CPU is free
+    with _ObserverRelay(observers, op.n_free,
+                        lambda: _observer_results(energy, holder)) as relay:
+        traj = integrate(op, U0, f, h, cfg.time.horizon, _step_control(cfg),
+                         observers=relay.observers)
+    report, holder_fit = relay.result
     export_trajectory_csv(traj, report, out / "trajectory.csv")
-    _write_fit_summaries(traj, report, holder, out / "diagnostics.txt")
+    _write_fit_summaries(traj, report, holder_fit, out / "diagnostics.txt")
     print(outcome_line(traj))
     return _OUTCOME_EXIT[traj.outcome]
 
 
-def _write_fit_summaries(traj, report, holder, path) -> None:
-    """diagnostics.txt of a run: its energy report and the HolderModulus
-    that observed it."""
+def _observer_results(energy: EnergyAccumulator, holder: HolderModulus):
+    """What a simulate run reads of its observers: the energy report, and
+    the Hoelder fit or None for a run that ended before its sampling grid."""
+    try:
+        holder_fit = holder.result()
+    except ValueError:
+        holder_fit = None
+    return energy.report(), holder_fit
+
+
+def _write_fit_summaries(traj, report, holder_fit, path) -> None:
+    """diagnostics.txt of a run: its energy report and the fit of the
+    HolderModulus that observed it."""
     res = energy_inequality_residual(report)
     fields = {"outcome": traj.outcome, "outcome_time": traj.outcome_time,
               "energy_inequality_max_residual": res["max_residual"],
               "e0": res["e0"]}
     if traj.outcome == "completed":
         # a completed run ends at T, the last point of the sampling grid
-        hm = holder.result()
-        fields["holder_rho"] = hm["rho"]
-        fields["holder_degenerate"] = int(hm["degenerate"])
+        fields["holder_rho"] = holder_fit["rho"]
+        fields["holder_degenerate"] = int(holder_fit["degenerate"])
         fields["moser_ratio"] = moser_ratio(report)
     write_fields(path, fields)
 

@@ -8,11 +8,17 @@ The per-state quantities are streaming observers of `integrate`
 (`EnergyAccumulator`, `GridSampler`, `HolderModulus`, `SnapshotWriter`): a
 run passes them as its observers and keeps no states, and
 `compute_energy_report` builds the report of states a caller kept.
-`moser_ratio` reads the EnergyReport.
+`moser_ratio` reads the EnergyReport.  The CLI's `simulate` runs its
+observers in a forked child process where a second CPU is free
+(`_ObserverRelay`); a caller of `integrate` runs them in-process.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -22,7 +28,7 @@ import numpy as np
 
 from .assembly import DiscreteOperator
 from .dynamics import StepControl, Trajectory, integrate
-from .operators import fit_line, quadratic_form
+from .operators import NumericError, fit_line, quadratic_form
 from .poly import Nonlinearity, PolyFunc
 from .textio import text, write_table
 
@@ -273,6 +279,146 @@ class SnapshotWriter:
         full = self.op.embed(U)
         write_table(self.directory / f"snapshot_{k:06d}.csv", "vertex,value",
                     np.arange(len(full)), full)
+
+
+class _ObserverRelay:
+    """Runs the observers of one run in a forked child process, on a second
+    CPU, so that the run does not wait for them.
+
+        with _ObserverRelay(observers, n, collect) as relay:
+            traj = integrate(..., observers=relay.observers)
+        relay.result     # what collect() returned after the last state
+
+    `n` is the length of a state; `collect` reads the observers' results,
+    and its value must pickle.  The child is used where os.fork and
+    os.sched_getaffinity exist and the process may run on at least 2 CPUs.
+    Elsewhere (`taskset -c 0` among them) `relay.observers` is `observers`
+    itself, they run in-process, and `collect` is called after the run.
+
+    Protocol.  Before the fork the parent maps an anonymous shared ring of
+    _SLOTS states and opens two pipes.  For each state it copies U into the
+    next slot, first waiting for the child to free one if none is, and
+    writes (t, dt) down the record pipe.  The child copies each slot out,
+    since the observers keep references to their states, frees it with one
+    _ACK byte down the ack pipe, and calls the observers in order.  After
+    the run the parent closes the record pipe; at its end the child calls
+    `collect` and sends the pickled (True, value) down the ack pipe.
+
+    Errors.  An exception in the child, an observer's or collect's, is sent
+    as (False, exception) and raised in the parent, with the same type and
+    message, after the child is reaped: when the parent next waits for a
+    slot or writes a record, or at the end.  A child that ends without
+    sending its result (a crash or a kill, seen as the end of the ack pipe
+    or a broken record pipe) is a NumericError.  An exception in the
+    parent, KeyboardInterrupt included, closes both pipes, so the child
+    ends; the parent reaps it and its exception goes on unchanged.  The
+    child always ends in os._exit: it never returns into the caller,
+    flushes no inherited stdio buffer and prints no traceback.
+    """
+
+    _SLOTS = 16
+    _RECORD = struct.Struct("dd")
+    _ACK = b"+"     # a pickle of protocol 2 or later starts with b"\x80"
+
+    def __init__(self, observers, n: int, collect):
+        self.observers, self._n, self._collect = tuple(observers), n, collect
+        self.result = None
+        self._pid = None        # the child, until it is reaped
+        self._records = self._acks = None   # the parent's ends of the pipes
+
+    def __enter__(self):
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            return self
+        # mapped before the fork, so that both processes share its pages
+        ring = mmap.mmap(-1, self._SLOTS * self._n * 8)
+        self._slots = np.frombuffer(ring, dtype=float).reshape(self._SLOTS, self._n)
+        self._sent = self._freed = 0
+        self._observers = self.observers
+        records, self._records = os.pipe()
+        self._acks, acks = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            os.close(self._records)
+            os.close(self._acks)
+            self._serve(records, acks)
+        os.close(records)
+        os.close(acks)
+        self.observers = (self,)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self._close()
+        elif self._pid is not None:
+            os.close(self._records)     # the run is over
+            self._records = None
+            self.result = self._finish()
+        else:
+            self.result = self._collect()
+
+    def __call__(self, t: float, dt: float, U: np.ndarray) -> None:
+        if self._sent - self._freed == self._SLOTS:
+            data = os.read(self._acks, 4096)
+            acks = len(data) - len(data.lstrip(self._ACK))
+            self._freed += acks
+            if not data or acks < len(data):    # the child ended or failed
+                self._finish(data)
+        self._slots[self._sent % self._SLOTS] = U
+        try:
+            os.write(self._records, self._RECORD.pack(t, dt))
+        except BrokenPipeError:     # the child has ended
+            self._finish()
+        self._sent += 1
+
+    def _finish(self, data: bytes = b""):
+        """The child's result, read after `data` to the end of the ack pipe
+        and returned once the child is reaped; the child's exception is
+        raised."""
+        with os.fdopen(self._acks, "rb") as fh:
+            self._acks = None
+            data = (data + fh.read()).lstrip(self._ACK)
+        self._close()
+        if not data:
+            raise NumericError("the observer process ended without its result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def _close(self) -> None:
+        """Close the pipes left open and reap the child."""
+        for fd in (self._records, self._acks):
+            if fd is not None:
+                os.close(fd)
+        self._records = self._acks = None
+        if self._pid is not None:
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+    def _serve(self, records: int, acks: int):
+        """The child's part: observe every record, then send the result."""
+        try:
+            try:
+                k = 0
+                # a record is written whole (16 bytes, below PIPE_BUF), so a
+                # read returns whole records
+                while data := os.read(records, self._RECORD.size * 4096):
+                    states = []
+                    for t, dt in self._RECORD.iter_unpack(data):
+                        states.append((t, dt, self._slots[k % self._SLOTS].copy()))
+                        k += 1
+                    os.write(acks, self._ACK * len(states))
+                    for t, dt, U in states:
+                        for obs in self._observers:
+                            obs(t, dt, U)
+                result = True, self._collect()
+            except Exception as exc:    # sent to the parent, raised there
+                result = False, exc
+            with os.fdopen(acks, "wb") as fh:
+                fh.write(pickle.dumps(result))
+        finally:
+            os._exit(0)
 
 
 # Trajectory.outcome as written on the OUTCOME lines of the CSV and stdout
